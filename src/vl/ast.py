@@ -347,7 +347,10 @@ def expr_text(e: Expr) -> str:
     if isinstance(e, (SizedLiteral, DecLiteral)):
         return e.text
     if isinstance(e, UnaryExpr):
-        return e.op + expr_text(e.operand)
+        # Nested operators stay apart: `- -i` must not become `--i`,
+        # SystemVerilog's decrement.
+        sep = " " if isinstance(e.operand, UnaryExpr) else ""
+        return e.op + sep + expr_text(e.operand)
     if isinstance(e, BinaryExpr):
         return f"{expr_text(e.lhs)} {e.op} {expr_text(e.rhs)}"
     if isinstance(e, IndexExpr):

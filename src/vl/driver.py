@@ -39,7 +39,10 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
     if manifest is None:
         return LoadedProgram(None, diagnostics=diags)
     lock_path = manifest.root_dir / "vl.lock"
-    lock = Lockfile.parse(lock_path.read_text(encoding="utf-8")) if lock_path.is_file() else None
+    lock = None
+    if lock_path.is_file():
+        lock, ldiags = Lockfile.parse(lock_path.read_text(encoding="utf-8"), str(lock_path))
+        diags += ldiags
     sources, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
     diags += ddiags
     plan, pdiags = build_plan(manifest, sources)
@@ -98,54 +101,47 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
             pu.is_root,
             EmitConfig(pu.manifest.clock_type, pu.manifest.reset_type),
         )
-        for path in discover_sources(pu.root):
-            rel = path.relative_to(pu.root)
-            file_id = str(rel) if pu.is_root else str(path)
-            text = path.read_text(encoding="utf-8")
-            result.source_texts[file_id] = text
-            sf, pdiags = parse_source(text, file_id)
-            result.diagnostics += pdiags
-            unit.files.append(sf)
-            unit.stems[file_id] = str(rel.relative_to("src").with_suffix(""))
-        deps = {}
-        for d in pu.manifest.dependencies:
-            name = url2name.get(d.url)
-            if name in tables:
-                deps[name] = tables[name]
-        table, rdiags = build_symbols(unit.files, deps, pu.name)
-        result.diagnostics += rdiags
-        adiags, info = analyze_unit(unit.files, table)
-        result.diagnostics += adiags
-        unit.table = table
-        unit.info = info
-        tables[pu.name] = table
-        result.units.append(unit)
-    result.mono = monomorphize([UnitView(u.name, u.files, u.table) for u in result.units])
-    result.diagnostics += result.mono.diagnostics
-    result.diagnostics = sorted_diagnostics(result.diagnostics)
-    return result
+        deps = {name: tables[name] for d in pu.manifest.dependencies if (name := url2name.get(d.url)) in tables}
+        _check_unit(result, unit, _unit_sources(pu), deps)
+        tables[pu.name] = unit.table
+    return _monomorphize(result)
 
 
 def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> ProgramResult:
     """Single-unit pipeline over in-memory sources (test convenience)."""
     result = ProgramResult()
     unit = UnitResult(name, Manifest(name, "0.0.0"), Path("."), True, EmitConfig())
-    for file_id, text in named_sources:
+    _check_unit(result, unit, [(file_id, Path(file_id).stem, text) for file_id, text in named_sources], {})
+    return _monomorphize(result)
+
+
+def _unit_sources(pu: PlanUnit):
+    """(file_id, output stem, text) of each source file of a planned unit."""
+    for path in discover_sources(pu.root):
+        rel = path.relative_to(pu.root)
+        file_id = str(rel) if pu.is_root else str(path)
+        yield file_id, str(rel.relative_to("src").with_suffix("")), path.read_text(encoding="utf-8")
+
+
+def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str, SymbolTable]) -> None:
+    """Parse `unit`'s (file_id, stem, text) sources, index and analyze them, and add it to `result`."""
+    for file_id, stem, text in sources:
         result.source_texts[file_id] = text
         sf, pdiags = parse_source(text, file_id)
         result.diagnostics += pdiags
         unit.files.append(sf)
-        unit.stems[file_id] = Path(file_id).stem
-    table, rdiags = build_symbols(unit.files, {}, name)
+        unit.stems[file_id] = stem
+    unit.table, rdiags = build_symbols(unit.files, deps, unit.name)
     result.diagnostics += rdiags
-    adiags, info = analyze_unit(unit.files, table)
+    adiags, unit.info = analyze_unit(unit.files, unit.table)
     result.diagnostics += adiags
-    unit.table = table
-    unit.info = info
     result.units.append(unit)
-    result.mono = monomorphize([UnitView(unit.name, unit.files, unit.table)])
-    result.diagnostics += result.mono.diagnostics
-    result.diagnostics = sorted_diagnostics(result.diagnostics)
+
+
+def _monomorphize(result: ProgramResult) -> ProgramResult:
+    """Monomorphize the checked units and put all diagnostics in report order."""
+    result.mono = monomorphize([UnitView(u.name, u.files, u.table) for u in result.units])
+    result.diagnostics = sorted_diagnostics(result.diagnostics + result.mono.diagnostics)
     return result
 
 
@@ -159,7 +155,7 @@ def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], lis
         for sf in unit.files:
             items = result.mono.items.get((unit.name, sf.file_id), [])
             files.append((unit.stems[sf.file_id], items))
-        paths, ediags = emit_project(files, unit.config, out_dir)
+        paths, ediags = emit_project(files, unit.config, unit.info.ff_bindings, out_dir)
         written += paths
         diags += ediags
         if ediags:

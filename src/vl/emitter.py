@@ -8,13 +8,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ast
-from .analyzer import FfBinding, bind_always_ff
+from .analyzer import FfBinding
 from .ast import expr_text
 from .diagnostics import Diagnostic
 from .tokens import Span
-
-CLOCK_TYPES = ("posedge", "negedge")
-RESET_TYPES = ("async_low", "async_high", "sync_low", "sync_high")
 
 _SCALARS = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
 
@@ -158,9 +155,13 @@ def _lower_if(s, head: str, w: _Writer, nb: bool, binding, reset_kind) -> None:
     w.put("end")
 
 
-def emit_module(m: ast.ModuleDecl, cfg: EmitConfig) -> EmitUnit:
-    """Lower one analyzed, monomorphized module to SystemVerilog text."""
-    bindings, _ = bind_always_ff(m)
+def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> EmitUnit:
+    """Lower one analyzed, monomorphized module to SystemVerilog text.
+
+    `ff_bindings` is the analyzer's `AnalysisInfo.ff_bindings`, keyed by the
+    id of each `always_ff` node; generic instances share those nodes with
+    their template.
+    """
     w = _Writer()
     name_map: dict[str, str] = {m.name: m.name}
 
@@ -191,7 +192,7 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig) -> EmitUnit:
 
     w.depth += 1
     for it, _ in ast.iter_module_items(m.body):
-        _emit_module_item(it, w, bindings, cfg, name_map)
+        _emit_module_item(it, w, ff_bindings, cfg, name_map)
     w.depth -= 1
     w.put("endmodule")
     return EmitUnit(m.name, "\n".join(w.lines) + "\n", name_map)
@@ -263,12 +264,12 @@ def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> EmitUnit:
     return EmitUnit(pkg.name, "\n".join(w.lines) + "\n", name_map)
 
 
-def emit_items(items: list[ast.Item], cfg: EmitConfig) -> str:
+def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
     """One source file's worth of SystemVerilog, modules in order."""
     parts = []
     for item in items:
         if isinstance(item, ast.ModuleDecl):
-            parts.append(emit_module(item, cfg).text)
+            parts.append(emit_module(item, cfg, ff_bindings).text)
         else:
             parts.append(emit_package(item, cfg).text)
     return "\n".join(parts)
@@ -277,6 +278,7 @@ def emit_items(items: list[ast.Item], cfg: EmitConfig) -> str:
 def emit_project(
     files: list[tuple[str, list[ast.Item]]],
     cfg: EmitConfig,
+    ff_bindings: dict[int, FfBinding],
     out_dir: Path,
 ) -> tuple[list[Path], list[Diagnostic]]:
     """Write one `.sv` per source file (same stem); byte-stable across runs."""
@@ -290,7 +292,7 @@ def emit_project(
         diags.append(Diagnostic("EIO01", f"cannot create output directory: {err}", _io_span(out_dir)))
         return written, diags
     for stem, items in files:
-        text = emit_items(items, cfg)
+        text = emit_items(items, cfg, ff_bindings)
         path = out_dir / f"{stem}.sv"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -72,14 +72,23 @@ class Lockfile:
         return "\n".join(lines) + "\n" if lines else ""
 
     @classmethod
-    def parse(cls, text: str) -> "Lockfile":
+    def parse(cls, text: str, file_id: str) -> tuple["Lockfile", list[Diagnostic]]:
+        """Entries of a lockfile; a line without four tab-separated fields is E0407 and skipped."""
         entries = []
-        for line in text.splitlines():
+        diags = []
+        offset = 0
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            span = Span(file_id, offset, offset + len(line), lineno, 1)
+            offset += len(line) + 1
             if not line.strip():
                 continue
-            url, version, revision, name = line.split("\t")
-            entries.append(LockEntry(url, version, revision, name))
-        return cls(entries)
+            fields = line.split("\t")
+            if len(fields) != 4:
+                msg = f"malformed lockfile line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                diags.append(Diagnostic("E0407", msg, span))
+                continue
+            entries.append(LockEntry(*fields))
+        return cls(entries), diags
 
 
 def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:

@@ -3,8 +3,7 @@ and monomorphization of generic modules."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, auto
 
 from . import ast
@@ -226,14 +225,19 @@ def monomorphize(units: list[UnitView]) -> MonoResult:
 
 
 class _Mono:
+    """Monomorphization over an immutable AST: output modules share every
+    subtree that does not change.  New nodes are made only for rewritten inst
+    declarations, the `unsafe(cdc)` items and modules that hold them, and each
+    generic instance; everything else, packages included, is the source object.
+    """
+
     def __init__(self, units: list[UnitView]):
         self.units = units
         self.diags: list[Diagnostic] = []
-        # (template key, arg keys) -> mangled name
-        self.done: dict[tuple, str] = {}
-        self.order: list[tuple] = []
-        self.clones: dict[tuple, ast.ModuleDecl] = {}
+        # (template key, arg keys) -> instance, in the order they are completed
         self.instances: dict[tuple, GenericInstance] = {}
+        # id(template) -> its concrete modules
+        self.made: dict[int, list[ast.ModuleDecl]] = {}
         self.stack: list[tuple] = []
         # module symbol key -> (unit, file_id, decl)
         self.modules: dict[tuple[str, str], tuple[str, str, ast.ModuleDecl]] = {}
@@ -245,101 +249,96 @@ class _Mono:
         self.tables = {u.name: u.table for u in units}
 
     def run(self) -> MonoResult:
-        out: dict[tuple[str, str], list[ast.Item]] = {}
-        rewritten: dict[tuple[str, str], ast.ModuleDecl] = {}
-        for u in self.units:
-            for sf in u.files:
-                for item in sf.items:
-                    if isinstance(item, ast.ModuleDecl) and not item.generic_params:
-                        clone = copy.deepcopy(item)
-                        self.rewrite_insts(clone, u.name, item, env={})
-                        rewritten[(u.name, item.name)] = clone
+        rewritten = {
+            id(item): self.instantiate(item, u.name, {}, item.name)
+            for u in self.units
+            for sf in u.files
+            for item in sf.items
+            if isinstance(item, ast.ModuleDecl) and not item.generic_params
+        }
         # Place items: templates are replaced by their instances, in mangled-name
         # order; everything else keeps its source position.
+        out: dict[tuple[str, str], list[ast.Item]] = {}
         for u in self.units:
             for sf in u.files:
                 items: list[ast.Item] = []
                 for item in sf.items:
-                    if isinstance(item, ast.ModuleDecl):
-                        if item.generic_params:
-                            made = [
-                                self.clones[key]
-                                for key in self.order
-                                if self.instances[key].template is item
-                            ]
-                            items.extend(sorted(made, key=lambda m: m.name))
-                        else:
-                            items.append(rewritten[(u.name, item.name)])
+                    if not isinstance(item, ast.ModuleDecl):
+                        items.append(item)
+                    elif item.generic_params:
+                        items.extend(sorted(self.made.get(id(item), []), key=lambda m: m.name))
                     else:
-                        items.append(copy.deepcopy(item))
+                        items.append(rewritten[id(item)])
                 out[(u.name, sf.file_id)] = items
-        self.check_collisions()
-        name_map = {
-            inst.mangled_name: {"template": inst.template.name, "args": list(inst.args)}
-            for inst in (self.instances[k] for k in self.order)
-        }
-        return MonoResult(out, [self.instances[k] for k in self.order], name_map, self.diags)
+        instances = list(self.instances.values())
+        self.check_collisions(instances)
+        name_map = {inst.mangled_name: {"template": inst.template.name, "args": list(inst.args)} for inst in instances}
+        return MonoResult(out, instances, name_map, self.diags)
 
-    def module_scope(self, unit: str, decl: ast.ModuleDecl) -> Scope:
-        return self.tables[unit].module_scopes[id(decl)]
+    def instantiate(self, m: ast.ModuleDecl, unit: str, env: dict[str, tuple], name: str) -> ast.ModuleDecl:
+        """`m` with generic inst targets rewritten to mangled concrete names.
 
-    def rewrite_insts(self, clone: ast.ModuleDecl, unit: str, template: ast.ModuleDecl, env: dict[str, tuple]) -> None:
-        """Rewrite generic inst targets in `clone` to mangled concrete names.
-
-        Resolution happens in `template`'s defining scope; `env` maps generic
+        Resolution happens in `m`'s defining scope; `env` maps generic
         parameter names to already-resolved argument module keys.
         """
-        scope = self.module_scope(unit, template)
+        body = self.rewrite_body(m.body, unit, self.tables[unit].module_scopes[id(m)], env)
+        if body is m.body and name == m.name:
+            return m
+        return replace(m, name=name, generic_params=[], body=body)
+
+    def rewrite_body(self, body: list[ast.ModuleItem], unit: str, scope: Scope, env: dict[str, tuple]) -> list[ast.ModuleItem]:
+        """`body` itself when no item changes, else a new list sharing the unchanged items."""
+        out = []
+        for it in body:
+            if isinstance(it, ast.InstDecl):
+                it = self.rewrite_inst(it, unit, scope, env)
+            elif isinstance(it, ast.UnsafeCdcItem):
+                items = self.rewrite_body(it.items, unit, scope, env)
+                if items is not it.items:
+                    it = replace(it, items=items)
+            out.append(it)
+        return body if all(a is b for a, b in zip(out, body)) else out
+
+    def rewrite_inst(self, it: ast.InstDecl, unit: str, scope: Scope, env: dict[str, tuple]) -> ast.InstDecl:
         table = self.tables[unit]
-        for it, _ in ast.iter_module_items(clone.body):
-            if not isinstance(it, ast.InstDecl):
-                continue
-            target_key = self.resolve_module_key(it.target, scope, table, env)
-            if target_key is None:
-                continue
-            _, _, target_decl = self.modules[target_key]
-            if not target_decl.generic_params:
-                if it.generic_args:
-                    self.diags.append(
-                        Diagnostic(
-                            "E0204",
-                            f"`{target_decl.name}` is not generic but got {len(it.generic_args)} generic argument(s)",
-                            it.target.span,
-                        )
-                    )
-                    it.generic_args = []
-                continue
-            if len(it.generic_args) != len(target_decl.generic_params):
+        target_key = self.resolve_module_key(it.target, scope, table, env)
+        if target_key is None:
+            return it
+        _, _, target_decl = self.modules[target_key]
+        if not target_decl.generic_params:
+            if it.generic_args:
                 self.diags.append(
                     Diagnostic(
                         "E0204",
-                        f"`{target_decl.name}` expects {len(target_decl.generic_params)} generic argument(s), got {len(it.generic_args)}",
+                        f"`{target_decl.name}` is not generic but got {len(it.generic_args)} generic argument(s)",
                         it.target.span,
                     )
                 )
-                continue
-            arg_keys = []
-            ok = True
-            for arg in it.generic_args:
-                key = self.resolve_module_key(arg, scope, table, env, required=True)
-                if key is None:
-                    ok = False
-                    break
-                arg_keys.append(key)
-            if not ok:
-                continue
-            mangled = self.expand(target_key, tuple(arg_keys), it.target.span)
-            it.target = ast.PathExpr([mangled], it.target.span)
-            it.generic_args = []
+            if it.target.text in env:
+                return replace(it, target=ast.PathExpr(self.display(target_key, unit), it.target.span), generic_args=[])
+            return replace(it, generic_args=[]) if it.generic_args else it
+        if len(it.generic_args) != len(target_decl.generic_params):
+            self.diags.append(
+                Diagnostic(
+                    "E0204",
+                    f"`{target_decl.name}` expects {len(target_decl.generic_params)} generic argument(s), got {len(it.generic_args)}",
+                    it.target.span,
+                )
+            )
+            return it
+        arg_keys = []
+        for arg in it.generic_args:
+            key = self.resolve_module_key(arg, scope, table, env, required=True)
+            if key is None:
+                return it
+            arg_keys.append(key)
+        mangled = self.expand(target_key, tuple(arg_keys), it.target.span)
+        return replace(it, target=ast.PathExpr([mangled], it.target.span), generic_args=[])
 
     def resolve_module_key(self, path: ast.PathExpr, scope, table, env: dict[str, tuple], required: bool = False):
         """Module key for an inst-target or generic-argument path, or None."""
-        substituted = getattr(path, "_substituted_key", None)
-        if substituted is not None:
-            return substituted
-        head = path.segments[0]
-        if len(path.segments) == 1 and head in env:
-            return env[head]
+        if path.text in env:  # a generic parameter of the module being instantiated
+            return env[path.text]
         quiet: list[Diagnostic] = []
         rp = resolve(path, scope, table, quiet)
         if rp is None:
@@ -363,7 +362,7 @@ class _Mono:
         args_display = tuple("::".join(self.display(k, unit)) for k in arg_keys)
         mangled = mangle(template.name, args_display)
         key = (template_key, arg_keys)
-        if key in self.done:
+        if key in self.instances:
             return mangled
         if key in self.stack:
             self.diags.append(
@@ -375,16 +374,9 @@ class _Mono:
             )
             return mangled
         self.stack.append(key)
-        clone = copy.deepcopy(template)
-        clone.name = mangled
-        clone.generic_params = []
-        env = dict(zip(template.generic_params, arg_keys))
-        self.substitute_paths(clone, env, unit)
-        self.rewrite_insts(clone, unit, template, env)
+        made = self.instantiate(template, unit, dict(zip(template.generic_params, arg_keys)), mangled)
         self.stack.pop()
-        self.done[key] = mangled
-        self.order.append(key)
-        self.clones[key] = clone
+        self.made.setdefault(id(template), []).append(made)
         self.instances[key] = GenericInstance(template, args_display, mangled, unit, file_id)
         return mangled
 
@@ -397,29 +389,11 @@ class _Mono:
         unit, name = key
         return [name] if unit == from_unit else [unit, name]
 
-    def substitute_paths(self, clone: ast.ModuleDecl, env: dict[str, tuple], unit: str) -> None:
-        """Replace generic-parameter heads in inst targets and generic args."""
-
-        def substitute(path: ast.PathExpr) -> ast.PathExpr:
-            if len(path.segments) == 1 and path.segments[0] in env:
-                key = env[path.segments[0]]
-                new = ast.PathExpr(self.display(key, unit), path.span)
-                new._substituted_key = key  # type: ignore[attr-defined]
-                return new
-            return path
-
-        for it, _ in ast.iter_module_items(clone.body):
-            if not isinstance(it, ast.InstDecl):
-                continue
-            it.target = substitute(it.target)
-            it.generic_args = [substitute(a) for a in it.generic_args]
-
-    def check_collisions(self) -> None:
+    def check_collisions(self, instances: list[GenericInstance]) -> None:
         user_names = {}
         for (unit, name), (_, _, decl) in self.modules.items():
             user_names[name] = decl
-        for key in self.order:
-            inst = self.instances[key]
+        for inst in instances:
             if inst.mangled_name in user_names:
                 self.diags.append(
                     Diagnostic(

@@ -16,6 +16,7 @@ import pytest
 
 import svread
 import vl.project as project_mod
+from vl.analyzer import bind_always_ff
 from vl.cli import main
 from vl.driver import check_strings
 from vl.emitter import EmitConfig, emit_items, emit_module
@@ -59,7 +60,8 @@ endmodule
 
 def test_criterion_1_fig1_round_trip():
     start = time.monotonic()
-    emitted = emit_module(parse_ok(FIG1).items[0], EmitConfig("posedge", "async_low")).text
+    module = parse_ok(FIG1).items[0]
+    emitted = emit_module(module, EmitConfig("posedge", "async_low"), bind_always_ff(module)[0]).text
     (mine,) = svread.parse_sv(emitted)
     # Reference transcription, with the reset port renamed per the criterion.
     (ref,) = svread.parse_sv(FIG1_LEFT_SV.replace("i_rst_n", "i_rst"))
@@ -83,13 +85,14 @@ def test_criterion_1_fig1_round_trip():
 
 def test_criterion_2_fig2_matrix():
     module = parse_ok(FIG2).items[0]
-    upper = emit_module(module, EmitConfig("posedge", "async_low")).text
+    bindings = bind_always_ff(module)[0]
+    upper = emit_module(module, EmitConfig("posedge", "async_low"), bindings).text
     assert "always_ff @ (posedge i_clk_a or negedge i_rst_a) begin" in upper
     assert "if (!i_rst_a) begin" in upper
     assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in upper
     assert "if (i_rst_b) begin" in upper
 
-    lower = emit_module(module, EmitConfig("negedge", "sync_high")).text
+    lower = emit_module(module, EmitConfig("negedge", "sync_high"), bindings).text
     assert "always_ff @ (negedge i_clk_a) begin" in lower
     assert "if (i_rst_a) begin" in lower
     for line in lower.splitlines():
@@ -101,7 +104,7 @@ def test_criterion_2_fig2_matrix():
         i = next(k for k, l in enumerate(lines) if "i_clk_b" in l)
         return "\n".join(lines[i : i + 4])
 
-    texts = [emit_module(module, cfg).text for cfg in ALL_CONFIGS]
+    texts = [emit_module(module, cfg, bindings).text for cfg in ALL_CONFIGS]
     assert len(texts) == 8
     assert len({b_process(t) for t in texts}) == 1  # `b` process byte-identical
     reference = texts[0].splitlines()
@@ -119,7 +122,7 @@ def test_criterion_3_fig3_generics():
     result = check_strings([("main.vl", FIG3)])
     assert result.ok, result.diagnostics
     items = result.mono.items[("local", "main.vl")]
-    text = emit_items(items, EmitConfig())
+    text = emit_items(items, EmitConfig(), result.units[0].info.ff_bindings)
     modules = {m.name: m for m in svread.parse_sv(text)}
     assert "SramQueue__SramVendorA" in modules and "SramQueue__SramVendorB" in modules
     assert "SramQueue" not in modules  # the template itself is not emitted
@@ -135,7 +138,7 @@ def test_criterion_3_fig3_generics():
     twice = FIG3 + "\nmodule Again () {\n    inst q: SramQueue::<SramVendorA>();\n}\n"
     r2 = check_strings([("main.vl", twice)])
     assert r2.ok
-    emitted = emit_items(r2.mono.items[("local", "main.vl")], EmitConfig())
+    emitted = emit_items(r2.mono.items[("local", "main.vl")], EmitConfig(), r2.units[0].info.ff_bindings)
     count = sum(1 for m in svread.parse_sv(emitted) if m.name == "SramQueue__SramVendorA")
     assert count == 1
     ok(3, "Fig. 3 yields exactly two monomorphized queues; duplicate pairs share one definition")

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import svread
 from vl.cli import main
 
 from test_parser import FIG1
+from test_resolver import FIG3_FF
 
 
 def make_project(tmp_path, source=FIG1, name="counter", stem="counter"):
@@ -156,3 +158,35 @@ def test_related_spans_render_in_order(tmp_path, capsys):
     assert err.index("error[E0201]") < err.index("first declared here")
     # Two source excerpts: the duplicate and the original.
     assert err.count("src/main.vl:") == 2
+
+
+def test_generic_instances_build_with_the_templates_clock_binding(tmp_path):
+    root = make_project(tmp_path, FIG3_FF, name="queues", stem="queues")
+    assert main(["build", "--manifest", str(root / "vl.toml")]) == 0
+    modules = {m.name: m for m in svread.parse_sv((root / "target" / "sv" / "queues.sv").read_text())}
+    for name in ("SramQueue__SramVendorA", "SramQueue__SramVendorB"):
+        ff = modules[name].processes[0]
+        assert ff.sensitivity == [("posedge", "i_clk"), ("negedge", "i_rst")]
+
+
+def test_400_term_chain_checks_builds_and_formats(tmp_path):
+    chain = " + ".join(["1"] * 400)
+    root = make_project(tmp_path, f"module Chain (o: output u32) {{\n    assign o = {chain};\n}}\n", "chain", "chain")
+    manifest = str(root / "vl.toml")
+    assert main(["check", "--manifest", manifest]) == 0
+    assert main(["build", "--manifest", manifest]) == 0
+    (chain_sv,) = svread.parse_sv((root / "target" / "sv" / "chain.sv").read_text())
+    assert chain_sv.name == "Chain"
+    assert chain_sv.assigns == [(("o",), tuple(" + ".join(["1"] * 400).split()))]
+    assert main(["fmt", "--manifest", manifest]) == 0
+    assert main(["fmt", "--check", "--manifest", manifest]) == 0
+
+
+def test_malformed_lockfile_line_is_e0407(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "vl.lock").write_text("file:///dep\t0.1.0\n")
+    assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    (diag,) = json.loads(capsys.readouterr().out)
+    assert diag["code"] == "E0407" and diag["line"] == 1
+    assert diag["file"] == str(root / "vl.lock")
+    assert "line 1" in diag["message"]

@@ -1,5 +1,6 @@
 import re
 
+from vl.analyzer import bind_always_ff
 from vl.emitter import EmitConfig, emit_items, emit_module, emit_project, lower_type, unpacked_suffix
 import svread
 from test_parser import FIG1, parse_ok
@@ -32,6 +33,10 @@ def module_of(src, name=None):
     return next(i for i in sf.items if i.name == name)
 
 
+def emit_one(m, cfg):
+    return emit_module(m, cfg, bind_always_ff(m)[0])
+
+
 def ty_of(src):
     return module_of(f"module M () {{ var x: {src}; }}").body[0].ty
 
@@ -59,11 +64,11 @@ def test_compound_bound_is_parenthesized():
 
 
 def test_empty_module():
-    assert emit_module(module_of("module M () {}"), EmitConfig()).text == "module M;\nendmodule\n"
+    assert emit_one(module_of("module M () {}"), EmitConfig()).text == "module M;\nendmodule\n"
 
 
 def test_fig1_emission_structure():
-    unit = emit_module(module_of(FIG1), EmitConfig("posedge", "async_low"))
+    unit = emit_one(module_of(FIG1), EmitConfig("posedge", "async_low"))
     (sv,) = svread.parse_sv(unit.text)
     assert sv.name == "Counter"
     assert sv.params == [("WIDTH", ("1",))]
@@ -78,12 +83,12 @@ def test_fig1_emission_structure():
 
 
 def test_compound_assign_lowering():
-    unit = emit_module(module_of(FIG1), EmitConfig())
+    unit = emit_one(module_of(FIG1), EmitConfig())
     assert "r_cnt <= r_cnt + (1);" in unit.text
 
 
 def test_fig2_posedge_async_low():
-    unit = emit_module(module_of(FIG2), EmitConfig("posedge", "async_low"))
+    unit = emit_one(module_of(FIG2), EmitConfig("posedge", "async_low"))
     assert "always_ff @ (posedge i_clk_a or negedge i_rst_a) begin" in unit.text
     assert "if (!i_rst_a) begin" in unit.text
     assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in unit.text
@@ -91,7 +96,7 @@ def test_fig2_posedge_async_low():
 
 
 def test_fig2_negedge_sync_high():
-    unit = emit_module(module_of(FIG2), EmitConfig("negedge", "sync_high"))
+    unit = emit_one(module_of(FIG2), EmitConfig("negedge", "sync_high"))
     assert "always_ff @ (negedge i_clk_a) begin" in unit.text
     assert "if (i_rst_a) begin" in unit.text
     # The sync reset must not appear in any sensitivity list.
@@ -103,7 +108,7 @@ def test_fig2_negedge_sync_high():
 
 def test_fig2_b_process_immune_to_config():
     def b_lines(cfg):
-        text = emit_module(module_of(FIG2), cfg).text
+        text = emit_one(module_of(FIG2), cfg).text
         lines = text.splitlines()
         start = next(i for i, l in enumerate(lines) if "i_clk_b" in l)
         return lines[start : start + 4]
@@ -114,7 +119,7 @@ def test_fig2_b_process_immune_to_config():
 
 
 def test_fig2_config_orthogonality():
-    texts = {cfg: emit_module(module_of(FIG2), cfg).text for cfg in ALL_CONFIGS}
+    texts = {cfg: emit_one(module_of(FIG2), cfg).text for cfg in ALL_CONFIGS}
     reference = texts[ALL_CONFIGS[0]].splitlines()
     for cfg, text in texts.items():
         lines = text.splitlines()
@@ -137,25 +142,25 @@ def test_explicit_variant_module_immune_to_all_configs():
         "    }\n"
         "}\n"
     )
-    texts = {emit_module(module_of(src), cfg).text for cfg in ALL_CONFIGS}
+    texts = {emit_one(module_of(src), cfg).text for cfg in ALL_CONFIGS}
     assert len(texts) == 1  # byte-identical under every clock/reset config
 
 
 def test_name_preservation():
-    unit = emit_module(module_of(FIG1), EmitConfig())
+    unit = emit_one(module_of(FIG1), EmitConfig())
     for name in ["Counter", "WIDTH", "i_clk", "i_rst", "o_cnt", "r_cnt"]:
         assert re.search(rf"\b{name}\b", unit.text)
         assert unit.name_map[name] == name
 
 
 def test_process_correspondence():
-    unit = emit_module(module_of(FIG2), EmitConfig())
+    unit = emit_one(module_of(FIG2), EmitConfig())
     assert unit.text.count("always_ff") == FIG2.count("always_ff")
 
 
 def test_emission_deterministic():
-    a = emit_module(module_of(FIG1), EmitConfig()).text
-    b = emit_module(module_of(FIG1), EmitConfig()).text
+    a = emit_one(module_of(FIG1), EmitConfig()).text
+    b = emit_one(module_of(FIG1), EmitConfig()).text
     assert a == b
 
 
@@ -167,7 +172,7 @@ def test_inst_emission():
         "}\n"
     )
     sf = parse_ok(src)
-    text = emit_items(sf.items, EmitConfig())
+    text = emit_items(sf.items, EmitConfig(), {})
     (child, parent) = svread.parse_sv(text)
     (inst,) = parent.insts
     assert inst.type == "Child" and inst.name == "u"
@@ -180,7 +185,7 @@ def test_inst_with_params_and_empty_conns():
         "module P () { inst a: K #(W: 8); inst b: K; }\n"
     )
     sf = parse_ok(src)
-    text = emit_items(sf.items, EmitConfig())
+    text = emit_items(sf.items, EmitConfig(), {})
     assert ".W (8)" in text
     assert "K b ();" in text
 
@@ -193,7 +198,7 @@ def test_package_and_function_emission():
         "}\n"
     )
     sf = parse_ok(src)
-    text = emit_items(sf.items, EmitConfig())
+    text = emit_items(sf.items, EmitConfig(), {})
     (pkg,) = svread.parse_sv(text)
     assert pkg.name == "math"
     assert pkg.localparams == [("ONE", ("1",))]
@@ -203,7 +208,7 @@ def test_package_and_function_emission():
 
 def test_emit_project_writes_files(tmp_path):
     sf = parse_ok(FIG1)
-    paths, diags = emit_project([("counter", sf.items)], EmitConfig(), tmp_path / "sv")
+    paths, diags = emit_project([("counter", sf.items)], EmitConfig(), bind_always_ff(sf.items[0])[0], tmp_path / "sv")
     assert diags == []
     assert [p.name for p in paths] == ["counter.sv"]
     text = paths[0].read_text()
@@ -211,7 +216,7 @@ def test_emit_project_writes_files(tmp_path):
 
 
 def test_emit_project_empty_is_noop(tmp_path):
-    paths, diags = emit_project([], EmitConfig(), tmp_path / "sv")
+    paths, diags = emit_project([], EmitConfig(), {}, tmp_path / "sv")
     assert paths == [] and diags == []
     assert not (tmp_path / "sv").exists()
 
@@ -219,5 +224,21 @@ def test_emit_project_empty_is_noop(tmp_path):
 def test_emit_project_unwritable_dir(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
-    _, diags = emit_project([("x", parse_ok(FIG1).items)], EmitConfig(), target / "sub")
+    items = parse_ok(FIG1).items
+    _, diags = emit_project([("x", items)], EmitConfig(), bind_always_ff(items[0])[0], target / "sub")
     assert [d.code for d in diags] == ["EIO01"]
+
+
+def test_nested_unary_operators_are_not_fused():
+    # `--i` would be SystemVerilog's decrement operator.
+    src = (
+        "module U (i: input logic<4>, o: output logic<4>, p: output logic<4>, q: output logic<4>) {\n"
+        "    assign o = - -i;\n"
+        "    assign p = ~ -i;\n"
+        "    assign q = -(~i);\n"
+        "}\n"
+    )
+    text = emit_one(module_of(src), EmitConfig()).text
+    assert "assign o = - -i;" in text
+    assert "assign p = ~ -i;" in text
+    assert "assign q = -(~i);" in text

@@ -67,11 +67,11 @@ def test_bad_project_name_is_e0401(tmp_path):
 
 
 def test_lockfile_round_trip():
-    lock = Lockfile.parse("u2\t0.1.0\t" + "b" * 40 + "\tbeta\nu1\t0.2.0\t" + "a" * 40 + "\talpha\n")
-    assert len(lock.entries) == 2
+    lock, diags = Lockfile.parse("u2\t0.1.0\t" + "b" * 40 + "\tbeta\nu1\t0.2.0\t" + "a" * 40 + "\talpha\n", "vl.lock")
+    assert len(lock.entries) == 2 and diags == []
     dumped = Lockfile(sorted(lock.entries, key=lambda e: e.url)).dump()
     assert dumped.startswith("u1\t") and dumped.endswith("\n")
-    assert Lockfile.parse(dumped).dump() == dumped
+    assert Lockfile.parse(dumped, "vl.lock")[0].dump() == dumped
 
 
 # -- git fixtures ----------------------------------------------------------------

@@ -239,3 +239,58 @@ def test_mangled_name_collision_is_e0201():
 def test_mangle_scheme():
     assert mangle("SramQueue", ("SramVendorA",)) == "SramQueue__SramVendorA"
     assert mangle("Q", ("sample::Sample", "B")) == "Q__sample_Sample__B"
+
+
+FIG3_FF = """\
+module SramVendorA () {}
+module SramVendorB () {}
+
+module SramQueue::<T> (i_clk: input clock, i_rst: input reset, o_full: output logic) {
+    var r_full: logic;
+    inst u_sram: T;
+    always_ff {
+        if_reset { r_full = 0; } else { r_full = ~r_full; }
+    }
+    unsafe (cdc) {
+        inst u_spare: T;
+        assign o_full = r_full;
+    }
+}
+
+package cfg { const DEPTH: u32 = 4; }
+
+module Test (i_clk: input clock, i_rst: input reset, o_full: output logic) {
+    var w_a: logic;
+    var w_b: logic;
+    inst u0_queue: SramQueue::<SramVendorA> (i_clk: i_clk, i_rst: i_rst, o_full: w_a);
+    inst u1_queue: SramQueue::<SramVendorB> (i_clk: i_clk, i_rst: i_rst, o_full: w_b);
+    assign o_full = w_a | w_b;
+}
+"""
+
+
+def test_mono_shares_unchanged_subtrees_and_mutates_nothing():
+    view = unit_view(FIG3_FF)
+    (sf,) = view.files
+    before = ast.structure(sf)
+    res = monomorphize([view])
+    assert res.diagnostics == []
+    assert ast.structure(sf) == before
+    src = {item.name: item for item in sf.items}
+    out = {item.name: item for item in res.items[("local", "main.vl")]}
+    # A module with no generic inst, and a package, pass through as themselves.
+    assert out["SramVendorA"] is src["SramVendorA"]
+    assert out["cfg"] is src["cfg"]
+    template_items = [it for it, _ in ast.iter_module_items(src["SramQueue"].body)]
+    assert any(isinstance(it, ast.AlwaysFf) for it in template_items)
+    for name, vendor in (("SramQueue__SramVendorA", "SramVendorA"), ("SramQueue__SramVendorB", "SramVendorB")):
+        made = [it for it, _ in ast.iter_module_items(out[name].body)]
+        assert len(made) == len(template_items)
+        for a, b in zip(made, template_items):
+            if isinstance(b, ast.InstDecl):
+                assert a is not b and a.target.text == vendor
+            else:
+                assert a is b  # the template's own var, always_ff and assign
+    test_items = zip(out["Test"].body, src["Test"].body)
+    assert all(a is b for a, b in test_items if not isinstance(a, ast.InstDecl))
+    assert out["Test"] is not src["Test"]
