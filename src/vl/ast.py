@@ -352,7 +352,13 @@ def expr_text(e: Expr) -> str:
         sep = " " if isinstance(e.operand, UnaryExpr) else ""
         return e.op + sep + expr_text(e.operand)
     if isinstance(e, BinaryExpr):
-        return f"{expr_text(e.lhs)} {e.op} {expr_text(e.rhs)}"
+        # Walk the left spine in a loop: a long `a + b + ...` chain nests
+        # to the left and would otherwise recurse once per term.
+        tail = []
+        while isinstance(e, BinaryExpr):
+            tail.append(f" {e.op} {expr_text(e.rhs)}")
+            e = e.lhs
+        return expr_text(e) + "".join(reversed(tail))
     if isinstance(e, IndexExpr):
         return f"{expr_text(e.base)}[{expr_text(e.index)}]"
     if isinstance(e, RangeExpr):
@@ -375,25 +381,23 @@ def type_text(ty: TypeSpec) -> str:
 
 
 def walk_exprs(e: Expr):
-    """Yield `e` and every sub-expression."""
-    yield e
-    if isinstance(e, UnaryExpr):
-        yield from walk_exprs(e.operand)
-    elif isinstance(e, BinaryExpr):
-        yield from walk_exprs(e.lhs)
-        yield from walk_exprs(e.rhs)
-    elif isinstance(e, IndexExpr):
-        yield from walk_exprs(e.base)
-        yield from walk_exprs(e.index)
-    elif isinstance(e, RangeExpr):
-        yield from walk_exprs(e.base)
-        yield from walk_exprs(e.hi)
-        yield from walk_exprs(e.lo)
-    elif isinstance(e, CallExpr):
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, ParenExpr):
-        yield from walk_exprs(e.inner)
+    """Yield `e` and every sub-expression, in pre-order (children left to right)."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, UnaryExpr):
+            stack.append(e.operand)
+        elif isinstance(e, BinaryExpr):
+            stack += (e.rhs, e.lhs)
+        elif isinstance(e, IndexExpr):
+            stack += (e.index, e.base)
+        elif isinstance(e, RangeExpr):
+            stack += (e.lo, e.hi, e.base)
+        elif isinstance(e, CallExpr):
+            stack += reversed(e.args)
+        elif isinstance(e, ParenExpr):
+            stack.append(e.inner)
 
 
 def lvalue_base(e: Expr) -> PathExpr | None:

@@ -14,6 +14,7 @@ from pathlib import Path
 from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json
 from .driver import check_program, discover_sources, doc_program, emit_program, load_program
 from .formatter import format_source
+from .lexer import decode_source
 from .parser import parse_source
 from .project import _IDENT_RE
 
@@ -24,6 +25,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # last resort: exit 2 with one line, never a traceback
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 
@@ -81,7 +85,7 @@ def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
         if span.file_id not in sources:
             path = Path(span.file_id)
             if path.is_file():
-                sources[span.file_id] = path.read_text(encoding="utf-8")
+                sources[span.file_id] = path.read_bytes().decode("utf-8", "replace")
     return sources
 
 
@@ -159,9 +163,12 @@ def cmd_fmt(args) -> int:
     sources: dict[str, str] = {}
     changed: list[Path] = []
     for path in discover_sources(root):
-        text = path.read_text(encoding="utf-8")
         file_id = str(path.relative_to(root))
+        text, ddiags = decode_source(path.read_bytes(), file_id)
         sources[file_id] = text
+        if ddiags:
+            diags += ddiags
+            continue
         sf, pdiags = parse_source(text, file_id)
         if pdiags:
             diags += pdiags

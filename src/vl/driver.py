@@ -11,6 +11,7 @@ from .analyzer import AnalysisInfo, analyze_unit
 from .diagnostics import Diagnostic, has_errors, sorted_diagnostics
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
+from .lexer import decode_source
 from .parser import parse_source
 from .project import (
     DependencySource,
@@ -111,22 +112,27 @@ def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> 
     """Single-unit pipeline over in-memory sources (test convenience)."""
     result = ProgramResult()
     unit = UnitResult(name, Manifest(name, "0.0.0"), Path("."), True, EmitConfig())
-    _check_unit(result, unit, [(file_id, Path(file_id).stem, text) for file_id, text in named_sources], {})
+    sources = [(file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
+    _check_unit(result, unit, sources, {})
     return _monomorphize(result)
 
 
 def _unit_sources(pu: PlanUnit):
-    """(file_id, output stem, text) of each source file of a planned unit."""
+    """(file_id, output stem, text, decode diagnostics) of each source file of a planned unit."""
     for path in discover_sources(pu.root):
         rel = path.relative_to(pu.root)
         file_id = str(rel) if pu.is_root else str(path)
-        yield file_id, str(rel.relative_to("src").with_suffix("")), path.read_text(encoding="utf-8")
+        yield file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
 
 
 def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str, SymbolTable]) -> None:
-    """Parse `unit`'s (file_id, stem, text) sources, index and analyze them, and add it to `result`."""
-    for file_id, stem, text in sources:
+    """Parse `unit`'s (file_id, stem, text, decode diagnostics) sources, index and
+    analyze them, and add it to `result`.  A file that did not decode is skipped."""
+    for file_id, stem, text, ddiags in sources:
         result.source_texts[file_id] = text
+        if ddiags:
+            result.diagnostics += ddiags
+            continue
         sf, pdiags = parse_source(text, file_id)
         result.diagnostics += pdiags
         unit.files.append(sf)

@@ -7,6 +7,7 @@ comments stay on their own line, trailing comments stay on their line).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 
 from . import ast
@@ -25,7 +26,12 @@ class _Fmt:
         self.indent = 0
         self.comments = sorted(sf.comments, key=lambda c: c.span.byte_start)
         self.used = [False] * len(self.comments)
-        self.newlines = [i for i, ch in enumerate(sf.text) if ch == "\n"]
+        # Every comment before the furthest `leading` query is used, so a
+        # cursor that only moves forward finds the rest.
+        self.next_comment = 0
+        # A `//` comment runs to the end of its line: at most one per line.
+        self.trailing_at = {c.span.line: i for i, c in enumerate(self.comments) if not c.own_line}
+        self.newlines = [m.start() for m in re.finditer("\n", sf.text)]
 
     def line_of(self, byte: int) -> int:
         return bisect_right(self.newlines, byte - 1) + 1
@@ -36,23 +42,24 @@ class _Fmt:
     # -- comment weaving --
 
     def leading(self, byte: int) -> None:
-        for i, c in enumerate(self.comments):
+        while self.next_comment < len(self.comments):
+            i = self.next_comment
+            c = self.comments[i]
             if c.span.byte_start >= byte:
                 break
             if not self.used[i]:
                 self.used[i] = True
                 self.put(c.text)
+            self.next_comment += 1
 
     def trailing(self, span) -> None:
         if span is None or span.byte_end == 0:
             return
-        line = self.line_of(span.byte_end - 1)
-        for i, c in enumerate(self.comments):
-            if not self.used[i] and not c.own_line and c.span.line == line:
-                self.used[i] = True
-                if self.out:
-                    self.out[-1] += " " + c.text
-                return
+        i = self.trailing_at.get(self.line_of(span.byte_end - 1))
+        if i is not None and not self.used[i]:
+            self.used[i] = True
+            if self.out:
+                self.out[-1] += " " + self.comments[i].text
 
     def flush_comments(self) -> None:
         for i, c in enumerate(self.comments):
@@ -117,6 +124,7 @@ class _Fmt:
         self.indent += 1
         for it in m.body:
             self.emit_module_item(it)
+        self.comments_before_close(m.span)
         self.indent -= 1
         self.put("}")
 
@@ -147,6 +155,7 @@ class _Fmt:
         self.indent += 1
         for it in pkg.items:
             self.emit_module_item(it)
+        self.comments_before_close(pkg.span)
         self.indent -= 1
         self.put("}")
 
@@ -172,22 +181,23 @@ class _Fmt:
                 names = it.clock_name + (f", {it.reset_name}" if it.reset_name else "")
                 head += f" ({names})"
             self.put(head + " {")
-            self.emit_stmts(it.body.stmts)
+            self.emit_block(it.body)
             self.put("}")
         elif isinstance(it, ast.AlwaysComb):
             self.put("always_comb {")
-            self.emit_stmts(it.body.stmts)
+            self.emit_block(it.body)
             self.put("}")
         elif isinstance(it, ast.FunctionDecl):
             args = ", ".join(f"{a.name}: {type_text(a.ty)}" for a in it.args)
             self.put(f"function {it.name} ({args}) -> {type_text(it.ret)} {{")
-            self.emit_stmts(it.body.stmts)
+            self.emit_block(it.body)
             self.put("}")
         elif isinstance(it, ast.UnsafeCdcItem):
             self.put("unsafe (cdc) {")
             self.indent += 1
             for sub in it.items:
                 self.emit_module_item(sub)
+            self.comments_before_close(it.span)
             self.indent -= 1
             self.put("}")
         else:
@@ -225,11 +235,16 @@ class _Fmt:
 
     # -- statements --
 
-    def emit_stmts(self, stmts) -> None:
+    def emit_block(self, block: ast.Block) -> None:
         self.indent += 1
-        for s in stmts:
+        for s in block.stmts:
             self.emit_stmt(s)
+        self.comments_before_close(block.span)
         self.indent -= 1
+
+    def comments_before_close(self, span) -> None:
+        """Keep comments before a closing `}` inside the block they are in."""
+        self.leading(span.byte_end - 1)
 
     def emit_stmt(self, s) -> None:
         self.leading(s.span.byte_start)
@@ -243,11 +258,11 @@ class _Fmt:
             self.put(f"return {expr_text(s.value)};")
         elif isinstance(s, ast.UnsafeCdcStmt):
             self.put("unsafe (cdc) {")
-            self.emit_stmts(s.body.stmts)
+            self.emit_block(s.body)
             self.put("}")
         elif isinstance(s, ast.Block):
             self.put("{")
-            self.emit_stmts(s.stmts)
+            self.emit_block(s)
             self.put("}")
         else:
             raise TypeError(f"unexpected statement {s!r}")
@@ -255,15 +270,15 @@ class _Fmt:
 
     def emit_if(self, s, head: str) -> None:
         self.put(head)
-        self.emit_stmts(s.then.stmts)
+        self.emit_block(s.then)
         node = s.orelse
         while node is not None:
             if isinstance(node, ast.IfStmt):
                 self.put(f"}} else if {expr_text(node.cond)} {{")
-                self.emit_stmts(node.then.stmts)
+                self.emit_block(node.then)
                 node = node.orelse
             else:
                 self.put("} else {")
-                self.emit_stmts(node.stmts)
+                self.emit_block(node)
                 node = None
         self.put("}")

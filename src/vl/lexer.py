@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
@@ -30,19 +31,27 @@ _PUNCTS = sorted(
     reverse=True,
 )
 
-_BASE_DIGITS = {
-    "b": frozenset("01_"),
-    "d": frozenset("0123456789_"),
-    "h": frozenset("0123456789abcdefABCDEF_"),
-}
+_RADIX = {"b": 2, "d": 10, "h": 16}
 
-
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+# One match per lexeme: skip whitespace, then the first alternative that
+# matches (the tokenizer recipe of the `re` docs).  Letter and digit classes
+# are ASCII, so any other character, `²` included, is one `bad` match (E0001).
+# The empty `\Z` alternative matches only after trailing whitespace, so that
+# whitespace run is never given back to `bad`.
+_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\n]*)(?:"
+    r"(?P<comment>//[^\n]*)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<sized>[0-9][0-9_]*'(?:b[01_]*|d[0-9_]*|h[0-9a-fA-F_]*))"
+    r"|(?P<nobase>[0-9][0-9_]*')"
+    r"|(?P<dec>[0-9][0-9_]*)"
+    r"|(?P<tick>`[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTS)) + r")"
+    r"|(?P<bad>.)"
+    r"|\Z"
+    r")",
+    re.DOTALL,
+)
 
 
 @dataclass(slots=True)
@@ -53,6 +62,22 @@ class LexResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
+def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:
+    """Decode a source file's bytes as UTF-8.
+
+    Invalid UTF-8 is E0003 at the first bad byte; the text returned then has
+    U+FFFD for each bad sequence, for excerpts only: the caller skips the file.
+    """
+    try:
+        return data.decode("utf-8"), []
+    except UnicodeDecodeError as err:
+        good = data[: err.start].decode("utf-8")
+        at = len(good)
+        span = Span(file_id, at, at + 1, good.count("\n") + 1, at - good.rfind("\n"))
+        message = f"invalid UTF-8 (byte 0x{data[err.start]:02x}); the file is skipped"
+        return data.decode("utf-8", "replace"), [Diagnostic("E0003", message, span)]
+
+
 def tokenize(source: str, file_id: str) -> tuple[list[Token], list[DocComment], list[Diagnostic]]:
     """Lex `source`, separating `///` doc comments from regular trivia."""
     r = scan(source, file_id)
@@ -61,175 +86,69 @@ def tokenize(source: str, file_id: str) -> tuple[list[Token], list[DocComment], 
 
 def scan(source: str, file_id: str) -> LexResult:
     """Like `tokenize` but also returns regular comments (formatter input)."""
-    return _Scanner(source, file_id).run()
-
-
-class _Scanner:
-    def __init__(self, source: str, file_id: str):
-        self.src = source
-        self.file_id = file_id
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.line_has_code = False
-        self.tokens: list[Token] = []
-        self.docs: list[DocComment] = []
-        self.comments: list[Comment] = []
-        self.diags: list[Diagnostic] = []
-        # Open run of consecutive own-line /// lines.
-        self._doc_lines: list[str] = []
-        self._doc_start: tuple[int, int, int] | None = None  # (pos, line, col)
-        self._doc_end = 0
-        self._doc_last_line = 0
-
-    def span_from(self, start: tuple[int, int, int], end: int) -> Span:
-        return Span(self.file_id, start[0], end, start[1], start[2])
-
-    def mark(self) -> tuple[int, int, int]:
-        return (self.pos, self.line, self.col)
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-                self.line_has_code = False
+    r = LexResult([], [], [])
+    tokens, diags = r.tokens, r.diagnostics
+    line, line_start, end = 1, 0, 0
+    code_line = 0  # line of the latest token: a comment after it is not own-line
+    run: list[tuple[str, Span]] = []  # open run of consecutive own-line `///` lines
+    for m in _TOKEN_RE.finditer(source):
+        ws, comment, word, sized, nobase, dec, tick, punct, bad = m.groups()
+        start = end + len(ws)
+        if "\n" in ws:
+            line += ws.count("\n")
+            line_start = end + ws.rfind("\n") + 1
+        text = punct or word or dec or comment or sized or nobase or tick or bad
+        if not text:
+            break  # only whitespace was left
+        end = start + len(text)
+        span = Span(file_id, start, end, line, start - line_start + 1)
+        if comment:
+            if not text.startswith("///") or text.startswith("////"):
+                r.comments.append(Comment(text, span, code_line != line))
+                continue
+            body = text[4:] if text.startswith("/// ") else text[3:]
+            if code_line == line:
+                _flush_docs(run, r.doc_comments)
+                r.doc_comments.append(DocComment(body, span, trailing=True))
             else:
-                self.col += 1
-            self.pos += 1
-
-    def error(self, code: str, message: str, span: Span) -> None:
-        self.diags.append(Diagnostic(code, message, span))
-
-    def flush_doc(self) -> None:
-        if self._doc_start is None:
-            return
-        self.docs.append(
-            DocComment(
-                text="\n".join(self._doc_lines),
-                span=self.span_from(self._doc_start, self._doc_end),
-            )
-        )
-        self._doc_lines = []
-        self._doc_start = None
-
-    def run(self) -> LexResult:
-        src, n = self.src, len(self.src)
-        while self.pos < n:
-            c = src[self.pos]
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "/" and src.startswith("//", self.pos):
-                self.comment()
-            elif _is_ident_start(c):
-                self.word()
-            elif c.isdigit():
-                self.number()
-            elif c == "`":
-                self.domain_tick()
+                if run and line != run[-1][1].line + 1:
+                    _flush_docs(run, r.doc_comments)
+                run.append((body, span))
+            continue
+        if bad:
+            if bad == "`":
+                diags.append(Diagnostic("E0001", "invalid character `` ` `` (domain annotations are `` `name ``)", span))
             else:
-                self.punct()
-        self.flush_doc()
-        return LexResult(self.tokens, self.docs, self.comments, self.diags)
-
-    def emit(self, kind: TokenKind, start: tuple[int, int, int]) -> None:
-        span = self.span_from(start, self.pos)
-        self.tokens.append(Token(kind, self.src[span.byte_start : span.byte_end], span))
-        self.line_has_code = True
-
-    def comment(self) -> None:
-        start = self.mark()
-        end = self.src.find("\n", self.pos)
-        if end < 0:
-            end = len(self.src)
-        text = self.src[self.pos : end]
-        is_doc = text.startswith("///") and not text.startswith("////")
-        own_line = not self.line_has_code
-        if is_doc:
-            body = text[3:]
-            if body.startswith(" "):
-                body = body[1:]
-            if own_line:
-                if self._doc_start is not None and start[1] != self._doc_last_line + 1:
-                    self.flush_doc()
-                if self._doc_start is None:
-                    self._doc_start = start
-                    self._doc_lines = []
-                self._doc_lines.append(body)
-                self._doc_end = end
-                self._doc_last_line = start[1]
-            else:
-                self.flush_doc()
-                self.docs.append(
-                    DocComment(text=body, span=self.span_from(start, end), trailing=True)
-                )
+                diags.append(Diagnostic("E0001", f"invalid character `{bad}`", span))
+            continue
+        if punct:
+            kind = TokenKind.PUNCT
+        elif word:
+            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+        elif dec:
+            kind = TokenKind.DEC_LITERAL
+        elif tick:
+            kind = TokenKind.DOMAIN_TICK
         else:
-            self.comments.append(Comment(text, self.span_from(start, end), own_line))
-        self.advance(end - self.pos)
+            kind = TokenKind.SIZED_LITERAL
+            if nobase:
+                diags.append(Diagnostic("E0002", f"sized literal `{text}` is missing its base (b, d, or h)", span))
+            elif text[-2] == "'":
+                diags.append(Diagnostic("E0002", f"sized literal `{text}` has no digits", span))
+        tokens.append(Token(kind, text, span))
+        code_line = line
+    _flush_docs(run, r.doc_comments)
+    return r
 
-    def word(self) -> None:
-        start = self.mark()
-        while self.pos < len(self.src) and _is_ident_char(self.src[self.pos]):
-            self.advance()
-        text = self.src[start[0] : self.pos]
-        self.emit(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT, start)
 
-    def number(self) -> None:
-        start = self.mark()
-        while self.pos < len(self.src) and self.src[self.pos] in "0123456789_":
-            self.advance()
-        nxt = self.src[self.pos : self.pos + 2]
-        if len(nxt) == 2 and nxt[0] == "'" and nxt[1] in _BASE_DIGITS:
-            alphabet = _BASE_DIGITS[nxt[1]]
-            self.advance(2)
-            ndigits = 0
-            while self.pos < len(self.src) and self.src[self.pos] in alphabet:
-                self.advance()
-                ndigits += 1
-            if ndigits == 0:
-                self.error(
-                    "E0002",
-                    f"sized literal `{self.src[start[0]:self.pos]}` has no digits",
-                    self.span_from(start, self.pos),
-                )
-            self.emit(TokenKind.SIZED_LITERAL, start)
-        elif self.src[self.pos : self.pos + 1] == "'":
-            # A base character is required right after the quote.
-            self.advance(1)
-            self.error(
-                "E0002",
-                f"sized literal `{self.src[start[0]:self.pos]}` is missing its base (b, d, or h)",
-                self.span_from(start, self.pos),
-            )
-            self.emit(TokenKind.SIZED_LITERAL, start)
-        else:
-            self.emit(TokenKind.DEC_LITERAL, start)
-
-    def domain_tick(self) -> None:
-        start = self.mark()
-        if self.pos + 1 < len(self.src) and _is_ident_start(self.src[self.pos + 1]):
-            self.advance()
-            while self.pos < len(self.src) and _is_ident_char(self.src[self.pos]):
-                self.advance()
-            self.emit(TokenKind.DOMAIN_TICK, start)
-        else:
-            self.advance()
-            self.error(
-                "E0001",
-                "invalid character `` ` `` (domain annotations are `` `name ``)",
-                self.span_from(start, self.pos),
-            )
-
-    def punct(self) -> None:
-        start = self.mark()
-        for p in _PUNCTS:
-            if self.src.startswith(p, self.pos):
-                self.advance(len(p))
-                self.emit(TokenKind.PUNCT, start)
-                return
-        c = self.src[self.pos]
-        self.advance()
-        self.error("E0001", f"invalid character `{c}`", self.span_from(start, self.pos))
+def _flush_docs(run: list[tuple[str, Span]], docs: list[DocComment]) -> None:
+    """Close an open run of own-line `///` lines as one doc comment."""
+    if not run:
+        return
+    first, last = run[0][1], run[-1][1]
+    span = Span(first.file_id, first.byte_start, last.byte_end, first.line, first.column)
+    docs.append(DocComment("\n".join(body for body, _ in run), span))
+    run.clear()
 
 
 def sized_literal_parts(text: str) -> tuple[int, str, str] | None:
@@ -239,7 +158,7 @@ def sized_literal_parts(text: str) -> tuple[int, str, str] | None:
         return None
     base = text[quote + 1]
     digits = text[quote + 2 :]
-    if base not in _BASE_DIGITS or not digits:
+    if base not in _RADIX or not digits:
         return None
     width = int(text[:quote].replace("_", ""))
     return width, base, digits
@@ -247,7 +166,7 @@ def sized_literal_parts(text: str) -> tuple[int, str, str] | None:
 
 def sized_literal_value(base: str, digits: str) -> int:
     """Exact value of the digit string (underscores ignored), as a big integer."""
-    radix = {"b": 2, "d": 10, "h": 16}[base]
+    radix = _RADIX[base]
     value = 0
     for ch in digits:
         if ch == "_":

@@ -96,8 +96,13 @@ def parse_expression(text: str) -> Expr:
 class _Parser:
     def __init__(self, tokens: list[Token], docs: list[DocComment], file_id: str, text: str):
         self.toks = list(tokens)
-        self.docs = sorted(docs, key=lambda d: d.span.byte_start)
-        self.doc_used = [False] * len(self.docs)
+        docs = sorted(docs, key=lambda d: d.span.byte_start)
+        # A leading-doc query takes every doc that ends before it, so the docs
+        # not yet taken are always a suffix: a cursor that only moves forward.
+        self.lead_docs = [d for d in docs if not d.trailing]
+        self.lead_next = 0
+        # A trailing `///` runs to the end of its line: at most one per line.
+        self.trail_docs = {d.span.line: d for d in docs if d.trailing}
         self.file_id = file_id
         self.text = text
         self.pos = 0
@@ -188,12 +193,9 @@ class _Parser:
 
     def take_leading_docs(self, before: int) -> DocComment | None:
         got: list[DocComment] = []
-        for i, d in enumerate(self.docs):
-            if d.span.byte_start >= before:
-                break
-            if not self.doc_used[i] and not d.trailing and d.span.byte_end <= before:
-                self.doc_used[i] = True
-                got.append(d)
+        while self.lead_next < len(self.lead_docs) and self.lead_docs[self.lead_next].span.byte_end <= before:
+            got.append(self.lead_docs[self.lead_next])
+            self.lead_next += 1
         if not got:
             return None
         if len(got) == 1:
@@ -202,11 +204,7 @@ class _Parser:
         return merged
 
     def take_trailing_doc(self, line: int) -> DocComment | None:
-        for i, d in enumerate(self.docs):
-            if not self.doc_used[i] and d.trailing and d.span.line == line:
-                self.doc_used[i] = True
-                return d
-        return None
+        return self.trail_docs.pop(line, None)
 
     # -- recovery --
 
@@ -234,7 +232,7 @@ class _Parser:
                 items.append(self.parse_item())
             except _ParseError:
                 self.recover()
-        orphans = [d for i, d in enumerate(self.docs) if not self.doc_used[i]]
+        orphans = sorted(self.lead_docs[self.lead_next :] + list(self.trail_docs.values()), key=lambda d: d.span.byte_start)
         return SourceFile(self.file_id, self.text, items, orphan_docs=orphans)
 
     def parse_item(self):

@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import svread
+import vl
+from vl import driver
 from vl.cli import main
 
 from test_parser import FIG1
@@ -169,17 +176,60 @@ def test_generic_instances_build_with_the_templates_clock_binding(tmp_path):
         assert ff.sensitivity == [("posedge", "i_clk"), ("negedge", "i_rst")]
 
 
-def test_400_term_chain_checks_builds_and_formats(tmp_path):
-    chain = " + ".join(["1"] * 400)
+def test_1000_term_chain_checks_builds_and_formats(tmp_path):
+    chain = " + ".join(["1"] * 1000)
     root = make_project(tmp_path, f"module Chain (o: output u32) {{\n    assign o = {chain};\n}}\n", "chain", "chain")
     manifest = str(root / "vl.toml")
     assert main(["check", "--manifest", manifest]) == 0
     assert main(["build", "--manifest", manifest]) == 0
     (chain_sv,) = svread.parse_sv((root / "target" / "sv" / "chain.sv").read_text())
     assert chain_sv.name == "Chain"
-    assert chain_sv.assigns == [(("o",), tuple(" + ".join(["1"] * 400).split()))]
+    assert chain_sv.assigns == [(("o",), tuple(chain.split()))]
     assert main(["fmt", "--manifest", manifest]) == 0
     assert main(["fmt", "--check", "--manifest", manifest]) == 0
+
+
+def test_unicode_digit_is_e0001_not_a_hang(tmp_path):
+    # `²` is a digit to str.isdigit; the lexer takes ASCII digits only.
+    root = make_project(tmp_path, "module M (x: output u32) {\n    assign x = ²;\n}\n", "digit", "digit")
+    env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vl.cli", "check", "--format", "json", "--manifest", str(root / "vl.toml")],
+        capture_output=True, text=True, env=env, timeout=60,
+        # A lexer that stops advancing also grows its token list without end.
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    (bad,) = [d for d in json.loads(proc.stdout) if d["code"] == "E0001"]
+    assert (bad["line"], bad["column"]) == (2, 16)
+    assert "Traceback" not in proc.stderr
+
+
+def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "src" / "bad.vl").write_bytes(b"module B () {\n}\n// \xff\xfe\n")
+    assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    (diag,) = json.loads(capsys.readouterr().out)
+    assert (diag["code"], diag["file"], diag["line"], diag["column"]) == ("E0003", "src/bad.vl", 3, 4)
+
+
+def test_invalid_utf8_is_e0003_in_fmt_check(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "src" / "bad.vl").write_bytes(b"\xff\xfe")
+    assert main(["fmt", "--check", "--manifest", str(root / "vl.toml")]) == 1
+    err = capsys.readouterr().err
+    assert "error[E0003]" in err and "src/bad.vl:1:1" in err
+    assert (root / "src" / "bad.vl").read_bytes() == b"\xff\xfe"
+
+
+def test_internal_error_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(driver, "analyze_unit", boom)
+    root = make_project(tmp_path)
+    assert main(["check", "--manifest", str(root / "vl.toml")]) == 2
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_malformed_lockfile_line_is_e0407(tmp_path, capsys):

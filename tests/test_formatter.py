@@ -1,5 +1,8 @@
+from hypothesis import given, strategies as st
+
 from vl.ast import structure
 from vl.formatter import format_source
+from vl.lexer import scan
 from vl.parser import parse_source
 
 from test_parser import FIG1, parse_ok
@@ -104,3 +107,52 @@ def test_normalizes_whitespace_mess():
 def test_two_items_separated_by_blank_line():
     out = roundtrip("module A(){} module B(){}")
     assert out == "module A () {\n}\n\nmodule B () {\n}\n"
+
+
+def test_comments_before_a_closing_brace_stay_in_their_block():
+    src = (
+        "module M () {\n"
+        "    always_comb {\n"
+        "        x = 1;\n"
+        "        // end of comb\n"
+        "    }\n"
+        "    // end of module\n"
+        "} // after\n"
+    )
+    assert roundtrip(src) == src
+
+
+_ITEMS = [
+    ["var v: logic;"],
+    ["assign v = a;"],
+    ["inst u: Leaf;"],
+    ["always_comb {", "}"],
+    ["always_comb {", "    v = a;", "}"],
+    ["always_comb {", "    if a {", "        v = 1;", "    } else {", "        v = 0;", "    }", "}"],
+]
+
+
+@st.composite
+def commented_module(draw):
+    """A module, one declaration or statement per line, with `//` comments on
+    their own lines and at line ends at random places."""
+    nports = draw(st.integers(0, 3))
+    lines = ["module M (", *(f"    p{i}: input logic," for i in range(nports)), ") {"] if nports else ["module M () {"]
+    for item in draw(st.lists(st.sampled_from(_ITEMS), max_size=5)):
+        lines += ["    " + line for line in item]
+    lines.append("}")
+    out: list[str] = []
+    for line in lines + [""]:
+        if draw(st.integers(0, 3)) == 0:
+            out.append(f"// own {len(out)}")
+        if line and draw(st.integers(0, 3)) == 0:
+            line += f" // trailing {len(out)}"
+        out.append(line)
+    return "\n".join(out)
+
+
+@given(commented_module())
+def test_every_comment_kept_once_in_order_property(src):
+    once = roundtrip(src)
+    assert [c.text for c in scan(once, "t.vl").comments] == [c.text for c in scan(src, "t.vl").comments]
+    assert roundtrip(once) == once

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 from hypothesis import given, strategies as st
 
 from vl.lexer import scan, sized_literal_parts, sized_literal_value, tokenize
@@ -172,6 +174,44 @@ def test_round_trip_property(parts, rng):
     seps = [" ", "\n", "\t", "  ", "\n\n"]
     src = "".join(p + rng.choice(seps) for p in parts)
     assert_round_trip(src)
+
+
+_soup = st.lists(
+    st.sampled_from(["x", "8'h", "4'b1", "7'", "1_0", "`a", "`", "//", "///", " /// d", "<<=", "->",
+                     "²", "٣", "é", "\x0b", "\r", "\n", " ", "\t"]),
+    max_size=40,
+).map("".join)
+
+
+@given(st.one_of(st.text(), _soup))
+def test_scan_spans_property(src):
+    # Any text, non-ASCII included: scan ends, every lexeme is exact and
+    # located, and every non-whitespace character is accounted for.
+    r = scan(src, "t.vl")
+    newlines = [i for i, ch in enumerate(src) if ch == "\n"]
+
+    def check_position(span):
+        line = bisect_right(newlines, span.byte_start - 1) + 1
+        line_start = newlines[line - 2] + 1 if line > 1 else 0
+        assert (span.line, span.column) == (line, span.byte_start - line_start + 1)
+
+    for t in r.tokens:
+        assert src[t.span.byte_start : t.span.byte_end] == t.text
+    for c in r.comments:
+        assert src[c.span.byte_start : c.span.byte_end] == c.text
+    lexemes = [t.span for t in r.tokens] + [c.span for c in r.comments] + [d.span for d in r.doc_comments]
+    for kind in ([t.span for t in r.tokens], [c.span for c in r.comments]):
+        assert all(a.byte_end <= b.byte_start for a, b in zip(kind, kind[1:]))
+    lexemes.sort(key=lambda s: s.byte_start)
+    assert all(a.byte_end <= b.byte_start for a, b in zip(lexemes, lexemes[1:]))
+    assert all(s.byte_start < s.byte_end for s in lexemes)
+    covered = [False] * len(src)
+    for span in lexemes + [d.span for d in r.diagnostics]:
+        check_position(span)
+        covered[span.byte_start : span.byte_end] = [True] * (span.byte_end - span.byte_start)
+    assert {d.code for d in r.diagnostics} <= {"E0001", "E0002"}
+    for i, ch in enumerate(src):
+        assert covered[i] or ch in " \t\r\n", (i, ch)
 
 
 def test_sized_literal_helpers():
