@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import ast
 from .diagnostics import Diagnostic, Related
 from .lexer import sized_literal_parts, sized_literal_value
-from .resolver import Scope, Symbol, SymbolKind, SymbolTable, resolve
+from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_connections, resolve
 from .tokens import Span
 
 _U64_MASK = (1 << 64) - 1
@@ -45,25 +45,6 @@ class AnalysisInfo:
     ff_bindings: dict[int, FfBinding] = field(default_factory=dict)
 
 
-def _uses_if_reset(block: ast.Block) -> bool:
-    for s in block.stmts:
-        if isinstance(s, ast.IfResetStmt):
-            return True
-        if isinstance(s, ast.IfStmt):
-            node = s
-            while isinstance(node, ast.IfStmt):
-                if _uses_if_reset(node.then):
-                    return True
-                node = node.orelse
-            if isinstance(node, ast.Block) and _uses_if_reset(node):
-                return True
-        elif isinstance(s, (ast.Block,)) and _uses_if_reset(s):
-            return True
-        elif isinstance(s, ast.UnsafeCdcStmt) and _uses_if_reset(s.body):
-            return True
-    return False
-
-
 def module_signal_types(m: ast.ModuleDecl) -> dict[str, ast.TypeSpec]:
     types: dict[str, ast.TypeSpec] = {}
     for p in m.ports:
@@ -89,7 +70,7 @@ def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagno
     for it, _ in ast.iter_module_items(m.body):
         if not isinstance(it, ast.AlwaysFf):
             continue
-        uses_ir = _uses_if_reset(it.body)
+        uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(it.body.stmts))
         clock = reset = None
         ok = True
         if it.clock_name is not None:
@@ -264,24 +245,11 @@ class _ConstEval:
         self.active.add(key)
         try:
             init = sym.decl.default if isinstance(sym.decl, ast.ParamDecl) else sym.decl.value
-            decl_scope = self._decl_scope(sym)
-            v = self.eval(init, decl_scope if decl_scope is not None else scope)
+            v = self.eval(init, sym.scope)
         finally:
             self.active.discard(key)
         self.memo[key] = v
         return v
-
-    def _decl_scope(self, sym: Symbol) -> Scope | None:
-        tables = [self.table]
-        for s in self.table.project.entries.values():
-            if s.kind == SymbolKind.NAMESPACE:
-                tables.append(s.decl)
-        for t in tables:
-            for scopes in (t.module_scopes, t.package_scopes):
-                for scope in scopes.values():
-                    if scope.entries.get(sym.name) is sym:
-                        return scope
-        return None
 
 
 # -- per-unit analysis ---------------------------------------------------------
@@ -293,56 +261,10 @@ def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[
     info = AnalysisInfo()
     for sf in sorted(files, key=lambda f: f.file_id):
         for item in sf.items:
-            if isinstance(item, ast.ModuleDecl):
-                chk = _ModuleChecker(item, table)
-                diags += chk.run()
-                info.ff_bindings.update(chk.bindings)
-            else:
-                diags += _check_package(item, table)
+            chk = _ModuleChecker(item, table)
+            diags += chk.run()
+            info.ff_bindings.update(chk.bindings)
     return diags, info
-
-
-def _check_package(pkg: ast.PackageDecl, table: SymbolTable) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    scope = table.package_scopes[id(pkg)]
-    ev = _ConstEval(table)
-    for it in pkg.items:
-        if isinstance(it, ast.ConstDecl):
-            diags += check_literal_widths(it.value)
-            try:
-                ev.eval(it.value, scope)
-            except ConstError as err:
-                diags.append(err.diagnostic)
-        else:
-            fscope = table.function_scopes[id(it)]
-            for stmt in it.body.stmts:
-                for e in _stmt_exprs(stmt):
-                    diags += check_literal_widths(e)
-                    for sub in ast.walk_exprs(e):
-                        if isinstance(sub, ast.PathExpr):
-                            resolve(sub, fscope, table, diags)
-    return diags
-
-
-def _stmt_exprs(s: ast.Stmt):
-    if isinstance(s, ast.AssignStmt):
-        yield s.lvalue
-        yield s.rhs
-    elif isinstance(s, ast.IfStmt):
-        yield s.cond
-        for sub in s.then.stmts:
-            yield from _stmt_exprs(sub)
-        if isinstance(s.orelse, ast.Block):
-            for sub in s.orelse.stmts:
-                yield from _stmt_exprs(sub)
-        elif s.orelse is not None:
-            yield from _stmt_exprs(s.orelse)
-    elif isinstance(s, ast.ReturnStmt):
-        yield s.value
-    elif isinstance(s, (ast.Block, ast.UnsafeCdcStmt)):
-        body = s if isinstance(s, ast.Block) else s.body
-        for sub in body.stmts:
-            yield from _stmt_exprs(sub)
 
 
 def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
@@ -381,10 +303,15 @@ class _Signal:
 
 
 class _ModuleChecker:
-    def __init__(self, m: ast.ModuleDecl, table: SymbolTable):
+    def __init__(self, m: ast.ModuleDecl | ast.PackageDecl, table: SymbolTable):
+        if isinstance(m, ast.PackageDecl):
+            # A package is checked as a module with no params, ports or processes.
+            self.scope = table.package_scopes[id(m)]
+            m = ast.ModuleDecl(m.name, m.name_span, [], [], [], m.items, m.span)
+        else:
+            self.scope = table.module_scopes[id(m)]
         self.m = m
         self.table = table
-        self.scope = table.module_scopes[id(m)]
         self.diags: list[Diagnostic] = []
         self.bindings: dict[int, FfBinding] = {}
         self.signals: dict[str, _Signal] = {}
@@ -442,6 +369,7 @@ class _ModuleChecker:
                 for d in it.ty.packed_dims + it.ty.unpacked_dims:
                     eval_dim(d, self.scope)
             if isinstance(it, ast.ConstDecl):
+                self.diags += check_literal_widths(it.value)
                 eval_dim(it.value, self.scope)
 
     # -- traversal ---------------------------------------------------------
@@ -467,83 +395,31 @@ class _ModuleChecker:
 
     def walk_process(self, proc, kind: str, amnesty: bool) -> None:
         ff_id = id(proc) if kind == "always_ff" else None
+        assigned, read_names = self.walk_stmts(proc.body.stmts, ff_id, self.scope, kind, id(proc), amnesty)
+        source = ("comb", frozenset(read_names)) if kind == "always_comb" else ("ff", id(proc))
+        for name in assigned:
+            self.domain_drivers.setdefault(name, []).append(source)
+
+    def walk_stmts(self, stmts, ff_id, scope, site_kind, site_id, amnesty) -> tuple[list[str], set[str]]:
+        """Record the drives and reads of `stmts`; returns the single-segment
+        names assigned, in first-assigned order, and the signal names read."""
+        assigned: dict[str, None] = {}
         read_names: set[str] = set()
-        self.walk_stmts(proc.body.stmts, ff_id, self.scope, kind, id(proc), amnesty, read_names)
-        for name in self.assigned_names(proc.body.stmts):
-            if kind == "always_comb":
-                self.domain_drivers.setdefault(name, []).append(("comb", frozenset(read_names)))
-            else:
-                self.domain_drivers.setdefault(name, []).append(("ff", id(proc)))
-
-    def assigned_names(self, stmts) -> list[str]:
-        names: list[str] = []
-
-        def go(ss):
-            for s in ss:
-                if isinstance(s, ast.AssignStmt):
-                    base = ast.lvalue_base(s.lvalue)
-                    if base is not None and len(base.segments) == 1 and base.segments[0] not in names:
-                        names.append(base.segments[0])
-                elif isinstance(s, ast.IfStmt):
-                    node = s
-                    while isinstance(node, ast.IfStmt):
-                        go(node.then.stmts)
-                        node = node.orelse
-                    if isinstance(node, ast.Block):
-                        go(node.stmts)
-                elif isinstance(s, ast.IfResetStmt):
-                    go(s.then.stmts)
-                    node = s.orelse
-                    while isinstance(node, ast.IfStmt):
-                        go(node.then.stmts)
-                        node = node.orelse
-                    if isinstance(node, ast.Block):
-                        go(node.stmts)
-                elif isinstance(s, ast.Block):
-                    go(s.stmts)
-                elif isinstance(s, ast.UnsafeCdcStmt):
-                    go(s.body.stmts)
-
-        go(stmts)
-        return names
-
-    def walk_stmts(self, stmts, ff_id, scope, site_kind, site_id, amnesty, read_names=None) -> None:
-        for s in stmts:
+        for s, unsafe in ast.iter_stmts(stmts, amnesty):
             if isinstance(s, ast.AssignStmt):
                 self.drive(s.lvalue, site_kind, site_id, s.span, scope)
-                names = self.expr_read(s.rhs, scope, ff_id=ff_id, amnesty=amnesty)
-                names += self.select_reads(s.lvalue, scope, ff_id, amnesty)
-                if read_names is not None:
-                    read_names.update(names)
-            elif isinstance(s, ast.IfStmt):
-                node = s
-                while isinstance(node, ast.IfStmt):
-                    names = self.expr_read(node.cond, scope, ff_id=ff_id, amnesty=amnesty)
-                    if read_names is not None:
-                        read_names.update(names)
-                    self.walk_stmts(node.then.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
-                    node = node.orelse
-                if isinstance(node, ast.Block):
-                    self.walk_stmts(node.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
-            elif isinstance(s, ast.IfResetStmt):
-                self.walk_stmts(s.then.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
-                node = s.orelse
-                while isinstance(node, ast.IfStmt):
-                    names = self.expr_read(node.cond, scope, ff_id=ff_id, amnesty=amnesty)
-                    if read_names is not None:
-                        read_names.update(names)
-                    self.walk_stmts(node.then.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
-                    node = node.orelse
-                if isinstance(node, ast.Block):
-                    self.walk_stmts(node.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
+                read_names.update(self.expr_read(s.rhs, scope, ff_id=ff_id, amnesty=unsafe))
+                read_names.update(self.select_reads(s.lvalue, scope, ff_id, unsafe))
+                base = ast.lvalue_base(s.lvalue)
+                if base is not None and len(base.segments) == 1:
+                    assigned.setdefault(base.segments[0])
             elif isinstance(s, ast.ReturnStmt):
-                names = self.expr_read(s.value, scope, ff_id=ff_id, amnesty=amnesty)
-                if read_names is not None:
-                    read_names.update(names)
-            elif isinstance(s, ast.Block):
-                self.walk_stmts(s.stmts, ff_id, scope, site_kind, site_id, amnesty, read_names)
-            elif isinstance(s, ast.UnsafeCdcStmt):
-                self.walk_stmts(s.body.stmts, ff_id, scope, site_kind, site_id, True, read_names)
+                read_names.update(self.expr_read(s.value, scope, ff_id=ff_id, amnesty=unsafe))
+            elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
+                for cond, _ in ast.if_arms(s)[0]:
+                    if cond is not None:
+                        read_names.update(self.expr_read(cond, scope, ff_id=ff_id, amnesty=unsafe))
+        return list(assigned), read_names
 
     # -- reads and drives --
 
@@ -693,15 +569,9 @@ class _ModuleChecker:
                     maybe.add(name)
                     first_span.setdefault(name, base.span)
                 elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-                    arms = []
-                    node = s
-                    while isinstance(node, (ast.IfStmt, ast.IfResetStmt)):
-                        arms.append(flow(node.then.stmts))
-                        node = node.orelse
-                    if isinstance(node, ast.Block):
-                        arms.append(flow(node.stmts))
-                    else:
-                        arms.append((set(), set()))  # missing else: empty path
+                    blocks, orelse = ast.if_arms(s)
+                    arms = [flow(block.stmts) for _, block in blocks]
+                    arms.append(flow(orelse.stmts) if orelse else (set(), set()))  # missing else: empty path
                     arm_must = arms[0][0]
                     for m, _ in arms[1:]:
                         arm_must = arm_must & m
@@ -765,42 +635,8 @@ class _ModuleChecker:
             )
             return
         target: ast.ModuleDecl = sym.decl
-        params = {p.name: p for p in target.params}
+        self.diags += check_connections(it, target)
         ports = {p.name: p for p in target.ports}
-        for conns, table, what in ((it.param_conns, params, "parameter"), (it.port_conns, ports, "port")):
-            seen: dict[str, Span] = {}
-            for c in conns:
-                if c.name in seen:
-                    self.diags.append(
-                        Diagnostic(
-                            "E0309",
-                            f"{what} `{c.name}` connected twice",
-                            c.name_span,
-                            [Related("first connection here", seen[c.name])],
-                        )
-                    )
-                    continue
-                seen[c.name] = c.name_span
-                if c.name not in table:
-                    self.diags.append(
-                        Diagnostic(
-                            "E0307",
-                            f"`{target.name}` has no {what} named `{c.name}`",
-                            c.name_span,
-                            [Related("target declared here", target.name_span)],
-                        )
-                    )
-        connected = {c.name for c in it.port_conns}
-        for p in target.ports:
-            if p.name not in connected:
-                self.diags.append(
-                    Diagnostic(
-                        "E0308",
-                        f"missing connection for port `{p.name}` of `{target.name}`",
-                        it.name_span,
-                        [Related("port declared here", p.name_span)],
-                    )
-                )
         # Connection expressions: reads for inputs, drives for outputs.
         for c in it.param_conns:
             self.expr_read(c.expr, self.scope, collect=False)

@@ -414,3 +414,34 @@ def iter_module_items(body: list[ModuleItem], unsafe: bool = False):
             yield from iter_module_items(it.items, True)
         else:
             yield it, unsafe
+
+
+def if_arms(s: IfStmt | IfResetStmt) -> tuple[list[tuple[Expr | None, Block]], Block | None]:
+    """The (condition, block) arms of an `if`/`else if`/`if_reset` chain in
+    source order, and its final `else` block.  Only an `if_reset` head has no
+    condition."""
+    arms = [(s.cond if isinstance(s, IfStmt) else None, s.then)]
+    node = s.orelse
+    while isinstance(node, IfStmt):
+        arms.append((node.cond, node.then))
+        node = node.orelse
+    return arms, node
+
+
+def iter_stmts(stmts: list[Stmt], unsafe: bool = False):
+    """Yield (stmt, inside_unsafe_cdc) in pre-order, with blocks and unsafe(cdc)
+    wrappers flattened; a chain is yielded once, by its head, followed by the
+    statements of its arms in source order."""
+    for s in stmts:
+        if isinstance(s, Block):
+            yield from iter_stmts(s.stmts, unsafe)
+        elif isinstance(s, UnsafeCdcStmt):
+            yield from iter_stmts(s.body.stmts, True)
+        else:
+            yield s, unsafe
+            if isinstance(s, (IfStmt, IfResetStmt)):
+                arms, orelse = if_arms(s)
+                for _, block in arms:
+                    yield from iter_stmts(block.stmts, unsafe)
+                if orelse is not None:
+                    yield from iter_stmts(orelse.stmts, unsafe)

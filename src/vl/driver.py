@@ -42,7 +42,9 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
     lock_path = manifest.root_dir / "vl.lock"
     lock = None
     if lock_path.is_file():
-        lock, ldiags = Lockfile.parse(lock_path.read_text(encoding="utf-8"), str(lock_path))
+        text, ldiags = decode_source(lock_path.read_bytes(), str(lock_path))
+        if not ldiags:  # a lockfile that is not UTF-8 counts as absent
+            lock, ldiags = Lockfile.parse(text, str(lock_path))
         diags += ldiags
     sources, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
     diags += ddiags

@@ -88,10 +88,7 @@ def lower_always_ff(ff: ast.AlwaysFf, binding: FfBinding, cfg: EmitConfig, w: _W
         reset_edge = "posedge" if reset_kind.endswith("high") else "negedge"
         sens += f" or {reset_edge} {binding.reset}"
     w.put(f"always_ff @ ({sens}) begin")
-    w.depth += 1
-    for s in ff.body.stmts:
-        _lower_stmt(s, w, nb=True, binding=binding, reset_kind=reset_kind)
-    w.depth -= 1
+    _lower_block(ff.body, w, True, binding, reset_kind)
     w.put("end")
 
 
@@ -102,7 +99,14 @@ def _reset_condition(binding: FfBinding, reset_kind: str | None) -> str:
     return binding.reset if active_high else f"!{binding.reset}"
 
 
-def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None = None, reset_kind: str | None = None) -> None:
+def _lower_block(block: ast.Block, w: _Writer, nb: bool, binding: FfBinding | None = None, reset_kind: str | None = None) -> None:
+    w.depth += 1
+    for s in block.stmts:
+        _lower_stmt(s, w, nb, binding, reset_kind)
+    w.depth -= 1
+
+
+def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, reset_kind: str | None) -> None:
     asgn = "<=" if nb else "="
     if isinstance(s, ast.AssignStmt):
         lhs = expr_text(s.lvalue)
@@ -110,10 +114,18 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None = N
             w.put(f"{lhs} {asgn} {expr_text(s.rhs)};")
         else:
             w.put(f"{lhs} {asgn} {lhs} {s.op[:-1]} ({expr_text(s.rhs)});")
-    elif isinstance(s, ast.IfStmt):
-        _lower_if(s, f"if ({expr_text(s.cond)}) begin", w, nb, binding, reset_kind)
-    elif isinstance(s, ast.IfResetStmt):
-        _lower_if(s, f"if ({_reset_condition(binding, reset_kind)}) begin", w, nb, binding, reset_kind)
+    elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
+        arms, orelse = ast.if_arms(s)
+        head = "if"
+        for cond, block in arms:
+            test = _reset_condition(binding, reset_kind) if cond is None else expr_text(cond)
+            w.put(f"{head} ({test}) begin")
+            _lower_block(block, w, nb, binding, reset_kind)
+            head = "end else if"
+        if orelse is not None:
+            w.put("end else begin")
+            _lower_block(orelse, w, nb, binding, reset_kind)
+        w.put("end")
     elif isinstance(s, ast.ReturnStmt):
         w.put(f"return {expr_text(s.value)};")
     elif isinstance(s, ast.UnsafeCdcStmt):
@@ -121,38 +133,10 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None = N
             _lower_stmt(sub, w, nb, binding, reset_kind)
     elif isinstance(s, ast.Block):
         w.put("begin")
-        w.depth += 1
-        for sub in s.stmts:
-            _lower_stmt(sub, w, nb, binding, reset_kind)
-        w.depth -= 1
+        _lower_block(s, w, nb, binding, reset_kind)
         w.put("end")
     else:
         raise TypeError(f"unexpected statement {s!r}")
-
-
-def _lower_if(s, head: str, w: _Writer, nb: bool, binding, reset_kind) -> None:
-    w.put(head)
-    w.depth += 1
-    for sub in s.then.stmts:
-        _lower_stmt(sub, w, nb, binding, reset_kind)
-    w.depth -= 1
-    node = s.orelse
-    while node is not None:
-        if isinstance(node, ast.IfStmt):
-            w.put(f"end else if ({expr_text(node.cond)}) begin")
-            w.depth += 1
-            for sub in node.then.stmts:
-                _lower_stmt(sub, w, nb, binding, reset_kind)
-            w.depth -= 1
-            node = node.orelse
-        else:
-            w.put("end else begin")
-            w.depth += 1
-            for sub in node.stmts:
-                _lower_stmt(sub, w, nb, binding, reset_kind)
-            w.depth -= 1
-            node = None
-    w.put("end")
 
 
 def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> EmitUnit:
@@ -211,10 +195,7 @@ def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig, name_map) -> No
         lower_always_ff(it, bindings[id(it)], cfg, w)
     elif isinstance(it, ast.AlwaysComb):
         w.put("always_comb begin")
-        w.depth += 1
-        for s in it.body.stmts:
-            _lower_stmt(s, w, nb=False)
-        w.depth -= 1
+        _lower_block(it.body, w, False)
         w.put("end")
     elif isinstance(it, ast.InstDecl):
         name_map[it.name] = it.name
@@ -223,10 +204,7 @@ def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig, name_map) -> No
         name_map[it.name] = it.name
         args = ", ".join(f"input {lower_type(a.ty)} {a.name}" for a in it.args)
         w.put(f"function automatic {lower_type(it.ret)} {it.name}({args});")
-        w.depth += 1
-        for s in it.body.stmts:
-            _lower_stmt(s, w, nb=False)
-        w.depth -= 1
+        _lower_block(it.body, w, False)
         w.put("endfunction")
     else:
         raise TypeError(f"unexpected module item {it!r}")

@@ -216,22 +216,28 @@ class _Fmt:
         if not it.param_conns and not it.port_conns:
             self.put(head + ";" + self._trail_doc(doc))
             return
-        if it.param_conns:
-            self.put(head + " #(")
+        # Comments inside the lists are rare: place them per connection only
+        # when the next unplaced comment starts inside this instance.
+        i = self.next_comment
+        commented = i < len(self.comments) and self.comments[i].span.byte_start < it.span.byte_end
+        last_line = self.line_of(it.span.byte_end - 1)
+        closing = it.port_conns or it.param_conns
+        for conns, opener in ((it.param_conns, " #("), (it.port_conns, " (")):
+            if not conns:
+                continue
+            self.put(head + opener)
             self.indent += 1
-            for c in it.param_conns:
+            for c in conns:
+                if commented:
+                    self.leading(c.name_span.byte_start)
                 self.put(f"{c.name}: {expr_text(c.expr)},")
+                if commented and self.line_of(c.expr.span.byte_end - 1) != last_line:  # a comment there follows `);`
+                    self.trailing(c.expr.span)
+            if conns is closing:
+                self.comments_before_close(it.span)
             self.indent -= 1
             head = ")"
-        if it.port_conns:
-            self.put(head + " (")
-            self.indent += 1
-            for c in it.port_conns:
-                self.put(f"{c.name}: {expr_text(c.expr)},")
-            self.indent -= 1
-            self.put(");")
-        else:
-            self.put(head + ";")
+        self.put(");")
 
     # -- statements --
 
@@ -250,10 +256,17 @@ class _Fmt:
         self.leading(s.span.byte_start)
         if isinstance(s, ast.AssignStmt):
             self.put(f"{expr_text(s.lvalue)} {s.op} {expr_text(s.rhs)};")
-        elif isinstance(s, ast.IfStmt):
-            self.emit_if(s, f"if {expr_text(s.cond)} {{")
-        elif isinstance(s, ast.IfResetStmt):
-            self.emit_if(s, "if_reset {")
+        elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
+            arms, orelse = ast.if_arms(s)
+            head = ""
+            for cond, block in arms:
+                self.put(head + ("if_reset {" if cond is None else f"if {expr_text(cond)} {{"))
+                self.emit_block(block)
+                head = "} else "
+            if orelse is not None:
+                self.put("} else {")
+                self.emit_block(orelse)
+            self.put("}")
         elif isinstance(s, ast.ReturnStmt):
             self.put(f"return {expr_text(s.value)};")
         elif isinstance(s, ast.UnsafeCdcStmt):
@@ -267,18 +280,3 @@ class _Fmt:
         else:
             raise TypeError(f"unexpected statement {s!r}")
         self.trailing(s.span)
-
-    def emit_if(self, s, head: str) -> None:
-        self.put(head)
-        self.emit_block(s.then)
-        node = s.orelse
-        while node is not None:
-            if isinstance(node, ast.IfStmt):
-                self.put(f"}} else if {expr_text(node.cond)} {{")
-                self.emit_block(node.then)
-                node = node.orelse
-            else:
-                self.put("} else {")
-                self.emit_block(node)
-                node = None
-        self.put("}")

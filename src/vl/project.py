@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic
+from .lexer import decode_source
 from .tokens import Span
 
 CLOCK_TYPES = ("posedge", "negedge")
@@ -92,10 +93,12 @@ class Lockfile:
 
 
 def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
-    """Parse a vl.toml; unknown keys warn (W0401), structural problems are E0401."""
-    text = path.read_text(encoding="utf-8")
+    """Parse a vl.toml; unknown keys warn (W0401), structural problems are E0401,
+    invalid UTF-8 is E0003."""
     file_id = str(path)
-    diags: list[Diagnostic] = []
+    text, diags = decode_source(path.read_bytes(), file_id)
+    if diags:
+        return None, diags
     tables: dict[str, dict[str, tuple[str, Span]]] = {}
     table_spans: dict[str, Span] = {}
     current: str | None = None

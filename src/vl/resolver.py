@@ -33,6 +33,7 @@ class Symbol:
     decl: object = None
     ty: ast.TypeSpec | None = None
     is_pub: bool = True
+    scope: "Scope | None" = field(default=None, repr=False, compare=False)  # set by Scope.declare
 
     @property
     def kind_name(self) -> str:
@@ -49,6 +50,7 @@ class Scope:
         existing = self.entries.get(sym.name)
         if existing is None:
             self.entries[sym.name] = sym
+            sym.scope = self
         return existing
 
     def lookup(self, name: str) -> Symbol | None:
@@ -187,6 +189,48 @@ def resolve(path: ast.PathExpr, scope: Scope, table: SymbolTable, diags: list[Di
     return ResolvedPath(list(path.segments), sym, root)
 
 
+def check_connections(it: ast.InstDecl, target: ast.ModuleDecl) -> list[Diagnostic]:
+    """E0307/E0308/E0309 for the connection names of `it` against its target
+    module; run on generic-parameter targets once they are substituted."""
+    diags: list[Diagnostic] = []
+    for conns, decls, what in ((it.param_conns, target.params, "parameter"), (it.port_conns, target.ports, "port")):
+        names = {d.name for d in decls}
+        seen: dict[str, Span] = {}
+        for c in conns:
+            if c.name in seen:
+                diags.append(
+                    Diagnostic(
+                        "E0309",
+                        f"{what} `{c.name}` connected twice",
+                        c.name_span,
+                        [Related("first connection here", seen[c.name])],
+                    )
+                )
+                continue
+            seen[c.name] = c.name_span
+            if c.name not in names:
+                diags.append(
+                    Diagnostic(
+                        "E0307",
+                        f"`{target.name}` has no {what} named `{c.name}`",
+                        c.name_span,
+                        [Related("target declared here", target.name_span)],
+                    )
+                )
+    connected = {c.name for c in it.port_conns}
+    for p in target.ports:
+        if p.name not in connected:
+            diags.append(
+                Diagnostic(
+                    "E0308",
+                    f"missing connection for port `{p.name}` of `{target.name}`",
+                    it.name_span,
+                    [Related("port declared here", p.name_span)],
+                )
+            )
+    return diags
+
+
 # -- monomorphization --------------------------------------------------------
 
 
@@ -315,6 +359,7 @@ class _Mono:
                     )
                 )
             if it.target.text in env:
+                self.diags += check_connections(it, target_decl)
                 return replace(it, target=ast.PathExpr(self.display(target_key, unit), it.target.span), generic_args=[])
             return replace(it, generic_args=[]) if it.generic_args else it
         if len(it.generic_args) != len(target_decl.generic_params):

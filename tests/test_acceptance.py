@@ -186,13 +186,21 @@ def _gen_stmts(rng, conds, targets, depth):
     stmts = []
     for _ in range(rng.randint(1, 3)):
         choice = rng.random()
-        if choice < 0.45 or not conds or depth >= 2:
+        if choice < 0.4 or depth >= 3:
             stmts.append(("assign", rng.choice(targets)))
-        else:
-            cond = conds.pop()
-            then = _gen_stmts(rng, conds, targets, depth + 1)
+        elif choice < 0.5:
+            stmts.append(("block", _gen_stmts(rng, conds, targets, depth + 1)))
+        elif choice < 0.6:
+            stmts.append(("unsafe", _gen_stmts(rng, conds, targets, depth + 1)))
+        elif conds:
+            # an `if` with zero to two `else if` arms
+            arms = [(conds.pop(), _gen_stmts(rng, conds, targets, depth + 1))]
+            while conds and rng.random() < 0.6:
+                arms.append((conds.pop(), _gen_stmts(rng, conds, targets, depth + 1)))
             orelse = _gen_stmts(rng, conds, targets, depth + 1) if rng.random() < 0.5 else None
-            stmts.append(("if", cond, then, orelse))
+            stmts.append(("if", arms, orelse))
+        else:
+            stmts.append(("assign", rng.choice(targets)))
     return stmts
 
 
@@ -202,10 +210,15 @@ def _stmts_to_source(stmts, indent):
     for s in stmts:
         if s[0] == "assign":
             out.append(f"{pad}{s[1]} = 1;")
+        elif s[0] in ("block", "unsafe"):
+            out.append(pad + ("{" if s[0] == "block" else "unsafe (cdc) {"))
+            out += _stmts_to_source(s[1], indent + 1)
+            out.append(f"{pad}}}")
         else:
-            _, cond, then, orelse = s
-            out.append(f"{pad}if {cond} {{")
-            out += _stmts_to_source(then, indent + 1)
+            _, arms, orelse = s
+            for i, (cond, then) in enumerate(arms):
+                out.append(f"{pad}{'} else ' if i else ''}if {cond} {{")
+                out += _stmts_to_source(then, indent + 1)
             if orelse is not None:
                 out.append(f"{pad}}} else {{")
                 out += _stmts_to_source(orelse, indent + 1)
@@ -218,12 +231,13 @@ def _oracle_assigned(stmts, env):
     for s in stmts:
         if s[0] == "assign":
             assigned.add(s[1])
+        elif s[0] in ("block", "unsafe"):
+            assigned |= _oracle_assigned(s[1], env)
         else:
-            _, cond, then, orelse = s
-            if env[cond]:
-                assigned |= _oracle_assigned(then, env)
-            elif orelse is not None:
-                assigned |= _oracle_assigned(orelse, env)
+            _, arms, orelse = s
+            taken = next((then for cond, then in arms if env[cond]), orelse)
+            if taken is not None:
+                assigned |= _oracle_assigned(taken, env)
     return assigned
 
 
@@ -231,7 +245,7 @@ def test_criterion_5_latch_oracle():
     rng = random.Random(20250810)
     checked = 0
     for _ in range(60):
-        n_conds = rng.randint(1, 3)
+        n_conds = rng.randint(1, 4)
         conds = [f"c{i}" for i in range(n_conds)]
         targets = [t for t in ("x", "y", "z")[: rng.randint(1, 3)]]
         stmts = _gen_stmts(rng, list(conds), targets, 0)

@@ -234,6 +234,23 @@ def test_instantiating_package_is_e0203():
     assert codes(src) == ["E0203"]
 
 
+@pytest.mark.parametrize(
+    "probe, code",
+    [
+        ("function f (a: logic) -> logic { return g(a, a); }", "E0310"),
+        ("function f (a: logic) -> logic { return g; }", "E0203"),
+        ("function f (a: logic<4>) -> logic { return a[1 - 2:0]; }", "E0301"),
+        ("function f (a: logic<4>) -> logic<4> { K = a; return a; }", "E0306"),
+        ("const N: logic<1 - 2> = 0;", "E0301"),
+        ("const L: logic<4> = 4'h1f;", "E0311"),
+    ],
+)
+def test_module_and_package_items_get_the_same_checks(probe, code):
+    items = f"    const K: logic<4> = 1;\n    function g (x: logic) -> logic {{ return x; }}\n    {probe}\n"
+    assert codes(f"module M () {{\n{items}}}\n") == [code]
+    assert codes(f"package P {{\n{items}}}\n") == [code]
+
+
 # -- literal widths --------------------------------------------------------------
 
 

@@ -240,3 +240,41 @@ def test_malformed_lockfile_line_is_e0407(tmp_path, capsys):
     assert diag["code"] == "E0407" and diag["line"] == 1
     assert diag["file"] == str(root / "vl.lock")
     assert "line 1" in diag["message"]
+
+
+def test_generic_parameter_instance_connections_are_checked(tmp_path, capsys):
+    src = (
+        "module Leaf () {}\n"
+        "module Wrap::<T> (i_a: input logic) {\n"
+        "    inst u: T (no_such_port: i_a);\n"
+        "}\n"
+        "module Top (i_a: input logic) {\n"
+        "    inst w: Wrap::<Leaf> (i_a: i_a);\n"
+        "}\n"
+    )
+    root = make_project(tmp_path, src, name="wrap", stem="wrap")
+    assert main(["build", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    (diag,) = json.loads(capsys.readouterr().out)
+    assert (diag["code"], diag["line"], diag["column"]) == ("E0307", 3, 16)
+    assert "`Leaf` has no port named `no_such_port`" in diag["message"]
+    assert not list(root.rglob("*.sv"))
+
+
+def test_invalid_utf8_in_manifest_is_e0003(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "vl.toml").write_bytes(b'[project]\nname = "counter"\nversion = "0.1.0"\n# \xff\n')
+    manifest = str(root / "vl.toml")
+    assert main(["check", "--manifest", manifest, "--format", "json"]) == 1
+    (diag,) = json.loads(capsys.readouterr().out)
+    assert (diag["code"], diag["file"], diag["line"], diag["column"]) == ("E0003", manifest, 4, 3)
+    assert main(["build", "--manifest", manifest]) == 1
+    assert "internal error" not in capsys.readouterr().err
+    assert not (root / "target").exists()
+
+
+def test_invalid_utf8_in_lockfile_is_e0003_and_the_lockfile_is_ignored(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "vl.lock").write_bytes(b"\xff\n")
+    assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    (diag,) = json.loads(capsys.readouterr().out)
+    assert (diag["code"], diag["file"], diag["line"], diag["column"]) == ("E0003", str(root / "vl.lock"), 1, 1)

@@ -129,6 +129,7 @@ _ITEMS = [
     ["always_comb {", "}"],
     ["always_comb {", "    v = a;", "}"],
     ["always_comb {", "    if a {", "        v = 1;", "    } else {", "        v = 0;", "    }", "}"],
+    ["inst u: Leaf #(", "    W: 8,", "    D: 2,", ") (", "    a: b,", "    c: d,", ");"],
 ]
 
 
