@@ -142,18 +142,17 @@ def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagno
 # -- constant evaluation ------------------------------------------------------
 
 
-def eval_const(expr: ast.Expr, scope: Scope, table: SymbolTable) -> int:
+def eval_const(expr: ast.Expr, scope: Scope) -> int:
     """Evaluate a params/consts/literals expression to a 64-bit unsigned value.
 
     Raises ConstError (E0301, or E0202 for unknown names).  Wrap-around and
     division by zero are errors, not silent.
     """
-    return _ConstEval(table).eval(expr, scope)
+    return _ConstEval().eval(expr, scope)
 
 
 class _ConstEval:
-    def __init__(self, table: SymbolTable):
-        self.table = table
+    def __init__(self):
         self.memo: dict[int, int] = {}
         self.active: set[int] = set()
 
@@ -231,7 +230,7 @@ class _ConstEval:
 
     def path(self, e: ast.PathExpr, scope: Scope) -> int:
         quiet: list[Diagnostic] = []
-        rp = resolve(e, scope, self.table, quiet)
+        rp = resolve(e, scope, quiet)
         if rp is None:
             raise ConstError(quiet[0])
         sym = rp.target
@@ -322,7 +321,7 @@ class _ModuleChecker:
         self.ff_reads: list[tuple[int, str, Span, bool]] = []
         # signal -> list of domain sources per driving site
         self.domain_drivers: dict[str, list[tuple[str, object]]] = {}
-        self.ev = _ConstEval(table)
+        self.ev = _ConstEval()
 
     def run(self) -> list[Diagnostic]:
         self.collect_signals()
@@ -437,7 +436,7 @@ class _ModuleChecker:
                     except ConstError as err:
                         self.diags.append(err.diagnostic)
             elif isinstance(sub, ast.PathExpr):
-                rp = resolve(sub, scope, self.table, self.diags)
+                rp = resolve(sub, scope, self.diags)
                 if rp is None:
                     continue
                 sym = rp.target
@@ -486,7 +485,7 @@ class _ModuleChecker:
         if base is None:
             self.diags.append(Diagnostic("E0306", "assignment target is not an lvalue", span))
             return
-        rp = resolve(base, scope, self.table, self.diags)
+        rp = resolve(base, scope, self.diags)
         if rp is None:
             return
         sym = rp.target
@@ -602,7 +601,7 @@ class _ModuleChecker:
 
     def check_call(self, call: ast.CallExpr, scope) -> None:
         """E0310 when a call's arity disagrees with the function declaration."""
-        rp = resolve(call.path, scope, self.table, self.diags)
+        rp = resolve(call.path, scope, self.diags)
         if rp is None:
             return
         if rp.target.kind != SymbolKind.FUNCTION:
@@ -623,7 +622,7 @@ class _ModuleChecker:
 
     def check_connectivity(self, it: ast.InstDecl) -> None:
         """E0307/E0308/E0309 for instance connections; E0306 for output targets."""
-        rp = resolve(it.target, self.scope, self.table, self.diags)
+        rp = resolve(it.target, self.scope, self.diags)
         if rp is None:
             return
         sym = rp.target
@@ -668,7 +667,7 @@ class _ModuleChecker:
                 Diagnostic("E0315", f"port `{c.name}` needs a clock/reset-typed signal", c.expr.span)
             )
             return
-        rp = resolve(base, self.scope, self.table, self.diags)
+        rp = resolve(base, self.scope, self.diags)
         if rp is None:
             return
         ty = rp.target.ty

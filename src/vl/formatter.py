@@ -12,7 +12,7 @@ from bisect import bisect_right
 
 from . import ast
 from .ast import expr_text, type_text
-from .tokens import DocComment
+from .tokens import DocComment, Span
 
 
 def format_source(sf: ast.SourceFile) -> str:
@@ -73,10 +73,16 @@ class _Fmt:
         for text in doc.text.split("\n"):
             self.put(f"/// {text}" if text else "///")
 
-    def anchor(self, node_span, doc: DocComment | None) -> int:
-        if doc is not None and not doc.trailing and node_span is not None:
-            return min(node_span.byte_start, doc.span.byte_start)
-        return node_span.byte_start if node_span is not None else 0
+    def lead(self, span: Span, doc: DocComment | None) -> None:
+        """The comments before a declaration, then its leading doc."""
+        if doc is not None and not doc.trailing:
+            self.leading(doc.span.byte_start)
+            self.doc_lines(doc)
+        else:
+            self.leading(span.byte_start)
+
+    def trail_doc(self, doc: DocComment | None) -> str:
+        return f" /// {doc.text}" if doc is not None and doc.trailing else ""
 
     # -- top level --
 
@@ -91,9 +97,7 @@ class _Fmt:
         return "\n".join(self.out) + "\n" if self.out else ""
 
     def emit_item(self, item) -> None:
-        self.leading(self.anchor(item.span, item.doc))
-        if item.doc is not None and not item.doc.trailing:
-            self.doc_lines(item.doc)
+        self.lead(item.span, item.doc)
         if isinstance(item, ast.ModuleDecl):
             self.emit_module(item)
         else:
@@ -129,24 +133,14 @@ class _Fmt:
         self.put("}")
 
     def emit_param(self, p: ast.ParamDecl) -> None:
-        self.leading(self.anchor(p.name_span, p.doc))
-        if p.doc is not None and not p.doc.trailing:
-            self.doc_lines(p.doc)
-        text = f"param {p.name}: {type_text(p.ty)} = {expr_text(p.default)},"
-        if p.doc is not None and p.doc.trailing:
-            text += f" /// {p.doc.text}"
-        self.put(text)
+        self.lead(p.name_span, p.doc)
+        self.put(f"param {p.name}: {type_text(p.ty)} = {expr_text(p.default)}," + self.trail_doc(p.doc))
         self.trailing(p.name_span)
 
     def emit_port(self, p: ast.PortDecl) -> None:
-        self.leading(self.anchor(p.name_span, p.doc))
-        if p.doc is not None and not p.doc.trailing:
-            self.doc_lines(p.doc)
+        self.lead(p.name_span, p.doc)
         dom = f"`{p.domain} " if p.domain else ""
-        text = f"{p.name}: {p.direction} {dom}{type_text(p.ty)},"
-        if p.doc is not None and p.doc.trailing:
-            text += f" /// {p.doc.text}"
-        self.put(text)
+        self.put(f"{p.name}: {p.direction} {dom}{type_text(p.ty)}," + self.trail_doc(p.doc))
         self.trailing(p.name_span)
 
     def emit_package(self, pkg: ast.PackageDecl) -> None:
@@ -163,16 +157,14 @@ class _Fmt:
 
     def emit_module_item(self, it) -> None:
         doc = getattr(it, "doc", None)
-        self.leading(self.anchor(it.span, doc))
-        if doc is not None and not doc.trailing:
-            self.doc_lines(doc)
+        self.lead(it.span, doc)
         if isinstance(it, ast.VarDecl):
             dom = f"`{it.domain} " if it.domain else ""
-            self.put(f"var {it.name}: {dom}{type_text(it.ty)};" + self._trail_doc(doc))
+            self.put(f"var {it.name}: {dom}{type_text(it.ty)};" + self.trail_doc(doc))
         elif isinstance(it, ast.ConstDecl):
-            self.put(f"const {it.name}: {type_text(it.ty)} = {expr_text(it.value)};" + self._trail_doc(doc))
+            self.put(f"const {it.name}: {type_text(it.ty)} = {expr_text(it.value)};" + self.trail_doc(doc))
         elif isinstance(it, ast.InstDecl):
-            self.emit_inst(it, doc)
+            self.emit_inst(it)
         elif isinstance(it, ast.AssignItem):
             self.put(f"assign {expr_text(it.lvalue)} = {expr_text(it.rhs)};")
         elif isinstance(it, ast.AlwaysFf):
@@ -204,17 +196,12 @@ class _Fmt:
             raise TypeError(f"unexpected module item {it!r}")
         self.trailing(it.span)
 
-    def _trail_doc(self, doc: DocComment | None) -> str:
-        if doc is not None and doc.trailing:
-            return f" /// {doc.text}"
-        return ""
-
-    def emit_inst(self, it: ast.InstDecl, doc) -> None:
+    def emit_inst(self, it: ast.InstDecl) -> None:
         head = f"inst {it.name}: {it.target.text}"
         if it.generic_args:
             head += "::<" + ", ".join(g.text for g in it.generic_args) + ">"
         if not it.param_conns and not it.port_conns:
-            self.put(head + ";" + self._trail_doc(doc))
+            self.put(head + ";" + self.trail_doc(it.doc))
             return
         # Comments inside the lists are rare: place them per connection only
         # when the next unplaced comment starts inside this instance.

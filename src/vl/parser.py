@@ -42,6 +42,10 @@ from .tokens import DocComment, Span, Token, TokenKind
 
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "&=", "|=", "^=", "<<=", ">>="})
 
+# Levels of `{…}` bodies, parenthesised, bracketed and call-argument
+# sub-expressions and unary operators, counted together; one more is E0104.
+MAX_NESTING = 128
+
 _PRECEDENCE = {
     "||": 1,
     "&&": 2,
@@ -108,6 +112,7 @@ class _Parser:
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.ff_depth = 0
+        self.depth = 0  # nesting levels open, see MAX_NESTING
         end = tokens[-1].span.byte_end if tokens else 0
         endline = tokens[-1].span.line if tokens else 1
         self.eof = Token(TokenKind.EOF, "", Span(file_id, end, end, endline, 1))
@@ -140,6 +145,10 @@ class _Parser:
             return True
         return False
 
+    def span_to_prev(self, start: Span) -> Span:
+        """From `start` to the end of the last token read."""
+        return Span(self.file_id, start.byte_start, self.toks[self.pos - 1].span.byte_end, start.line, start.column)
+
     def error(self, code: str, message: str, span: Span) -> Diagnostic:
         d = Diagnostic(code, message, span)
         self.diags.append(d)
@@ -151,16 +160,30 @@ class _Parser:
         self.error("E0101", f"unexpected {shown}, expected {expected}", t.span)
         return _ParseError()
 
+    def too_deep(self, span: Span) -> _ParseError:
+        self.error("E0104", f"nesting deeper than {MAX_NESTING} levels", span)
+        return _ParseError()
+
     def expect_punct(self, text: str, context: str = "") -> Token:
         if self.at_punct(text):
             return self.bump()
         what = f"`{text}`" + (f" {context}" if context else "")
         raise self.unexpected(what)
 
-    def expect_close(self, text: str, open_span: Span) -> Token:
-        if self.at_punct(text):
-            return self.bump()
-        if self.cur().kind == TokenKind.EOF:
+    def expect_close(self, text: str, open_span: Span) -> None:
+        """Read the closer of the delimiter opened at `open_span`.  A closing
+        `>` may be the first character of `>>`, `>=` or `>>=`: the rest stays."""
+        t = self.cur()
+        if t.kind == TokenKind.PUNCT and t.text.startswith(text):
+            if t.text == text:
+                self.bump()
+            else:
+                s = t.span
+                self.toks[self.pos] = Token(
+                    TokenKind.PUNCT, t.text[1:], Span(s.file_id, s.byte_start + 1, s.byte_end, s.line, s.column + 1)
+                )
+            return
+        if t.kind == TokenKind.EOF:
             self.error("E0103", f"unclosed delimiter, expected `{text}`", open_span)
             raise _ParseError()
         raise self.unexpected(f"`{text}`")
@@ -171,23 +194,70 @@ class _Parser:
             return self.bump()
         raise self.unexpected(what)
 
-    def expect_angle_close(self, open_span: Span) -> None:
-        """Consume one `>` worth of the current token, splitting >>, >= etc."""
-        t = self.cur()
-        if t.kind == TokenKind.PUNCT and t.text.startswith(">"):
-            if len(t.text) == 1:
-                self.bump()
-            else:
-                rest = t.text[1:]
-                s = t.span
-                self.toks[self.pos] = Token(
-                    TokenKind.PUNCT, rest, Span(s.file_id, s.byte_start + 1, s.byte_end, s.line, s.column + 1)
-                )
-            return
-        if t.kind == TokenKind.EOF:
-            self.error("E0103", "unclosed delimiter, expected `>`", open_span)
-            raise _ParseError()
-        raise self.unexpected("`>`")
+    def expect_name(self, what: str) -> Token:
+        """`IDENT :`, returning the identifier."""
+        name = self.expect_ident(what)
+        self.expect_punct(":")
+        return name
+
+    # -- shapes --
+
+    def delimited(self, close: str, open_span: Span, item) -> list:
+        """Comma-separated `item()`s, trailing comma allowed, up to and including
+        `close`; the opener at `open_span` is already read."""
+        items = []
+        while not self.at_punct(close) and self.cur().kind != TokenKind.EOF:
+            items.append(item())
+            if not self.eat_punct(","):
+                break
+        self.expect_close(close, open_span)
+        return items
+
+    def braced(self, item) -> list:
+        """`{ item()* }`; after an error, recover at the next `;` and go on.
+        A body past MAX_NESTING is E0104 and skipped whole, so its closers
+        are not left to the levels above."""
+        open_span = self.expect_punct("{").span
+        if self.depth == MAX_NESTING:
+            self.too_deep(open_span)
+            level = 1
+            while level and self.cur().kind != TokenKind.EOF:
+                t = self.bump()
+                if t.kind == TokenKind.PUNCT:
+                    level += (t.text == "{") - (t.text == "}")
+            return []
+        self.depth += 1
+        try:
+            items = []
+            while not self.at_punct("}") and self.cur().kind != TokenKind.EOF:
+                try:
+                    items.append(item())
+                except _ParseError:
+                    self.recover()
+            self.expect_close("}", open_span)
+            return items
+        finally:
+            self.depth -= 1
+
+    def nested(self, span: Span, parse, *args):
+        """`parse(*args)` one nesting level down; past MAX_NESTING, E0104 at `span`."""
+        if self.depth == MAX_NESTING:
+            raise self.too_deep(span)
+        self.depth += 1
+        try:
+            return parse(*args)
+        finally:
+            self.depth -= 1
+
+    def unsafe_cdc(self) -> Span:
+        """Read `unsafe (cdc)`; returns the span of `unsafe`."""
+        start = self.bump().span
+        self.expect_punct("(")
+        if not self.at_kw("cdc"):
+            raise self.unexpected("`cdc`")
+        self.bump()
+        self.expect_punct(")")
+        return start
 
     # -- doc comments --
 
@@ -200,15 +270,25 @@ class _Parser:
             return None
         if len(got) == 1:
             return got[0]
-        merged = DocComment("\n\n".join(d.text for d in got), got[0].span)
-        return merged
+        return DocComment("\n\n".join(d.text for d in got), got[0].span)
 
-    def take_trailing_doc(self, line: int) -> DocComment | None:
-        return self.trail_docs.pop(line, None)
+    def attach(self, decl, doc: DocComment | None, line: int):
+        """Give `decl` its leading `doc`, or else the trailing `///` on `line`;
+        that one is taken either way."""
+        trailing = self.trail_docs.pop(line, None)
+        decl.doc = doc or trailing
+        return decl
+
+    def documented(self, parse):
+        """A param or port with its doc; a trailing `///` sits after its comma."""
+        doc = self.take_leading_docs(self.cur().span.byte_start)
+        decl = parse()
+        line = self.cur().span.line if self.at_punct(",") else decl.name_span.line
+        return self.attach(decl, doc, line)
 
     # -- recovery --
 
-    def recover(self, stop_close: str = "}") -> None:
+    def recover(self) -> None:
         """Skip to just past the next `;`, or up to a closing brace / EOF."""
         start = self.pos
         while self.pos < len(self.toks):
@@ -217,7 +297,7 @@ class _Parser:
                 if t.text == ";":
                     self.bump()
                     break
-                if t.text == stop_close:
+                if t.text == "}":
                     break
             self.bump()
         if self.pos == start and self.pos < len(self.toks):
@@ -250,79 +330,36 @@ class _Parser:
 
     # -- items --
 
-    def parse_module(self, is_pub: bool, doc, start_span: Span) -> ModuleDecl:
+    def parse_module(self, is_pub: bool, doc, start: Span) -> ModuleDecl:
         self.bump()  # module
         name = self.expect_ident("module name")
         generic_params: list[str] = []
         if self.at_punct("::"):
             self.bump()
-            open_span = self.expect_punct("<").span
-            while not self.at_punct(">"):
-                generic_params.append(self.expect_ident("generic parameter").text)
-                if not self.eat_punct(","):
-                    break
-            self.expect_angle_close(open_span)
+            generic_params = self.delimited(">", self.expect_punct("<").span, lambda: self.expect_ident("generic parameter").text)
         params: list[ParamDecl] = []
         if self.at_punct("#"):
             self.bump()
-            open_span = self.expect_punct("(").span
-            while not self.at_punct(")"):
-                if self.cur().kind == TokenKind.EOF:
-                    self.expect_close(")", open_span)
-                params.append(self.parse_param())
-                if not self.eat_punct(","):
-                    break
-            self.expect_close(")", open_span)
+            params = self.delimited(")", self.expect_punct("(").span, lambda: self.documented(self.parse_param))
         ports: list[PortDecl] = []
         if self.at_punct("("):
-            open_span = self.bump().span
-            while not self.at_punct(")"):
-                if self.cur().kind == TokenKind.EOF:
-                    self.expect_close(")", open_span)
-                ports.append(self.parse_port())
-                if not self.eat_punct(","):
-                    break
-            close = self.expect_close(")", open_span)
-            if ports:
-                d = self.take_trailing_doc(close.span.line)
-                if d is not None and ports[-1].doc is None:
-                    ports[-1].doc = d
-                    d.attached_to = ports[-1].name_span
-        body = self.parse_module_body()
-        span = Span(self.file_id, start_span.byte_start, self.prev_end(), start_span.line, start_span.column)
-        m = ModuleDecl(name.text, name.span, generic_params, params, ports, body, span, is_pub, doc)
-        if doc is not None:
-            doc.attached_to = name.span
-        return m
-
-    def prev_end(self) -> int:
-        return self.toks[self.pos - 1].span.byte_end if self.pos > 0 else 0
+            ports = self.delimited(")", self.bump().span, lambda: self.documented(self.parse_port))
+            if ports:  # a trailing `///` after `)` belongs to the last port
+                self.attach(ports[-1], ports[-1].doc, self.toks[self.pos - 1].span.line)
+        body = self.braced(self.parse_module_item)
+        return ModuleDecl(name.text, name.span, generic_params, params, ports, body, self.span_to_prev(start), is_pub, doc)
 
     def parse_param(self) -> ParamDecl:
-        doc = self.take_leading_docs(self.cur().span.byte_start)
         if not self.at_kw("param"):
             raise self.unexpected("`param`")
         self.bump()
-        name = self.expect_ident("parameter name")
-        self.expect_punct(":")
+        name = self.expect_name("parameter name")
         ty = self.parse_type()
         self.expect_punct("=")
-        default = self.parse_expr()
-        p = ParamDecl(name.text, name.span, ty, default, doc)
-        if doc is not None:
-            doc.attached_to = name.span
-        # A trailing /// sits after the comma; peek at the comma's line.
-        line = self.cur().span.line if self.at_punct(",") else name.span.line
-        t = self.take_trailing_doc(line)
-        if t is not None and p.doc is None:
-            p.doc = t
-            t.attached_to = name.span
-        return p
+        return ParamDecl(name.text, name.span, ty, self.parse_expr())
 
     def parse_port(self) -> PortDecl:
-        doc = self.take_leading_docs(self.cur().span.byte_start)
-        name = self.expect_ident("port name")
-        self.expect_punct(":")
+        name = self.expect_name("port name")
         if self.at_kw("input") or self.at_kw("output"):
             direction = self.bump().text
         else:
@@ -330,39 +367,12 @@ class _Parser:
         domain = None
         if self.cur().kind == TokenKind.DOMAIN_TICK:
             domain = self.bump().text[1:]
-        ty = self.parse_type()
-        port = PortDecl(name.text, name.span, direction, domain, ty, doc)
-        if doc is not None:
-            doc.attached_to = name.span
-        line = self.cur().span.line if self.at_punct(",") else name.span.line
-        t = self.take_trailing_doc(line)
-        if t is not None and port.doc is None:
-            port.doc = t
-            t.attached_to = name.span
-        return port
-
-    def parse_module_body(self):
-        open_span = self.expect_punct("{").span
-        items = []
-        while not self.at_punct("}"):
-            if self.cur().kind == TokenKind.EOF:
-                self.expect_close("}", open_span)
-            try:
-                items.append(self.parse_module_item())
-            except _ParseError:
-                self.recover()
-        self.bump()
-        return items
+        return PortDecl(name.text, name.span, direction, domain, self.parse_type())
 
     def parse_module_item(self):
-        t = self.cur()
-        doc = self.take_leading_docs(t.span.byte_start)
-        if self.at_kw("var"):
-            return self.finish_decl_doc(self.parse_var(), doc)
-        if self.at_kw("const"):
-            return self.finish_decl_doc(self.parse_const(), doc)
-        if self.at_kw("inst"):
-            return self.finish_decl_doc(self.parse_inst(), doc)
+        doc = self.take_leading_docs(self.cur().span.byte_start)
+        if self.cur().text in _Parser._DECLS:
+            return self.parse_decl(doc)
         if self.at_kw("assign"):
             return self.parse_assign_item()
         if self.at_kw("always_ff"):
@@ -371,45 +381,20 @@ class _Parser:
             start = self.bump().span
             body = self.parse_block()
             return AlwaysComb(body, self.span_to_prev(start))
-        if self.at_kw("function"):
-            return self.finish_decl_doc(self.parse_function(), doc)
         if self.at_kw("unsafe"):
-            start = self.bump().span
-            self.expect_punct("(")
-            if not self.at_kw("cdc"):
-                raise self.unexpected("`cdc`")
-            self.bump()
-            self.expect_punct(")")
-            open_span = self.expect_punct("{").span
-            items = []
-            while not self.at_punct("}"):
-                if self.cur().kind == TokenKind.EOF:
-                    self.expect_close("}", open_span)
-                try:
-                    items.append(self.parse_module_item())
-                except _ParseError:
-                    self.recover()
-            self.bump()
+            start = self.unsafe_cdc()
+            items = self.braced(self.parse_module_item)
             return UnsafeCdcItem(items, self.span_to_prev(start))
         raise self.unexpected("a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
 
-    def finish_decl_doc(self, decl, doc):
-        if doc is not None and decl.doc is None:
-            decl.doc = doc
-            doc.attached_to = decl.name_span
-        t = self.take_trailing_doc(self.toks[self.pos - 1].span.line)
-        if t is not None and decl.doc is None:
-            decl.doc = t
-            t.attached_to = decl.name_span
-        return decl
-
-    def span_to_prev(self, start: Span) -> Span:
-        return Span(self.file_id, start.byte_start, self.prev_end(), start.line, start.column)
+    def parse_decl(self, doc):
+        """The `var`, `const`, `inst` or `function` declaration at the current keyword."""
+        decl = _Parser._DECLS[self.cur().text](self)
+        return self.attach(decl, doc, self.toks[self.pos - 1].span.line)
 
     def parse_var(self) -> VarDecl:
         start = self.bump().span
-        name = self.expect_ident("variable name")
-        self.expect_punct(":")
+        name = self.expect_name("variable name")
         domain = None
         if self.cur().kind == TokenKind.DOMAIN_TICK:
             domain = self.bump().text[1:]
@@ -419,8 +404,7 @@ class _Parser:
 
     def parse_const(self) -> ConstDecl:
         start = self.bump().span
-        name = self.expect_ident("constant name")
-        self.expect_punct(":")
+        name = self.expect_name("constant name")
         ty = self.parse_type()
         self.expect_punct("=")
         value = self.parse_expr()
@@ -429,18 +413,12 @@ class _Parser:
 
     def parse_inst(self) -> InstDecl:
         start = self.bump().span
-        name = self.expect_ident("instance name")
-        self.expect_punct(":")
+        name = self.expect_name("instance name")
         target = self.parse_path()
         generic_args: list[PathExpr] = []
         if self.at_punct("::"):
             self.bump()
-            open_span = self.expect_punct("<").span
-            while not self.at_punct(">"):
-                generic_args.append(self.parse_path())
-                if not self.eat_punct(","):
-                    break
-            self.expect_angle_close(open_span)
+            generic_args = self.delimited(">", self.expect_punct("<").span, self.parse_path)
         param_conns: list[Connection] = []
         port_conns: list[Connection] = []
         if self.at_punct("#"):
@@ -452,18 +430,11 @@ class _Parser:
         return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, self.span_to_prev(start))
 
     def parse_connections(self) -> list[Connection]:
-        open_span = self.expect_punct("(").span
-        conns: list[Connection] = []
-        while not self.at_punct(")"):
-            if self.cur().kind == TokenKind.EOF:
-                self.expect_close(")", open_span)
-            name = self.expect_ident("connection name")
-            self.expect_punct(":")
-            conns.append(Connection(name.text, name.span, self.parse_expr()))
-            if not self.eat_punct(","):
-                break
-        self.expect_close(")", open_span)
-        return conns
+        return self.delimited(")", self.expect_punct("(").span, self.parse_connection)
+
+    def parse_connection(self) -> Connection:
+        name = self.expect_name("connection name")
+        return Connection(name.text, name.span, self.parse_expr())
 
     def parse_assign_item(self) -> AssignItem:
         start = self.bump().span
@@ -501,48 +472,31 @@ class _Parser:
     def parse_function(self) -> FunctionDecl:
         start = self.bump().span
         name = self.expect_ident("function name")
-        open_span = self.expect_punct("(").span
-        args: list[ArgDecl] = []
-        while not self.at_punct(")"):
-            if self.cur().kind == TokenKind.EOF:
-                self.expect_close(")", open_span)
-            an = self.expect_ident("argument name")
-            self.expect_punct(":")
-            args.append(ArgDecl(an.text, an.span, self.parse_type()))
-            if not self.eat_punct(","):
-                break
-        self.expect_close(")", open_span)
+        args = self.delimited(")", self.expect_punct("(").span, self.parse_arg)
         self.expect_punct("->")
         ret = self.parse_type()
         body = self.parse_block()
         return FunctionDecl(name.text, name.span, args, ret, body, self.span_to_prev(start))
 
+    def parse_arg(self) -> ArgDecl:
+        name = self.expect_name("argument name")
+        return ArgDecl(name.text, name.span, self.parse_type())
+
+    _DECLS = {"var": parse_var, "const": parse_const, "inst": parse_inst, "function": parse_function}
+
     # -- package --
 
-    def parse_package(self, is_pub: bool, doc, start_span: Span) -> PackageDecl:
+    def parse_package(self, is_pub: bool, doc, start: Span) -> PackageDecl:
         self.bump()
         name = self.expect_ident("package name")
-        open_span = self.expect_punct("{").span
-        items = []
-        while not self.at_punct("}"):
-            if self.cur().kind == TokenKind.EOF:
-                self.expect_close("}", open_span)
-            try:
-                idoc = self.take_leading_docs(self.cur().span.byte_start)
-                if self.at_kw("const"):
-                    items.append(self.finish_decl_doc(self.parse_const(), idoc))
-                elif self.at_kw("function"):
-                    items.append(self.finish_decl_doc(self.parse_function(), idoc))
-                else:
-                    raise self.unexpected("`const` or `function`")
-            except _ParseError:
-                self.recover()
-        self.bump()
-        span = Span(self.file_id, start_span.byte_start, self.prev_end(), start_span.line, start_span.column)
-        pkg = PackageDecl(name.text, name.span, items, span, is_pub, doc)
-        if doc is not None:
-            doc.attached_to = name.span
-        return pkg
+        items = self.braced(self.parse_package_item)
+        return PackageDecl(name.text, name.span, items, self.span_to_prev(start), is_pub, doc)
+
+    def parse_package_item(self):
+        doc = self.take_leading_docs(self.cur().span.byte_start)
+        if self.at_kw("const") or self.at_kw("function"):
+            return self.parse_decl(doc)
+        raise self.unexpected("`const` or `function`")
 
     # -- types --
 
@@ -554,59 +508,31 @@ class _Parser:
         ty = TypeSpec(t.text, span=t.span)
         if t.text in ("logic", "bit"):
             if self.at_punct("<"):
-                open_span = self.bump().span
-                while not self.at_punct(">"):
-                    ty.packed_dims.append(self.parse_expr(no_angle=True))
-                    if not self.eat_punct(","):
-                        break
-                self.expect_angle_close(open_span)
+                ty.packed_dims = self.delimited(">", self.bump().span, lambda: self.parse_expr(no_angle=True))
             if self.at_punct("["):
-                open_span = self.bump().span
-                while not self.at_punct("]"):
-                    ty.unpacked_dims.append(self.parse_expr())
-                    if not self.eat_punct(","):
-                        break
-                self.expect_close("]", open_span)
+                ty.unpacked_dims = self.delimited("]", self.bump().span, self.parse_expr)
         return ty
 
     # -- statements --
 
     def parse_block(self) -> Block:
-        open_tok = self.expect_punct("{")
-        stmts = []
-        while not self.at_punct("}"):
-            if self.cur().kind == TokenKind.EOF:
-                self.expect_close("}", open_tok.span)
-            try:
-                stmts.append(self.parse_stmt())
-            except _ParseError:
-                self.recover()
-        close = self.bump()
-        return Block(stmts, Span(self.file_id, open_tok.span.byte_start, close.span.byte_end, open_tok.span.line, open_tok.span.column))
+        start = self.cur().span
+        stmts = self.braced(self.parse_stmt)
+        return Block(stmts, self.span_to_prev(start))
 
     def parse_stmt(self):
         t = self.cur()
-        if self.at_kw("if"):
+        if self.at_kw("if_reset") and self.ff_depth == 0:
+            self.error("E0102", "`if_reset` is only allowed inside `always_ff`", t.span)
+        if self.at_kw("if") or self.at_kw("if_reset"):
             return self.parse_if()
-        if self.at_kw("if_reset"):
-            if self.ff_depth == 0:
-                self.error("E0102", "`if_reset` is only allowed inside `always_ff`", t.span)
-            start = self.bump().span
-            then = self.parse_block()
-            orelse = self.parse_else()
-            return IfResetStmt(then, orelse, self.span_to_prev(start))
         if self.at_kw("return"):
             start = self.bump().span
             value = self.parse_expr()
             self.expect_punct(";")
             return ReturnStmt(value, self.span_to_prev(start))
         if self.at_kw("unsafe"):
-            start = self.bump().span
-            self.expect_punct("(")
-            if not self.at_kw("cdc"):
-                raise self.unexpected("`cdc`")
-            self.bump()
-            self.expect_punct(")")
+            start = self.unsafe_cdc()
             body = self.parse_block()
             return UnsafeCdcStmt(body, self.span_to_prev(start))
         if self.at_punct("{"):
@@ -619,43 +545,44 @@ class _Parser:
             raise self.unexpected("an assignment operator")
         rhs = self.parse_expr()
         self.expect_punct(";")
-        return AssignStmt(lvalue, op.text, rhs, Span(self.file_id, lvalue.span.byte_start, self.prev_end(), lvalue.span.line, lvalue.span.column))
+        return AssignStmt(lvalue, op.text, rhs, self.span_to_prev(lvalue.span))
 
-    def parse_if(self) -> IfStmt:
-        start = self.bump().span
-        cond = self.parse_expr()
-        then = self.parse_block()
-        orelse = self.parse_else()
-        return IfStmt(cond, then, orelse, self.span_to_prev(start))
-
-    def parse_else(self):
-        if not self.at_kw("else"):
-            return None
-        self.bump()
-        if self.at_kw("if"):
-            return self.parse_if()
-        return self.parse_block()
+    def parse_if(self) -> IfStmt | IfResetStmt:
+        """An `if` or `if_reset` head, its `else if` arms and final `else`,
+        read in a loop, then nested through `orelse`; every node of the chain
+        spans from its own `if` to the end of the chain."""
+        arms = []
+        orelse = None
+        while True:
+            head = self.bump()
+            cond = self.parse_expr() if head.text == "if" else None
+            arms.append((head.span, cond, self.parse_block()))
+            if not self.at_kw("else"):
+                break
+            self.bump()
+            if not self.at_kw("if"):
+                orelse = self.parse_block()
+                break
+        for start, cond, then in reversed(arms):
+            span = self.span_to_prev(start)
+            orelse = IfResetStmt(then, orelse, span) if cond is None else IfStmt(cond, then, orelse, span)
+        return orelse
 
     def parse_lvalue(self) -> Expr:
         t = self.cur()
         if t.kind != TokenKind.IDENT:
             raise self.unexpected("an lvalue")
-        e: Expr = self.parse_path()
-        e = self.parse_selects(e)
-        return e
+        return self.parse_selects(self.parse_path())
 
     # -- expressions --
 
     def parse_path(self) -> PathExpr:
         first = self.expect_ident()
         segments = [first.text]
-        end = first.span.byte_end
         while self.at_punct("::") and self.next_tok().kind == TokenKind.IDENT:
             self.bump()
-            seg = self.bump()
-            segments.append(seg.text)
-            end = seg.span.byte_end
-        return PathExpr(segments, Span(self.file_id, first.span.byte_start, end, first.span.line, first.span.column))
+            segments.append(self.bump().text)
+        return PathExpr(segments, self.span_to_prev(first.span))
 
     def parse_expr(self, min_prec: int = 1, no_angle: bool = False) -> Expr:
         lhs = self.parse_unary(no_angle)
@@ -670,43 +597,36 @@ class _Parser:
                 break
             self.bump()
             rhs = self.parse_expr(prec + 1, no_angle)
-            lhs = BinaryExpr(t.text, lhs, rhs, _join(lhs, rhs))
+            lhs = BinaryExpr(t.text, lhs, rhs, self.span_to_prev(lhs.span))
         return lhs
 
     def parse_unary(self, no_angle: bool) -> Expr:
         t = self.cur()
         if t.kind == TokenKind.PUNCT and t.text in ("!", "~", "-"):
             self.bump()
-            operand = self.parse_unary(no_angle)
-            return UnaryExpr(t.text, operand, Span(t.span.file_id, t.span.byte_start, operand.span.byte_end, t.span.line, t.span.column))
+            operand = self.nested(t.span, self.parse_unary, no_angle)
+            return UnaryExpr(t.text, operand, self.span_to_prev(t.span))
         return self.parse_postfix(no_angle)
 
     def parse_postfix(self, no_angle: bool) -> Expr:
         e = self.parse_primary(no_angle)
         if isinstance(e, PathExpr) and self.at_punct("("):
             open_span = self.bump().span
-            args = []
-            while not self.at_punct(")"):
-                if self.cur().kind == TokenKind.EOF:
-                    self.expect_close(")", open_span)
-                args.append(self.parse_expr())
-                if not self.eat_punct(","):
-                    break
-            close = self.expect_close(")", open_span)
-            e = CallExpr(e, args, Span(self.file_id, e.span.byte_start, close.span.byte_end, e.span.line, e.span.column))
+            args = self.nested(open_span, self.delimited, ")", open_span, self.parse_expr)
+            e = CallExpr(e, args, self.span_to_prev(e.span))
         return self.parse_selects(e)
 
     def parse_selects(self, e: Expr) -> Expr:
         while self.at_punct("["):
             open_span = self.bump().span
-            first = self.parse_expr()
+            first = self.nested(open_span, self.parse_expr)
             if self.eat_punct(":"):
-                lo = self.parse_expr()
-                close = self.expect_close("]", open_span)
-                e = RangeExpr(e, first, lo, Span(self.file_id, e.span.byte_start, close.span.byte_end, e.span.line, e.span.column))
+                lo = self.nested(open_span, self.parse_expr)
+                self.expect_close("]", open_span)
+                e = RangeExpr(e, first, lo, self.span_to_prev(e.span))
             else:
-                close = self.expect_close("]", open_span)
-                e = IndexExpr(e, first, Span(self.file_id, e.span.byte_start, close.span.byte_end, e.span.line, e.span.column))
+                self.expect_close("]", open_span)
+                e = IndexExpr(e, first, self.span_to_prev(e.span))
         return e
 
     def parse_primary(self, no_angle: bool) -> Expr:
@@ -720,12 +640,8 @@ class _Parser:
             self.bump()
             return DecLiteral(t.text, t.span)
         if self.at_punct("("):
-            open_tok = self.bump()
-            inner = self.parse_expr()
-            close = self.expect_close(")", open_tok.span)
-            return ParenExpr(inner, Span(self.file_id, open_tok.span.byte_start, close.span.byte_end, open_tok.span.line, open_tok.span.column))
+            self.bump()
+            inner = self.nested(t.span, self.parse_expr)
+            self.expect_close(")", t.span)
+            return ParenExpr(inner, self.span_to_prev(t.span))
         raise self.unexpected("an expression")
-
-
-def _join(lhs: Expr, rhs: Expr) -> Span:
-    return Span(lhs.span.file_id, lhs.span.byte_start, rhs.span.byte_end, lhs.span.line, lhs.span.column)

@@ -34,6 +34,8 @@ class Symbol:
     ty: ast.TypeSpec | None = None
     is_pub: bool = True
     scope: "Scope | None" = field(default=None, repr=False, compare=False)  # set by Scope.declare
+    # What `Sym::member` looks up: a package's items, a dependency's project scope.
+    members: "Scope | None" = field(default=None, repr=False, compare=False)
 
     @property
     def kind_name(self) -> str:
@@ -89,7 +91,7 @@ def build_symbols(
     project = Scope()
     table = SymbolTable(unit, project)
     for dep_name in sorted(dependency_namespaces or {}):
-        project.declare(Symbol(dep_name, SymbolKind.NAMESPACE, Span(dep_name, 0, 0, 1, 1), dep_name, decl=dependency_namespaces[dep_name]))
+        project.declare(Symbol(dep_name, SymbolKind.NAMESPACE, Span(dep_name, 0, 0, 1, 1), dep_name, members=dependency_namespaces[dep_name].project))
 
     def declare(scope: Scope, sym: Symbol) -> None:
         existing = scope.declare(sym)
@@ -106,15 +108,18 @@ def build_symbols(
     ordered = sorted(files, key=lambda f: f.file_id)
     for sf in ordered:
         for item in sf.items:
-            kind = SymbolKind.MODULE if isinstance(item, ast.ModuleDecl) else SymbolKind.PACKAGE
-            declare(project, Symbol(item.name, kind, item.name_span, unit, decl=item, is_pub=item.is_pub))
+            if isinstance(item, ast.ModuleDecl):
+                declare(project, Symbol(item.name, SymbolKind.MODULE, item.name_span, unit, decl=item, is_pub=item.is_pub))
+            else:
+                members = table.package_scopes[id(item)] = Scope(project)
+                declare(project, Symbol(item.name, SymbolKind.PACKAGE, item.name_span, unit, decl=item, is_pub=item.is_pub, members=members))
 
     for sf in ordered:
         for item in sf.items:
             if isinstance(item, ast.ModuleDecl):
                 _index_module(table, project, item, unit, declare)
             else:
-                _index_package(table, project, item, unit, declare)
+                _index_package(table, item, unit, declare)
     return table, diags
 
 
@@ -142,9 +147,8 @@ def _index_module(table, project, m: ast.ModuleDecl, unit, declare) -> None:
                 declare(fscope, Symbol(a.name, SymbolKind.VAR, a.name_span, unit, decl=a, ty=a.ty))
 
 
-def _index_package(table, project, pkg: ast.PackageDecl, unit, declare) -> None:
-    scope = Scope(project)
-    table.package_scopes[id(pkg)] = scope
+def _index_package(table, pkg: ast.PackageDecl, unit, declare) -> None:
+    scope = table.package_scopes[id(pkg)]
     for it in pkg.items:
         if isinstance(it, ast.ConstDecl):
             declare(scope, Symbol(it.name, SymbolKind.CONST, it.name_span, unit, decl=it, ty=it.ty))
@@ -156,36 +160,30 @@ def _index_package(table, project, pkg: ast.PackageDecl, unit, declare) -> None:
                 declare(fscope, Symbol(a.name, SymbolKind.VAR, a.name_span, unit, decl=a, ty=a.ty))
 
 
-def resolve(path: ast.PathExpr, scope: Scope, table: SymbolTable, diags: list[Diagnostic]) -> ResolvedPath | None:
-    """Innermost-scope-first lookup; the first segment may name a dependency."""
+def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> ResolvedPath | None:
+    """Innermost-scope-first lookup; the first segment may name a dependency,
+    and each later one is looked up in the members of the symbol before it."""
     sym = scope.lookup(path.segments[0])
     if sym is None:
         diags.append(Diagnostic("E0202", f"undefined identifier `{path.segments[0]}`", path.span))
         return None
     root: str | None = None
-    current_table = table
     for seg in path.segments[1:]:
-        if sym.kind == SymbolKind.NAMESPACE:
-            dep_table: SymbolTable = sym.decl
-            root = sym.name
-            member = dep_table.project.entries.get(seg)
-            if member is None or not member.is_pub:
-                diags.append(Diagnostic("E0202", f"dependency `{sym.name}` has no public item `{seg}`", path.span))
-                return None
-            current_table = dep_table
-            sym = member
-        elif sym.kind == SymbolKind.PACKAGE:
-            pkg_scope = current_table.package_scopes.get(id(sym.decl))
-            member = pkg_scope.entries.get(seg) if pkg_scope else None
-            if member is None:
-                diags.append(Diagnostic("E0202", f"package `{sym.name}` has no item `{seg}`", path.span))
-                return None
-            sym = member
-        else:
+        if sym.members is None:
             diags.append(
                 Diagnostic("E0203", f"`{sym.name}` is a {sym.kind_name} and has no member `{seg}`", path.span)
             )
             return None
+        member = sym.members.entries.get(seg)
+        if sym.kind == SymbolKind.NAMESPACE:
+            root = sym.name
+            if member is None or not member.is_pub:
+                diags.append(Diagnostic("E0202", f"dependency `{sym.name}` has no public item `{seg}`", path.span))
+                return None
+        elif member is None:
+            diags.append(Diagnostic("E0202", f"package `{sym.name}` has no item `{seg}`", path.span))
+            return None
+        sym = member
     return ResolvedPath(list(path.segments), sym, root)
 
 
@@ -240,7 +238,6 @@ class GenericInstance:
     args: tuple[str, ...]  # display paths of the argument modules
     mangled_name: str
     unit: str
-    file_id: str
 
 
 @dataclass
@@ -283,13 +280,13 @@ class _Mono:
         # id(template) -> its concrete modules
         self.made: dict[int, list[ast.ModuleDecl]] = {}
         self.stack: list[tuple] = []
-        # module symbol key -> (unit, file_id, decl)
-        self.modules: dict[tuple[str, str], tuple[str, str, ast.ModuleDecl]] = {}
+        # module symbol key (unit, name) -> decl
+        self.modules: dict[tuple[str, str], ast.ModuleDecl] = {}
         for u in units:
             for sf in u.files:
                 for item in sf.items:
                     if isinstance(item, ast.ModuleDecl):
-                        self.modules.setdefault((u.name, item.name), (u.name, sf.file_id, item))
+                        self.modules.setdefault((u.name, item.name), item)
         self.tables = {u.name: u.table for u in units}
 
     def run(self) -> MonoResult:
@@ -344,11 +341,10 @@ class _Mono:
         return body if all(a is b for a, b in zip(out, body)) else out
 
     def rewrite_inst(self, it: ast.InstDecl, unit: str, scope: Scope, env: dict[str, tuple]) -> ast.InstDecl:
-        table = self.tables[unit]
-        target_key = self.resolve_module_key(it.target, scope, table, env)
+        target_key = self.resolve_module_key(it.target, scope, env)
         if target_key is None:
             return it
-        _, _, target_decl = self.modules[target_key]
+        target_decl = self.modules[target_key]
         if not target_decl.generic_params:
             if it.generic_args:
                 self.diags.append(
@@ -373,19 +369,19 @@ class _Mono:
             return it
         arg_keys = []
         for arg in it.generic_args:
-            key = self.resolve_module_key(arg, scope, table, env, required=True)
+            key = self.resolve_module_key(arg, scope, env, required=True)
             if key is None:
                 return it
             arg_keys.append(key)
         mangled = self.expand(target_key, tuple(arg_keys), it.target.span)
         return replace(it, target=ast.PathExpr([mangled], it.target.span), generic_args=[])
 
-    def resolve_module_key(self, path: ast.PathExpr, scope, table, env: dict[str, tuple], required: bool = False):
+    def resolve_module_key(self, path: ast.PathExpr, scope, env: dict[str, tuple], required: bool = False):
         """Module key for an inst-target or generic-argument path, or None."""
         if path.text in env:  # a generic parameter of the module being instantiated
             return env[path.text]
         quiet: list[Diagnostic] = []
-        rp = resolve(path, scope, table, quiet)
+        rp = resolve(path, scope, quiet)
         if rp is None:
             return None  # E0202/E0203 are reported by the analyzer's pass
         if rp.target.kind == SymbolKind.MODULE:
@@ -403,7 +399,8 @@ class _Mono:
         return None
 
     def expand(self, template_key: tuple, arg_keys: tuple, use_span: Span) -> str:
-        unit, file_id, template = self.modules[template_key]
+        unit = template_key[0]
+        template = self.modules[template_key]
         args_display = tuple("::".join(self.display(k, unit)) for k in arg_keys)
         mangled = mangle(template.name, args_display)
         key = (template_key, arg_keys)
@@ -422,7 +419,7 @@ class _Mono:
         made = self.instantiate(template, unit, dict(zip(template.generic_params, arg_keys)), mangled)
         self.stack.pop()
         self.made.setdefault(id(template), []).append(made)
-        self.instances[key] = GenericInstance(template, args_display, mangled, unit, file_id)
+        self.instances[key] = GenericInstance(template, args_display, mangled, unit)
         return mangled
 
     def display(self, key: tuple, from_unit: str) -> list[str]:
@@ -435,9 +432,7 @@ class _Mono:
         return [name] if unit == from_unit else [unit, name]
 
     def check_collisions(self, instances: list[GenericInstance]) -> None:
-        user_names = {}
-        for (unit, name), (_, _, decl) in self.modules.items():
-            user_names[name] = decl
+        user_names = {name: decl for (_, name), decl in self.modules.items()}
         for inst in instances:
             if inst.mangled_name in user_names:
                 self.diags.append(

@@ -42,13 +42,12 @@ class DocComment:
     """One block of consecutive `///` lines, or a single trailing `///`.
 
     `text` has the `///` marker (and one following space, if present)
-    stripped from every line.  `attached_to` is filled by the parser.
+    stripped from every line.
     """
 
     text: str
     span: Span
     trailing: bool = False
-    attached_to: Span | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ def eval_in_module(expr_src, module_src="module M #(param WIDTH: u32 = 1) () {}"
     sf, _ = parse_source(module_src, "m.vl")
     table, _ = build_symbols([sf], {})
     scope = table.module_scopes[id(sf.items[0])]
-    return eval_const(parse_expression(expr_src), scope, table)
+    return eval_const(parse_expression(expr_src), scope)
 
 
 def test_eval_const_fig1_bound():
@@ -72,8 +72,18 @@ def test_eval_const_cycle_detection():
     table, _ = build_symbols([sf], {})
     scope = table.module_scopes[id(sf.items[1])]
     with pytest.raises(ConstError) as e:
-        eval_const(parse_expression("p::A"), scope, table)
+        eval_const(parse_expression("p::A"), scope)
     assert e.value.diagnostic.code == "E0301"
+
+
+def test_dependency_constant_is_evaluated_in_its_own_package():
+    # `P::A` in the dependency's `B` names the dependency's `P`, not a root one.
+    dep, _ = parse_source("pub package P {\n    const A: u32 = 2;\n    const B: u32 = P::A;\n}\n", "dep.vl")
+    dep_table, dep_diags = build_symbols([dep], {}, "dep")
+    root, _ = parse_source("module M (o: output logic<dep::P::B>) {\n    assign o = 0;\n}\n", "main.vl")
+    table, diags = build_symbols([root], {"dep": dep_table})
+    diags += dep_diags + analyze_unit([root], table)[0]
+    assert diags == []
 
 
 def test_const_context_diagnosed_in_module():

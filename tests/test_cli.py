@@ -11,6 +11,7 @@ import svread
 import vl
 from vl import driver
 from vl.cli import main
+from vl.parser import MAX_NESTING
 
 from test_parser import FIG1
 from test_resolver import FIG3_FF
@@ -187,6 +188,50 @@ def test_1000_term_chain_checks_builds_and_formats(tmp_path):
     assert chain_sv.assigns == [(("o",), tuple(chain.split()))]
     assert main(["fmt", "--manifest", manifest]) == 0
     assert main(["fmt", "--check", "--manifest", manifest]) == 0
+    # A 3,000-arm `else if` chain: the parser reads the arms in a loop.
+    arms = "".join(f" else if i == {k} {{\n            o = {k};\n        }}" for k in range(1, 3000))
+    src = (
+        "module Arms (i: input u32, o: output u32) {\n    always_comb {\n"
+        f"        if i == 0 {{\n            o = 0;\n        }}{arms} else {{\n            o = 0;\n        }}\n    }}\n}}\n"
+    )
+    root = make_project(tmp_path, src, "arms", "arms")
+    manifest = str(root / "vl.toml")
+    assert main(["check", "--manifest", manifest]) == 0
+    assert main(["build", "--manifest", manifest]) == 0
+    assert (root / "target" / "sv" / "arms.sv").read_text().count("else if (i == ") == 2999
+    assert main(["fmt", "--manifest", manifest]) == 0
+    assert main(["fmt", "--check", "--manifest", manifest]) == 0
+
+
+def _nested(kind, levels):
+    """A module nested `levels` deep in all, its own body being the first level."""
+    if kind == "parens":
+        n = levels - 1
+        return f"module M (o: output u32) {{\n    assign o = {'(' * n}1{')' * n};\n}}\n"
+    if kind == "unary":
+        return f"module M (i: input u32, o: output u32) {{\n    assign o = {'~' * (levels - 1)}i;\n}}\n"
+    n = levels - 2  # the always_comb block is the second level
+    return (
+        "module M (i: input logic, o: output logic) {\n    always_comb {\n        o = 0;\n"
+        + "if i {\n" * n + "o = i;\n" + "}\n" * n + "    }\n}\n"
+    )
+
+
+@pytest.mark.parametrize("kind, probe", [("parens", 3000), ("unary", 5000), ("ifs", 1500)])
+def test_nesting_passes_at_the_limit_and_is_one_e0104_past_it(tmp_path, capsys, kind, probe):
+    root = make_project(tmp_path, _nested(kind, MAX_NESTING), f"{kind}_at", "m")
+    manifest = str(root / "vl.toml")
+    for cmd in (["check"], ["build"], ["fmt"], ["fmt", "--check"]):
+        assert main([*cmd, "--manifest", manifest]) == 0, cmd
+    for levels in (MAX_NESTING + 1, probe):
+        root = make_project(tmp_path, _nested(kind, levels), f"{kind}_{levels}", "m")
+        manifest = str(root / "vl.toml")
+        capsys.readouterr()
+        assert main(["check", "--format", "json", "--manifest", manifest]) == 1
+        assert [d["code"] for d in json.loads(capsys.readouterr().out)].count("E0104") == 1
+        assert main(["build", "--manifest", manifest]) == 1
+        assert main(["fmt", "--manifest", manifest]) == 1
+        assert "internal error" not in capsys.readouterr().err
 
 
 def test_unicode_digit_is_e0001_not_a_hang(tmp_path):

@@ -1,5 +1,8 @@
 import json
+import re
+from pathlib import Path
 
+import vl
 from vl.diagnostics import Diagnostic, Related, render_human, sorted_diagnostics, to_json
 from vl.tokens import Span
 
@@ -71,3 +74,11 @@ def test_sort_is_by_file_position_code():
         ("a.vl", 5, "E0311"),
         ("b.vl", 0, "E0202"),
     ]
+
+
+def test_every_code_in_the_source_is_documented_and_no_other():
+    code = re.compile(r"\b(?:[EW]\d{4}|EIO\d{2})\b")
+    used = {c for p in Path(vl.__file__).parent.glob("*.py") for c in code.findall(p.read_text())}
+    docs = Path(__file__).parent.parent / "docs" / "diagnostics.md"
+    documented = {row.split("|")[1].strip() for row in docs.read_text().splitlines() if code.match(row[2:])}
+    assert used == documented

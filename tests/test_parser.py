@@ -82,8 +82,16 @@ def test_unexpected_token_recovers_and_continues():
 
 
 def test_unclosed_brace_is_e0103():
-    _, diags = parse_source("module M () { var x: logic;", "t.vl")
-    assert "E0103" in [d.code for d in diags]
+    # End of file inside any comma list is E0103 too, as it is inside a body.
+    for src in (
+        "module M () { var x: logic;",
+        "module P::<T,",
+        "module M () { var x: logic<",
+        "module M () { inst u: P::<",
+        "module M () { var x: logic[",
+    ):
+        _, diags = parse_source(src, "t.vl")
+        assert "E0103" in [d.code for d in diags], src
 
 
 def test_explicit_always_ff_binding():

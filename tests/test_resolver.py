@@ -74,7 +74,7 @@ def test_order_independence_of_resolution():
         m = next(i for i in (a.items + b.items) if i.name == "A")
         scope = table.module_scopes[id(m)]
         diags = []
-        rp = resolve(ast.PathExpr(["B"], m.name_span), scope, table, diags)
+        rp = resolve(ast.PathExpr(["B"], m.name_span), scope, diags)
         assert diags == [] and rp.target.kind == SymbolKind.MODULE
 
 
@@ -83,7 +83,7 @@ def test_resolve_local_var():
     m = sf.items[0]
     scope = table.module_scopes[id(m)]
     diags = []
-    rp = resolve(ast.PathExpr(["r_cnt"], m.name_span), scope, table, diags)
+    rp = resolve(ast.PathExpr(["r_cnt"], m.name_span), scope, diags)
     assert diags == [] and rp.target.kind == SymbolKind.VAR
 
 
@@ -91,7 +91,7 @@ def test_resolve_undefined_is_e0202():
     sf, table, _ = symbols("module M () {}")
     m = sf.items[0]
     diags = []
-    rp = resolve(ast.PathExpr(["nonexistent"], m.name_span), table.module_scopes[id(m)], table, diags)
+    rp = resolve(ast.PathExpr(["nonexistent"], m.name_span), table.module_scopes[id(m)], diags)
     assert rp is None and [d.code for d in diags] == ["E0202"]
 
 
@@ -102,12 +102,12 @@ def test_resolve_dependency_path():
     m = sf.items[0]
     scope = table.module_scopes[id(m)]
     out = []
-    rp = resolve(ast.PathExpr(["sample", "Sample"], m.name_span), scope, table, out)
+    rp = resolve(ast.PathExpr(["sample", "Sample"], m.name_span), scope, out)
     assert out == [] and rp.namespace_root == "sample"
     assert rp.target.kind == SymbolKind.MODULE
     # Non-pub items are not visible through the namespace.
     out = []
-    assert resolve(ast.PathExpr(["sample", "Hidden"], m.name_span), scope, table, out) is None
+    assert resolve(ast.PathExpr(["sample", "Hidden"], m.name_span), scope, out) is None
     assert [d.code for d in out] == ["E0202"]
 
 
@@ -116,7 +116,7 @@ def test_resolve_package_const():
     sf, table, _ = symbols(src)
     m = sf.items[1]
     out = []
-    rp = resolve(ast.PathExpr(["p", "C"], m.name_span), table.module_scopes[id(m)], table, out)
+    rp = resolve(ast.PathExpr(["p", "C"], m.name_span), table.module_scopes[id(m)], out)
     assert out == [] and rp.target.kind == SymbolKind.CONST
 
 
@@ -124,7 +124,7 @@ def test_member_of_non_container_is_e0203():
     sf, table, _ = symbols(FIG1)
     m = sf.items[0]
     out = []
-    resolve(ast.PathExpr(["Counter", "x"], m.name_span), table.module_scopes[id(m)], table, out)
+    resolve(ast.PathExpr(["Counter", "x"], m.name_span), table.module_scopes[id(m)], out)
     assert [d.code for d in out] == ["E0203"]
 
 
