@@ -3,23 +3,29 @@ consistency, literal widths, clock/reset binding, and CDC detection."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import ast
 from .diagnostics import Diagnostic, Related
 from .lexer import sized_literal_parts, sized_literal_value
-from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_connections, resolve
+from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_connections, clock_or_reset, resolve
 from .tokens import Span
 
 _U64_MASK = (1 << 64) - 1
 
-# Clock-domain labels.
+# Clock-domain labels; an annotated domain `d` is ("named", d).
 _DEFAULT = ("default",)
 _MIXED = ("mixed",)
 
+_SPECIAL_KINDS = {"clock": ast.CLOCK_KINDS, "reset": ast.RESET_KINDS}
 
-def _named(d: str):
-    return ("named", d)
+# Constant operators whose 64-bit result is exact, with no check needed.
+_EXACT = {
+    "&&": lambda a, b: bool(a) and bool(b), "||": lambda a, b: bool(a) or bool(b),
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+}
 
 
 class ConstError(Exception):
@@ -35,7 +41,7 @@ class FfBinding:
     reset: str | None
     reset_kind: str | None
     uses_if_reset: bool
-    ok: bool
+    ok: bool  # binding this always_ff added no diagnostic
 
 
 @dataclass
@@ -64,77 +70,47 @@ def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagno
     diags: list[Diagnostic] = []
     bindings: dict[int, FfBinding] = {}
     types = module_signal_types(m)
-    clocks = [n for n, t in types.items() if t.is_clock]
-    resets = [n for n, t in types.items() if t.is_reset]
+    typed = {what: [n for n, t in types.items() if t.kind in kinds] for what, kinds in _SPECIAL_KINDS.items()}
+
+    def bind(what: str, name: str | None, span: Span | None, ff: ast.AlwaysFf) -> str | None:
+        """The `what` ("clock" or "reset") of `ff`: `name` as written, or,
+        when it is None, the module's only `what`-typed signal."""
+        if name is None:
+            if len(typed[what]) == 1:
+                return typed[what][0]
+            diags.append(
+                Diagnostic(
+                    "E0312",
+                    f"cannot infer the {what} for an abbreviated always_ff: {len(typed[what])} {what}-typed signals in scope",
+                    ff.span,
+                )
+            )
+        elif name not in types:
+            diags.append(Diagnostic("E0202", f"undefined identifier `{name}`", span))
+        elif types[name].kind not in _SPECIAL_KINDS[what]:
+            diags.append(Diagnostic("E0314", f"`{name}` in a sensitivity list must have a {what} type", span))
+        else:
+            return name
+        return None
 
     for it, _ in ast.iter_module_items(m.body):
         if not isinstance(it, ast.AlwaysFf):
             continue
+        before = len(diags)
         uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(it.body.stmts))
-        clock = reset = None
-        ok = True
-        if it.clock_name is not None:
-            ty = types.get(it.clock_name)
-            if ty is None:
-                diags.append(Diagnostic("E0202", f"undefined identifier `{it.clock_name}`", it.clock_span))
-                ok = False
-            elif not ty.is_clock:
-                diags.append(
-                    Diagnostic("E0314", f"`{it.clock_name}` in a sensitivity list must have a clock type", it.clock_span)
-                )
-                ok = False
-            else:
-                clock = it.clock_name
-            if it.reset_name is not None:
-                rty = types.get(it.reset_name)
-                if rty is None:
-                    diags.append(Diagnostic("E0202", f"undefined identifier `{it.reset_name}`", it.reset_span))
-                    ok = False
-                elif not rty.is_reset:
-                    diags.append(
-                        Diagnostic(
-                            "E0314", f"`{it.reset_name}` in a sensitivity list must have a reset type", it.reset_span
-                        )
-                    )
-                    ok = False
-                else:
-                    reset = it.reset_name
-            elif uses_ir:
-                diags.append(
-                    Diagnostic("E0313", "`if_reset` requires a reset in this always_ff's sensitivity list", it.span)
-                )
-                ok = False
-        else:
-            if len(clocks) == 1:
-                clock = clocks[0]
-            else:
-                diags.append(
-                    Diagnostic(
-                        "E0312",
-                        f"cannot infer the clock for an abbreviated always_ff: {len(clocks)} clock-typed signals in scope",
-                        it.span,
-                    )
-                )
-                ok = False
-            if uses_ir:
-                if len(resets) == 1:
-                    reset = resets[0]
-                else:
-                    diags.append(
-                        Diagnostic(
-                            "E0312",
-                            f"cannot infer the reset for an abbreviated always_ff: {len(resets)} reset-typed signals in scope",
-                            it.span,
-                        )
-                    )
-                    ok = False
+        clock = bind("clock", it.clock_name, it.clock_span, it)
+        reset = None
+        if uses_ir and it.clock_name is not None and it.reset_name is None:
+            diags.append(Diagnostic("E0313", "`if_reset` requires a reset in this always_ff's sensitivity list", it.span))
+        elif uses_ir or it.reset_name is not None:
+            reset = bind("reset", it.reset_name, it.reset_span, it)
         bindings[id(it)] = FfBinding(
             clock,
             types[clock].kind if clock else None,
             reset,
             types[reset].kind if reset else None,
             uses_ir,
-            ok,
+            len(diags) == before,
         )
     return bindings, diags
 
@@ -194,20 +170,8 @@ class _ConstEval:
         a = self.eval(e.lhs, scope)
         b = self.eval(e.rhs, scope)
         op = e.op
-        if op in ("&&", "||"):
-            return int(bool(a) or bool(b)) if op == "||" else int(bool(a) and bool(b))
-        compare = {
-            "==": a == b, "!=": a != b,
-            "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-        }
-        if op in compare:
-            return int(compare[op])
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
+        if op in _EXACT:
+            return int(_EXACT[op](a, b))
         if op == "<<":
             if b >= 64 or (a << b) > _U64_MASK:
                 self.fail("shift overflows 64 bits", e.span)
@@ -298,7 +262,7 @@ class _Signal:
 
     @property
     def special(self) -> bool:
-        return self.sym.ty is not None and (self.sym.ty.is_clock or self.sym.ty.is_reset)
+        return clock_or_reset(self.sym.ty)
 
 
 class _ModuleChecker:
@@ -306,7 +270,7 @@ class _ModuleChecker:
         if isinstance(m, ast.PackageDecl):
             # A package is checked as a module with no params, ports or processes.
             self.scope = table.package_scopes[id(m)]
-            m = ast.ModuleDecl(m.name, m.name_span, [], [], [], m.items, m.span)
+            m = ast.ModuleDecl(m.name, m.name_span, [], [], [], m.items, False, m.span)
         else:
             self.scope = table.module_scopes[id(m)]
         self.m = m
@@ -316,6 +280,8 @@ class _ModuleChecker:
         self.signals: dict[str, _Signal] = {}
         # name -> list of (site kind, site id, span); one entry per driving site
         self.drives: dict[str, list[tuple[str, int, Span]]] = {}
+        # names wired to a port of a generic parameter, whose direction is unknown
+        self.maybe_driven: set[str] = set()
         self.reads: dict[str, list[Span]] = {}
         # (ff id, signal name, span, amnesty) for CDC
         self.ff_reads: list[tuple[int, str, Span, bool]] = []
@@ -324,19 +290,37 @@ class _ModuleChecker:
         self.ev = _ConstEval()
 
     def run(self) -> list[Diagnostic]:
+        """Collect the signals, then check every item in one walk, then the
+        whole-module rules that need all drives and reads."""
         self.collect_signals()
-        self.bindings, bind_diags = bind_always_ff(self.m)
-        self.diags += bind_diags
-        self.check_const_contexts()
-        self.traverse()
-        self.check_drivers()
-        for it, _ in ast.iter_module_items(self.m.body):
-            if isinstance(it, ast.AlwaysComb):
+        self.bindings, self.diags = bind_always_ff(self.m)
+        for p in self.m.params:
+            self.const_init(p.default)
+        for p in self.m.ports:
+            self.dims(p.ty)
+        for it, in_unsafe in ast.iter_module_items(self.m.body):
+            if isinstance(it, (ast.VarDecl, ast.ConstDecl)):
+                self.dims(it.ty)
+                if isinstance(it, ast.ConstDecl):
+                    self.const_init(it.value)
+            elif isinstance(it, ast.AssignItem):
+                self.drive(it.lvalue, "assign", id(it), it.span, self.scope)
+                reads = self.expr_read(it.rhs, self.scope)
+                reads += self.select_reads(it.lvalue, self.scope, None, False)
+                self.note_domain_driver(it.lvalue, ("comb", frozenset(reads)))
+            elif isinstance(it, ast.AlwaysFf):
+                self.walk_process(it, "always_ff", in_unsafe)
+            elif isinstance(it, ast.AlwaysComb):
+                self.walk_process(it, "always_comb", in_unsafe)
                 self.check_latches(it.body)
+            elif isinstance(it, ast.InstDecl):
+                self.connect(it)
+            elif isinstance(it, ast.FunctionDecl):
+                fscope = self.table.function_scopes[id(it)]
+                self.walk_stmts(it.body.stmts, None, fscope, "function", id(it), False)
+        self.check_drivers()
         self.check_cdc()
         return self.diags
-
-    # -- signal table --
 
     def collect_signals(self) -> None:
         for p in self.m.ports:
@@ -351,46 +335,23 @@ class _ModuleChecker:
 
     # -- constant contexts --
 
-    def check_const_contexts(self) -> None:
-        def eval_dim(e: ast.Expr, scope: Scope) -> None:
-            try:
-                self.ev.eval(e, scope)
-            except ConstError as err:
-                self.diags.append(err.diagnostic)
+    def const_value(self, e: ast.Expr, scope: Scope) -> None:
+        """E0301 (or E0202) unless `e` evaluates to a constant."""
+        try:
+            self.ev.eval(e, scope)
+        except ConstError as err:
+            self.diags.append(err.diagnostic)
 
-        for p in self.m.params:
-            eval_dim(p.default, self.scope)
-        for p in self.m.ports:
-            for d in p.ty.packed_dims + p.ty.unpacked_dims:
-                eval_dim(d, self.scope)
-        for it, _ in ast.iter_module_items(self.m.body):
-            if isinstance(it, (ast.VarDecl, ast.ConstDecl)):
-                for d in it.ty.packed_dims + it.ty.unpacked_dims:
-                    eval_dim(d, self.scope)
-            if isinstance(it, ast.ConstDecl):
-                self.diags += check_literal_widths(it.value)
-                eval_dim(it.value, self.scope)
+    def const_init(self, e: ast.Expr) -> None:
+        """A parameter default or constant value: literal widths, then its value."""
+        self.diags += check_literal_widths(e)
+        self.const_value(e, self.scope)
 
-    # -- traversal ---------------------------------------------------------
+    def dims(self, ty: ast.TypeSpec) -> None:
+        for d in ty.packed_dims + ty.unpacked_dims:
+            self.const_value(d, self.scope)
 
-    def traverse(self) -> None:
-        for p in self.m.params:
-            self.expr_read(p.default, self.scope, collect=False)
-        for it, in_unsafe in ast.iter_module_items(self.m.body):
-            if isinstance(it, ast.AssignItem):
-                self.drive(it.lvalue, "assign", id(it), it.span, self.scope)
-                reads = self.expr_read(it.rhs, self.scope)
-                reads += self.select_reads(it.lvalue, self.scope, None, False)
-                self.note_domain_driver(it.lvalue, ("comb", frozenset(reads)))
-            elif isinstance(it, ast.AlwaysFf):
-                self.walk_process(it, "always_ff", in_unsafe)
-            elif isinstance(it, ast.AlwaysComb):
-                self.walk_process(it, "always_comb", in_unsafe)
-            elif isinstance(it, ast.InstDecl):
-                self.check_connectivity(it)
-            elif isinstance(it, ast.FunctionDecl):
-                fscope = self.table.function_scopes[id(it)]
-                self.walk_stmts(it.body.stmts, None, fscope, "function", id(it), False)
+    # -- processes --
 
     def walk_process(self, proc, kind: str, amnesty: bool) -> None:
         ff_id = id(proc) if kind == "always_ff" else None
@@ -422,19 +383,20 @@ class _ModuleChecker:
 
     # -- reads and drives --
 
-    def expr_read(self, e: ast.Expr, scope, ff_id=None, amnesty=False, collect=True) -> list[str]:
-        """Resolve every path in `e`; record reads; returns read signal names."""
+    def expr_read(self, e: ast.Expr, scope, ff_id=None, amnesty=False, use="read") -> list[str]:
+        """Resolve every path in `e` and check its literal widths, calls and
+        range bounds; returns the signal names read.  `use` is what `e` feeds:
+        "read", ordinary dataflow, recorded as reads; "param", a parameter
+        connection, not recorded; "generic", a port of a generic parameter,
+        recorded, with no E0315 until mono knows the port's type."""
         names: list[str] = []
         self.diags += check_literal_widths(e)
         for sub in ast.walk_exprs(e):
             if isinstance(sub, ast.CallExpr):
                 self.check_call(sub, scope)
             elif isinstance(sub, ast.RangeExpr):
-                for bound in (sub.hi, sub.lo):
-                    try:
-                        self.ev.eval(bound, scope)
-                    except ConstError as err:
-                        self.diags.append(err.diagnostic)
+                self.const_value(sub.hi, scope)
+                self.const_value(sub.lo, scope)
             elif isinstance(sub, ast.PathExpr):
                 rp = resolve(sub, scope, self.diags)
                 if rp is None:
@@ -444,27 +406,17 @@ class _ModuleChecker:
                     self.diags.append(
                         Diagnostic("E0203", f"`{sub.text}` is a {sym.kind_name}, not a value", sub.span)
                     )
-                    continue
-                if sym.kind == SymbolKind.FUNCTION:
+                elif sym.kind == SymbolKind.FUNCTION:
                     self.diags.append(
                         Diagnostic("E0203", f"function `{sub.text}` must be called", sub.span)
                     )
-                    continue
-                if sym.ty is not None and (sym.ty.is_clock or sym.ty.is_reset):
-                    self.diags.append(
-                        Diagnostic(
-                            "E0315",
-                            f"clock/reset-typed signal `{sub.text}` cannot be used in ordinary dataflow",
-                            sub.span,
-                        )
-                    )
-                    continue
-                if collect and len(sub.segments) == 1 and sub.segments[0] in self.signals:
+                elif use == "generic" or self.dataflow(sym, sub):
                     name = sub.segments[0]
-                    names.append(name)
-                    self.reads.setdefault(name, []).append(sub.span)
-                    if ff_id is not None:
-                        self.ff_reads.append((ff_id, name, sub.span, amnesty))
+                    if use != "param" and len(sub.segments) == 1 and name in self.signals:
+                        names.append(name)
+                        self.reads.setdefault(name, []).append(sub.span)
+                        if ff_id is not None:
+                            self.ff_reads.append((ff_id, name, sub.span, amnesty))
         return names
 
     def select_reads(self, lvalue: ast.Expr, scope, ff_id, amnesty) -> list[str]:
@@ -480,6 +432,17 @@ class _ModuleChecker:
             e = e.base
         return names
 
+    def dataflow(self, sym: Symbol, path: ast.PathExpr) -> bool:
+        """Whether `sym` may carry ordinary data; E0315 if it is a clock or reset."""
+        if clock_or_reset(sym.ty):
+            self.diags.append(
+                Diagnostic(
+                    "E0315", f"clock/reset-typed signal `{path.text}` cannot be used in ordinary dataflow", path.span
+                )
+            )
+            return False
+        return True
+
     def drive(self, lvalue: ast.Expr, site_kind: str, site_id: int, span: Span, scope) -> None:
         base = ast.lvalue_base(lvalue)
         if base is None:
@@ -494,14 +457,7 @@ class _ModuleChecker:
                 Diagnostic("E0306", f"cannot assign to `{base.text}` ({sym.kind_name})", base.span)
             )
             return
-        if sym.ty is not None and (sym.ty.is_clock or sym.ty.is_reset):
-            self.diags.append(
-                Diagnostic(
-                    "E0315",
-                    f"clock/reset-typed signal `{base.text}` cannot be used in ordinary dataflow",
-                    base.span,
-                )
-            )
+        if not self.dataflow(sym, base):
             return
         if sym.kind == SymbolKind.PORT and isinstance(sym.decl, ast.PortDecl) and sym.decl.direction == "input":
             self.diags.append(
@@ -519,85 +475,42 @@ class _ModuleChecker:
         if base is not None and len(base.segments) == 1 and base.segments[0] in self.signals:
             self.domain_drivers.setdefault(base.segments[0], []).append(source)
 
-    # -- checks --
-
-    def check_drivers(self) -> None:
-        """E0302 multiple drivers, E0303 never driven, W0304 never read."""
-        for name, sig in self.signals.items():
-            if sig.special:
-                continue
-            sites = sorted(self.drives.get(name, []), key=lambda s: s[2].byte_start)
-            nreads = len(self.reads.get(name, []))
-            if len(sites) > 1:
-                self.diags.append(
-                    Diagnostic(
-                        "E0302",
-                        f"`{name}` has {len(sites)} driving sites",
-                        sites[1][2],
-                        [Related(f"also driven by this {k}", sp) for k, _, sp in sites if sp is not sites[1][2]],
-                    )
-                )
-            if sig.direction == "output":
-                if not sites:
-                    self.diags.append(
-                        Diagnostic("E0303", f"output port `{name}` is never driven", sig.sym.span)
-                    )
-            elif sig.direction is None:
-                if nreads == 0:
-                    self.diags.append(Diagnostic("W0304", f"variable `{name}` is never read", sig.sym.span))
-                elif not sites:
-                    self.diags.append(Diagnostic("E0303", f"variable `{name}` is never driven", sig.sym.span))
-
-    def check_latches(self, block: ast.Block) -> None:
-        """W0305 for signals assigned on some but not all paths of a comb block."""
-        first_span: dict[str, Span] = {}
-
-        def flow(stmts) -> tuple[set[str], set[str]]:
-            must: set[str] = set()
-            maybe: set[str] = set()
-            for s in stmts:
-                if isinstance(s, ast.AssignStmt):
-                    base = ast.lvalue_base(s.lvalue)
-                    if base is None or len(base.segments) != 1:
-                        continue
-                    name = base.segments[0]
-                    sig = self.signals.get(name)
-                    if sig is None or sig.special or sig.direction == "input":
-                        continue
-                    must.add(name)
-                    maybe.add(name)
-                    first_span.setdefault(name, base.span)
-                elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-                    blocks, orelse = ast.if_arms(s)
-                    arms = [flow(block.stmts) for _, block in blocks]
-                    arms.append(flow(orelse.stmts) if orelse else (set(), set()))  # missing else: empty path
-                    arm_must = arms[0][0]
-                    for m, _ in arms[1:]:
-                        arm_must = arm_must & m
-                    must |= arm_must
-                    for _, mb in arms:
-                        maybe |= mb
-                elif isinstance(s, ast.Block):
-                    m, mb = flow(s.stmts)
-                    must |= m
-                    maybe |= mb
-                elif isinstance(s, ast.UnsafeCdcStmt):
-                    m, mb = flow(s.body.stmts)
-                    must |= m
-                    maybe |= mb
-            return must, maybe
-
-        must, maybe = flow(block.stmts)
-        latched = sorted(maybe - must, key=lambda n: first_span[n].byte_start)
-        for name in latched:
+    def connect(self, it: ast.InstDecl) -> None:
+        """Record the reads and drives of an instance's connections; the
+        connection rules are resolver.check_connections."""
+        rp = resolve(it.target, self.scope, self.diags)
+        if rp is None:
+            return
+        sym = rp.target
+        if sym.kind == SymbolKind.GENERIC_PARAM:
+            ports = None  # known once mono substitutes the argument module
+        elif sym.kind != SymbolKind.MODULE:
             self.diags.append(
-                Diagnostic(
-                    "W0305",
-                    f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
-                    first_span[name],
-                    [Related("declared here", self.signals[name].sym.span)] if name in self.signals else [],
-                )
+                Diagnostic("E0203", f"cannot instantiate `{it.target.text}`: it is a {sym.kind_name}", it.target.span)
             )
+            return
+        else:
+            self.diags += check_connections(it, sym.decl, self.scope)
+            ports = {p.name: p for p in sym.decl.ports}
+        for c in it.param_conns:
+            self.expr_read(c.expr, self.scope, use="param")
+        for c in it.port_conns:
+            if ports is None:
+                self.expr_read(c.expr, self.scope, use="generic")
+                base = ast.lvalue_base(c.expr)
+                if base is not None and len(base.segments) == 1:
+                    self.maybe_driven.add(base.segments[0])
+                continue
+            port = ports.get(c.name)
+            if port is not None and clock_or_reset(port.ty):
+                if isinstance(c.expr, ast.PathExpr):  # else E0315 from check_connections
+                    resolve(c.expr, self.scope, self.diags)
+            elif port is not None and port.direction == "output":
+                if ast.lvalue_base(c.expr) is not None:  # else E0306 from check_connections
+                    self.drive(c.expr, "inst", id(it), c.expr.span, self.scope)
+                    self.select_reads(c.expr, self.scope, None, False)
+            else:
+                self.expr_read(c.expr, self.scope)
 
     def check_call(self, call: ast.CallExpr, scope) -> None:
         """E0310 when a call's arity disagrees with the function declaration."""
@@ -620,99 +533,106 @@ class _ModuleChecker:
                 )
             )
 
-    def check_connectivity(self, it: ast.InstDecl) -> None:
-        """E0307/E0308/E0309 for instance connections; E0306 for output targets."""
-        rp = resolve(it.target, self.scope, self.diags)
-        if rp is None:
-            return
-        sym = rp.target
-        if sym.kind == SymbolKind.GENERIC_PARAM:
-            return  # checked after monomorphization against the argument module
-        if sym.kind != SymbolKind.MODULE:
-            self.diags.append(
-                Diagnostic("E0203", f"cannot instantiate `{it.target.text}`: it is a {sym.kind_name}", it.target.span)
-            )
-            return
-        target: ast.ModuleDecl = sym.decl
-        self.diags += check_connections(it, target)
-        ports = {p.name: p for p in target.ports}
-        # Connection expressions: reads for inputs, drives for outputs.
-        for c in it.param_conns:
-            self.expr_read(c.expr, self.scope, collect=False)
-        for c in it.port_conns:
-            port = ports.get(c.name)
-            if port is not None and (port.ty.is_clock or port.ty.is_reset):
-                self._check_special_conn(c, port)
-                continue
-            if port is not None and port.direction == "output":
-                if ast.lvalue_base(c.expr) is None:
-                    self.diags.append(
-                        Diagnostic(
-                            "E0306",
-                            f"output port `{c.name}` must be connected to an assignable signal",
-                            c.expr.span,
-                        )
-                    )
-                    continue
-                self.drive(c.expr, "inst", id(it), c.expr.span, self.scope)
-                self.select_reads(c.expr, self.scope, None, False)
-            else:
-                self.expr_read(c.expr, self.scope)
+    # -- whole-module rules --
 
-    def _check_special_conn(self, c: ast.Connection, port: ast.PortDecl) -> None:
-        """A clock/reset-typed child port accepts exactly a clock/reset signal."""
-        base = ast.lvalue_base(c.expr)
-        if base is None or not isinstance(c.expr, ast.PathExpr):
-            self.diags.append(
-                Diagnostic("E0315", f"port `{c.name}` needs a clock/reset-typed signal", c.expr.span)
-            )
+    def check_drivers(self) -> None:
+        """E0302 multiple drivers, E0303 never driven, W0304 never read.  A
+        module that lost an item to parse recovery gets only E0302: the lost
+        item may have driven or read any signal."""
+        for name, sig in self.signals.items():
+            if sig.special:
+                continue
+            sites = sorted(self.drives.get(name, []), key=lambda s: s[2].byte_start)
+            if len(sites) > 1:
+                self.diags.append(
+                    Diagnostic(
+                        "E0302",
+                        f"`{name}` has {len(sites)} driving sites",
+                        sites[1][2],
+                        [Related(f"also driven by this {k}", sp) for k, _, sp in sites if sp is not sites[1][2]],
+                    )
+                )
+            if self.m.recovered:
+                continue
+            driven = sites or name in self.maybe_driven
+            if sig.direction == "output":
+                if not driven:
+                    self.diags.append(
+                        Diagnostic("E0303", f"output port `{name}` is never driven", sig.sym.span)
+                    )
+            elif sig.direction is None:
+                if name not in self.reads:
+                    self.diags.append(Diagnostic("W0304", f"variable `{name}` is never read", sig.sym.span))
+                elif not driven:
+                    self.diags.append(Diagnostic("E0303", f"variable `{name}` is never driven", sig.sym.span))
+
+    def check_latches(self, block: ast.Block) -> None:
+        """W0305 for signals assigned on some but not all paths of a comb
+        block; not in a module that lost an item to parse recovery."""
+        if self.m.recovered:
             return
-        rp = resolve(base, self.scope, self.diags)
-        if rp is None:
-            return
-        ty = rp.target.ty
-        if ty is None or not (ty.is_clock or ty.is_reset):
+        first_span: dict[str, Span] = {}
+
+        def flow(stmts) -> tuple[set[str], set[str]]:
+            must: set[str] = set()
+            maybe: set[str] = set()
+            for s in stmts:
+                if isinstance(s, ast.AssignStmt):
+                    base = ast.lvalue_base(s.lvalue)
+                    if base is None or len(base.segments) != 1:
+                        continue
+                    name = base.segments[0]
+                    sig = self.signals.get(name)
+                    if sig is None or sig.special or sig.direction == "input":
+                        continue
+                    must.add(name)
+                    maybe.add(name)
+                    first_span.setdefault(name, base.span)
+                elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
+                    blocks, orelse = ast.if_arms(s)
+                    arms = [flow(block.stmts) for _, block in blocks]
+                    arms.append(flow(orelse.stmts) if orelse else (set(), set()))  # missing else: empty path
+                    must |= set.intersection(*(m for m, _ in arms))
+                    maybe |= set.union(*(mb for _, mb in arms))
+                elif isinstance(s, (ast.Block, ast.UnsafeCdcStmt)):
+                    m, mb = flow((s.body if isinstance(s, ast.UnsafeCdcStmt) else s).stmts)
+                    must |= m
+                    maybe |= mb
+            return must, maybe
+
+        must, maybe = flow(block.stmts)
+        latched = sorted(maybe - must, key=lambda n: first_span[n].byte_start)
+        for name in latched:
             self.diags.append(
                 Diagnostic(
-                    "E0315",
-                    f"port `{c.name}` needs a clock/reset-typed signal, `{base.text}` is not one",
-                    c.expr.span,
+                    "W0305",
+                    f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
+                    first_span[name],
+                    [Related("declared here", self.signals[name].sym.span)] if name in self.signals else [],
                 )
             )
 
     # -- clock domains --
 
-    def signal_domain_label(self, name: str):
+    def declared_domain(self, name: str):
+        """The clock-domain label `name` is annotated with, else _DEFAULT."""
         sig = self.signals.get(name)
-        if sig is None:
-            return _DEFAULT
-        return _named(sig.domain) if sig.domain else None
+        return ("named", sig.domain) if sig is not None and sig.domain else _DEFAULT
 
     def ff_domain(self, ff_id: int):
         b = self.bindings.get(ff_id)
-        if b is None or b.clock is None:
-            return _DEFAULT
-        fixed = self.signal_domain_label(b.clock)
-        return fixed if fixed is not None else _DEFAULT
+        return self.declared_domain(b.clock) if b is not None and b.clock else _DEFAULT
 
     def check_cdc(self) -> None:
         """E0316 for cross-domain reads in always_ff outside unsafe(cdc)."""
-        domains: dict[str, object] = {}
-        for name, sig in self.signals.items():
-            fixed = _named(sig.domain) if sig.domain else None
-            domains[name] = fixed if fixed is not None else _DEFAULT
+        domains = {name: self.declared_domain(name) for name in self.signals}
         annotated = {n for n, s in self.signals.items() if s.domain}
 
         def join(labels) -> object:
-            labels = [d for d in labels]
-            if not labels:
-                return _DEFAULT
-            if any(d == _MIXED for d in labels):
-                return _MIXED
             distinct = set(labels)
             if len(distinct) == 1:
                 return distinct.pop()
-            return _MIXED
+            return _MIXED if distinct else _DEFAULT
 
         for _ in range(len(self.signals) + 2):
             changed = False
@@ -724,8 +644,7 @@ class _ModuleChecker:
                     if kind == "ff":
                         contributions.append(self.ff_domain(payload))
                     else:
-                        sources = [domains[r] for r in sorted(payload) if r in domains]
-                        contributions.append(join(sources))
+                        contributions.append(join(domains[r] for r in payload if r in domains))
                 new = join(contributions)
                 if domains[name] != new:
                     domains[name] = new

@@ -26,14 +26,6 @@ class TypeSpec:
     unpacked_dims: list["Expr"] = field(default_factory=list)
     span: Span | None = None
 
-    @property
-    def is_clock(self) -> bool:
-        return self.kind in CLOCK_KINDS
-
-    @property
-    def is_reset(self) -> bool:
-        return self.kind in RESET_KINDS
-
 
 # --- expressions ----------------------------------------------------------
 
@@ -276,6 +268,7 @@ class ModuleDecl:
     params: list[ParamDecl]
     ports: list[PortDecl]
     body: list[ModuleItem]
+    recovered: bool  # parse recovery dropped an item of `body`
     span: Span
     is_pub: bool = False
     doc: DocComment | None = None

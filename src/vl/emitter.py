@@ -4,13 +4,14 @@ every branch, one statement per line."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import ast
 from .analyzer import FfBinding
 from .ast import expr_text
 from .diagnostics import Diagnostic
+from .resolver import clock_or_reset
 from .tokens import Span
 
 _SCALARS = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
@@ -26,7 +27,6 @@ class EmitConfig:
 class EmitUnit:
     module_name: str
     text: str
-    name_map: dict[str, str] = field(default_factory=dict)
 
 
 def _bound(e: ast.Expr, suffix: str) -> str:
@@ -39,7 +39,7 @@ def _bound(e: ast.Expr, suffix: str) -> str:
 
 def lower_type(ty: ast.TypeSpec) -> str:
     """SystemVerilog core type text (packed dims included, unpacked excluded)."""
-    if ty.is_clock or ty.is_reset:
+    if clock_or_reset(ty):
         return "logic"
     out = _SCALARS[ty.kind]
     for d in ty.packed_dims:
@@ -147,16 +147,8 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBin
     their template.
     """
     w = _Writer()
-    name_map: dict[str, str] = {m.name: m.name}
-
-    param_lines = []
-    for p in m.params:
-        name_map[p.name] = p.name
-        param_lines.append(f"parameter {lower_type(p.ty)} {p.name} = {expr_text(p.default)}")
-    port_lines = []
-    for p in m.ports:
-        name_map[p.name] = p.name
-        port_lines.append(f"{p.direction} {lower_type(p.ty)} {p.name}{unpacked_suffix(p.ty)}")
+    param_lines = [f"parameter {lower_type(p.ty)} {p.name} = {expr_text(p.default)}" for p in m.params]
+    port_lines = [f"{p.direction} {lower_type(p.ty)} {p.name}{unpacked_suffix(p.ty)}" for p in m.ports]
 
     head = f"module {m.name}"
     if param_lines:
@@ -176,18 +168,16 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBin
 
     w.depth += 1
     for it, _ in ast.iter_module_items(m.body):
-        _emit_module_item(it, w, ff_bindings, cfg, name_map)
+        _emit_module_item(it, w, ff_bindings, cfg)
     w.depth -= 1
     w.put("endmodule")
-    return EmitUnit(m.name, "\n".join(w.lines) + "\n", name_map)
+    return EmitUnit(m.name, "\n".join(w.lines) + "\n")
 
 
-def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig, name_map) -> None:
+def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig) -> None:
     if isinstance(it, ast.VarDecl):
-        name_map[it.name] = it.name
         w.put(f"{lower_type(it.ty)} {it.name}{unpacked_suffix(it.ty)};")
     elif isinstance(it, ast.ConstDecl):
-        name_map[it.name] = it.name
         w.put(f"localparam {lower_type(it.ty)} {it.name} = {expr_text(it.value)};")
     elif isinstance(it, ast.AssignItem):
         w.put(f"assign {expr_text(it.lvalue)} = {expr_text(it.rhs)};")
@@ -198,10 +188,8 @@ def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig, name_map) -> No
         _lower_block(it.body, w, False)
         w.put("end")
     elif isinstance(it, ast.InstDecl):
-        name_map[it.name] = it.name
         _emit_inst(it, w)
     elif isinstance(it, ast.FunctionDecl):
-        name_map[it.name] = it.name
         args = ", ".join(f"input {lower_type(a.ty)} {a.name}" for a in it.args)
         w.put(f"function automatic {lower_type(it.ret)} {it.name}({args});")
         _lower_block(it.body, w, False)
@@ -234,12 +222,11 @@ def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> EmitUnit:
     w = _Writer()
     w.put(f"package {pkg.name};")
     w.depth += 1
-    name_map = {pkg.name: pkg.name}
     for it in pkg.items:
-        _emit_module_item(it, w, {}, cfg, name_map)
+        _emit_module_item(it, w, {}, cfg)
     w.depth -= 1
     w.put("endpackage")
-    return EmitUnit(pkg.name, "\n".join(w.lines) + "\n", name_map)
+    return EmitUnit(pkg.name, "\n".join(w.lines) + "\n")
 
 
 def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:

@@ -113,6 +113,7 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.ff_depth = 0
         self.depth = 0  # nesting levels open, see MAX_NESTING
+        self.recovered = False  # `braced` dropped an item since the current module began
         end = tokens[-1].span.byte_end if tokens else 0
         endline = tokens[-1].span.line if tokens else 1
         self.eof = Token(TokenKind.EOF, "", Span(file_id, end, end, endline, 1))
@@ -216,10 +217,11 @@ class _Parser:
     def braced(self, item) -> list:
         """`{ item()* }`; after an error, recover at the next `;` and go on.
         A body past MAX_NESTING is E0104 and skipped whole, so its closers
-        are not left to the levels above."""
+        are not left to the levels above.  Either loss sets `recovered`."""
         open_span = self.expect_punct("{").span
         if self.depth == MAX_NESTING:
             self.too_deep(open_span)
+            self.recovered = True
             level = 1
             while level and self.cur().kind != TokenKind.EOF:
                 t = self.bump()
@@ -233,6 +235,7 @@ class _Parser:
                 try:
                     items.append(item())
                 except _ParseError:
+                    self.recovered = True
                     self.recover()
             self.expect_close("}", open_span)
             return items
@@ -346,8 +349,9 @@ class _Parser:
             ports = self.delimited(")", self.bump().span, lambda: self.documented(self.parse_port))
             if ports:  # a trailing `///` after `)` belongs to the last port
                 self.attach(ports[-1], ports[-1].doc, self.toks[self.pos - 1].span.line)
+        self.recovered = False
         body = self.braced(self.parse_module_item)
-        return ModuleDecl(name.text, name.span, generic_params, params, ports, body, self.span_to_prev(start), is_pub, doc)
+        return ModuleDecl(name.text, name.span, generic_params, params, ports, body, self.recovered, self.span_to_prev(start), is_pub, doc)
 
     def parse_param(self) -> ParamDecl:
         if not self.at_kw("param"):

@@ -187,9 +187,22 @@ def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> Resolv
     return ResolvedPath(list(path.segments), sym, root)
 
 
-def check_connections(it: ast.InstDecl, target: ast.ModuleDecl) -> list[Diagnostic]:
-    """E0307/E0308/E0309 for the connection names of `it` against its target
-    module; run on generic-parameter targets once they are substituted."""
+_CLOCK_OR_RESET = ast.CLOCK_KINDS | ast.RESET_KINDS
+
+
+def clock_or_reset(ty: ast.TypeSpec | None) -> bool:
+    """Whether `ty` is a clock or reset type; such a signal feeds only
+    sensitivity lists and clock/reset ports."""
+    return ty is not None and ty.kind in _CLOCK_OR_RESET
+
+
+def check_connections(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[Diagnostic]:
+    """The connection rules of `it` against its target module, with the
+    connection expressions resolved in `scope`: E0307/E0308/E0309 for names,
+    E0306 for an output wired to a non-lvalue, E0315 for a clock/reset port
+    wired to anything but a clock/reset-typed signal.  Run by the analyzer,
+    and by mono on generic-parameter targets once they are substituted.  A
+    name that does not resolve is left to the analyzer's E0202."""
     diags: list[Diagnostic] = []
     for conns, decls, what in ((it.param_conns, target.params, "parameter"), (it.port_conns, target.ports, "port")):
         names = {d.name for d in decls}
@@ -215,6 +228,28 @@ def check_connections(it: ast.InstDecl, target: ast.ModuleDecl) -> list[Diagnost
                         [Related("target declared here", target.name_span)],
                     )
                 )
+    ports = {p.name: p for p in target.ports}
+    for c in it.port_conns:
+        port = ports.get(c.name)
+        if port is None:
+            continue
+        if clock_or_reset(port.ty):
+            if not isinstance(c.expr, ast.PathExpr):
+                diags.append(Diagnostic("E0315", f"port `{c.name}` needs a clock/reset-typed signal", c.expr.span))
+                continue
+            rp = resolve(c.expr, scope, [])
+            if rp is not None and not clock_or_reset(rp.target.ty):
+                diags.append(
+                    Diagnostic(
+                        "E0315",
+                        f"port `{c.name}` needs a clock/reset-typed signal, `{c.expr.text}` is not one",
+                        c.expr.span,
+                    )
+                )
+        elif port.direction == "output" and ast.lvalue_base(c.expr) is None:
+            diags.append(
+                Diagnostic("E0306", f"output port `{c.name}` must be connected to an assignable signal", c.expr.span)
+            )
     connected = {c.name for c in it.port_conns}
     for p in target.ports:
         if p.name not in connected:
@@ -355,7 +390,7 @@ class _Mono:
                     )
                 )
             if it.target.text in env:
-                self.diags += check_connections(it, target_decl)
+                self.diags += check_connections(it, target_decl, scope)
                 return replace(it, target=ast.PathExpr(self.display(target_key, unit), it.target.span), generic_args=[])
             return replace(it, generic_args=[]) if it.generic_args else it
         if len(it.generic_args) != len(target_decl.generic_params):

@@ -1,10 +1,18 @@
+import pathlib
+
 import pytest
 
 from vl.analyzer import ConstError, analyze_unit, bind_always_ff, check_literal_widths, eval_const
-from vl.parser import parse_expression, parse_source
+from vl.driver import check_strings
+from vl.parser import MAX_NESTING, parse_expression, parse_source
 from vl.resolver import build_symbols
 
+from test_docgen import FIG6
+from test_emitter import FIG2
 from test_parser import FIG1
+from test_resolver import FIG3, FIG3_FF
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "diag"
 
 
 def check(src, file_id="main.vl"):
@@ -259,6 +267,58 @@ def test_module_and_package_items_get_the_same_checks(probe, code):
     items = f"    const K: logic<4> = 1;\n    function g (x: logic) -> logic {{ return x; }}\n    {probe}\n"
     assert codes(f"module M () {{\n{items}}}\n") == [code]
     assert codes(f"package P {{\n{items}}}\n") == [code]
+
+
+# A generic wrapper that only passes its ports through to its argument module.
+PASS_THROUGH = (
+    "module Leaf (i_a: input logic, o: output logic) {\n    assign o = i_a;\n}\n"
+    "module Wrap::<T> (i_a: input logic, o: output logic) {\n"
+    "    var w: logic;\n    assign w = i_a;\n    inst u: T (i_a: w, o: o);\n}\n"
+    "module Top (i_a: input logic, o: output logic) {\n    inst t: Wrap::<Leaf> (i_a: i_a, o: o);\n}\n"
+)
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # A parameter default is resolved once.
+        ("module M #(param A: u32 = NOPE) () {}", [("E0202", 1, 27)]),
+        # The connection rules run on a generic parameter's instance after substitution.
+        (
+            "module Leaf (o: output logic, i_clk: input clock) {\n    assign o = 1'b0;\n}\n"
+            "module Wrap::<T> (i_a: input logic) {\n    inst u: T (o: 1'b1, i_clk: i_a);\n}\n"
+            "module Top (i_a: input logic) {\n    inst w: Wrap::<Leaf> (i_a: i_a);\n}\n",
+            [("E0306", 5, 19), ("E0315", 5, 32)],
+        ),
+        # A module that lost an item to parse recovery gets no absence-based finding.
+        (
+            "module M (o: output logic, i: input logic) { var v: logic; assign v = i +; assign o = v; }",
+            [("E0101", 1, 74)],
+        ),
+        # 3,000 levels with the module body, one E0104 at the 129th.
+        (f"module M (o: output u32) {{\n    assign o = {'(' * 2999}1{')' * 2999};\n}}\n", [("E0104", 2, 143)]),
+        ("module M (en: input logic, a: input logic, o: output logic) { always_comb { if en { o = a; } } assign o = ; }",
+         [("E0101", 1, 107)]),
+        (
+            "module M (i: input logic, o: output logic) {\n    always_comb {\n"
+            + "if i {\n" * (MAX_NESTING + 10) + "o = i;\n" + "}\n" * (MAX_NESTING + 10) + "    }\n}\n",
+            [("E0104", MAX_NESTING + 1, 6)],
+        ),
+        # A generic parameter's connections are reads, and their bases may be driven.
+        (PASS_THROUGH, []),
+        (PASS_THROUGH.replace("(i_a: w,", "(i_a: nope,"), [("W0304", 5, 9), ("E0202", 7, 21)]),
+    ],
+    ids=["param_default", "generic_connection_rules", "e0101", "e0104", "e0101_latch", "e0104_body", "pass_through", "pass_through_undefined"],
+)
+def test_findings_are_reported_once_and_only_where_they_can_be_known(src, expected):
+    result = check_strings([("main.vl", src)])
+    assert [(d.code, d.span.line, d.span.column) for d in result.diagnostics] == expected
+
+
+def test_no_finding_is_reported_twice_on_the_fixtures_and_figures():
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.vl"))] + [FIG1, FIG2, FIG3, FIG3_FF, FIG6, CDC_BAD]
+    for src in sources:
+        found = [(d.code, d.span.byte_start, d.span.byte_end, d.message) for d in check_strings([("main.vl", src)]).diagnostics]
+        assert len(found) == len(set(found)), found
 
 
 # -- literal widths --------------------------------------------------------------

@@ -13,6 +13,7 @@ from vl import driver
 from vl.cli import main
 from vl.parser import MAX_NESTING
 
+from test_analyzer import PASS_THROUGH
 from test_parser import FIG1
 from test_resolver import FIG3_FF
 
@@ -303,6 +304,15 @@ def test_generic_parameter_instance_connections_are_checked(tmp_path, capsys):
     assert (diag["code"], diag["line"], diag["column"]) == ("E0307", 3, 16)
     assert "`Leaf` has no port named `no_such_port`" in diag["message"]
     assert not list(root.rglob("*.sv"))
+
+
+def test_generic_pass_through_builds(tmp_path):
+    root = make_project(tmp_path, PASS_THROUGH, name="wrap", stem="wrap")
+    assert main(["build", "--manifest", str(root / "vl.toml")]) == 0
+    modules = {m.name: m for m in svread.parse_sv((root / "target" / "sv" / "wrap.sv").read_text())}
+    (inst,) = modules["Wrap__Leaf"].insts
+    assert (inst.type, inst.name) == ("Leaf", "u")
+    assert inst.port_conns == {"i_a": ("w",), "o": ("o",)}
 
 
 def test_invalid_utf8_in_manifest_is_e0003(tmp_path, capsys):
