@@ -29,9 +29,10 @@ _EXACT = {
 
 
 class ConstError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
+    def __init__(self, diagnostic: Diagnostic, repeat: bool = False):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
+        self.repeat = repeat  # a memoized failure, raised again
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class FfBinding:
     reset: str | None
     reset_kind: str | None
     uses_if_reset: bool
-    ok: bool  # binding this always_ff added no diagnostic
 
 
 @dataclass
@@ -96,7 +96,6 @@ def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagno
     for it, _ in ast.iter_module_items(m.body):
         if not isinstance(it, ast.AlwaysFf):
             continue
-        before = len(diags)
         uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(it.body.stmts))
         clock = bind("clock", it.clock_name, it.clock_span, it)
         reset = None
@@ -110,7 +109,6 @@ def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagno
             reset,
             types[reset].kind if reset else None,
             uses_ir,
-            len(diags) == before,
         )
     return bindings, diags
 
@@ -128,8 +126,11 @@ def eval_const(expr: ast.Expr, scope: Scope) -> int:
 
 
 class _ConstEval:
+    """Evaluates constant expressions; each parameter's and constant's value,
+    or the diagnostic it failed with, is computed once."""
+
     def __init__(self):
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, int | Diagnostic] = {}
         self.active: set[int] = set()
 
     def fail(self, message: str, span: Span, code: str = "E0301"):
@@ -200,15 +201,24 @@ class _ConstEval:
         sym = rp.target
         if sym.kind not in (SymbolKind.PARAM, SymbolKind.CONST):
             self.fail(f"`{e.text}` is a {sym.kind_name}, not a constant", e.span)
-        key = id(sym.decl)
-        if key in self.memo:
-            return self.memo[key]
-        if key in self.active:
+        if id(sym.decl) in self.active:
             self.fail(f"constant `{e.text}` is defined in terms of itself", e.span)
+        return self.decl(sym.decl, sym.scope)
+
+    def decl(self, d: ast.ParamDecl | ast.ConstDecl, scope: Scope) -> int:
+        """The value of a parameter's default or a constant; raises its failure."""
+        key = id(d)
+        if key in self.memo:
+            v = self.memo[key]
+            if isinstance(v, Diagnostic):
+                raise ConstError(v, repeat=True)
+            return v
         self.active.add(key)
         try:
-            init = sym.decl.default if isinstance(sym.decl, ast.ParamDecl) else sym.decl.value
-            v = self.eval(init, sym.scope)
+            v = self.eval(d.default if isinstance(d, ast.ParamDecl) else d.value, scope)
+        except ConstError as err:
+            self.memo[key] = err.diagnostic
+            raise
         finally:
             self.active.discard(key)
         self.memo[key] = v
@@ -222,9 +232,10 @@ def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[
     """Run the full check catalog over one project's parsed files."""
     diags: list[Diagnostic] = []
     info = AnalysisInfo()
+    ev = _ConstEval()
     for sf in sorted(files, key=lambda f: f.file_id):
         for item in sf.items:
-            chk = _ModuleChecker(item, table)
+            chk = _ModuleChecker(item, table, ev)
             diags += chk.run()
             info.ff_bindings.update(chk.bindings)
     return diags, info
@@ -266,7 +277,7 @@ class _Signal:
 
 
 class _ModuleChecker:
-    def __init__(self, m: ast.ModuleDecl | ast.PackageDecl, table: SymbolTable):
+    def __init__(self, m: ast.ModuleDecl | ast.PackageDecl, table: SymbolTable, ev: _ConstEval):
         if isinstance(m, ast.PackageDecl):
             # A package is checked as a module with no params, ports or processes.
             self.scope = table.package_scopes[id(m)]
@@ -287,7 +298,7 @@ class _ModuleChecker:
         self.ff_reads: list[tuple[int, str, Span, bool]] = []
         # signal -> list of domain sources per driving site
         self.domain_drivers: dict[str, list[tuple[str, object]]] = {}
-        self.ev = _ConstEval()
+        self.ev = ev
 
     def run(self) -> list[Diagnostic]:
         """Collect the signals, then check every item in one walk, then the
@@ -295,14 +306,14 @@ class _ModuleChecker:
         self.collect_signals()
         self.bindings, self.diags = bind_always_ff(self.m)
         for p in self.m.params:
-            self.const_init(p.default)
+            self.const_init(p)
         for p in self.m.ports:
             self.dims(p.ty)
         for it, in_unsafe in ast.iter_module_items(self.m.body):
             if isinstance(it, (ast.VarDecl, ast.ConstDecl)):
                 self.dims(it.ty)
                 if isinstance(it, ast.ConstDecl):
-                    self.const_init(it.value)
+                    self.const_init(it)
             elif isinstance(it, ast.AssignItem):
                 self.drive(it.lvalue, "assign", id(it), it.span, self.scope)
                 reads = self.expr_read(it.rhs, self.scope)
@@ -335,21 +346,23 @@ class _ModuleChecker:
 
     # -- constant contexts --
 
-    def const_value(self, e: ast.Expr, scope: Scope) -> None:
-        """E0301 (or E0202) unless `e` evaluates to a constant."""
+    def const_value(self, evaluate, arg, scope: Scope) -> None:
+        """E0301 (or E0202) unless `evaluate(arg, scope)` gives a constant; a
+        failure is reported once however many values it fails."""
         try:
-            self.ev.eval(e, scope)
+            evaluate(arg, scope)
         except ConstError as err:
-            self.diags.append(err.diagnostic)
+            if not err.repeat:
+                self.diags.append(err.diagnostic)
 
-    def const_init(self, e: ast.Expr) -> None:
+    def const_init(self, d: ast.ParamDecl | ast.ConstDecl) -> None:
         """A parameter default or constant value: literal widths, then its value."""
-        self.diags += check_literal_widths(e)
-        self.const_value(e, self.scope)
+        self.diags += check_literal_widths(d.default if isinstance(d, ast.ParamDecl) else d.value)
+        self.const_value(self.ev.decl, d, self.scope)
 
     def dims(self, ty: ast.TypeSpec) -> None:
         for d in ty.packed_dims + ty.unpacked_dims:
-            self.const_value(d, self.scope)
+            self.const_value(self.ev.eval, d, self.scope)
 
     # -- processes --
 
@@ -395,8 +408,8 @@ class _ModuleChecker:
             if isinstance(sub, ast.CallExpr):
                 self.check_call(sub, scope)
             elif isinstance(sub, ast.RangeExpr):
-                self.const_value(sub.hi, scope)
-                self.const_value(sub.lo, scope)
+                self.const_value(self.ev.eval, sub.hi, scope)
+                self.const_value(self.ev.eval, sub.lo, scope)
             elif isinstance(sub, ast.PathExpr):
                 rp = resolve(sub, scope, self.diags)
                 if rp is None:

@@ -215,6 +215,7 @@ class AssignItem:
     lvalue: Expr
     rhs: Expr
     span: Span
+    doc: DocComment | None = None
 
 
 @dataclass
@@ -225,12 +226,14 @@ class AlwaysFf:
     reset_span: Span | None
     body: Block
     span: Span
+    doc: DocComment | None = None
 
 
 @dataclass
 class AlwaysComb:
     body: Block
     span: Span
+    doc: DocComment | None = None
 
 
 @dataclass
@@ -255,6 +258,7 @@ class FunctionDecl:
 class UnsafeCdcItem:
     items: list["ModuleItem"]
     span: Span
+    doc: DocComment | None = None
 
 
 ModuleItem = VarDecl | ConstDecl | InstDecl | AssignItem | AlwaysFf | AlwaysComb | FunctionDecl | UnsafeCdcItem

@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json
-from .driver import check_program, discover_sources, doc_program, emit_program, load_program
+from .driver import check_program, doc_program, emit_program, load_program, read_sources
 from .formatter import format_source
-from .lexer import decode_source
 from .parser import parse_source
 from .project import _IDENT_RE
 
@@ -22,6 +21,9 @@ from .project import _IDENT_RE
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "new" and not args.manifest.is_file():
+            print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
+            return 2
         return args.func(args)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -90,9 +92,6 @@ def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
 
 
 def _pipeline(args):
-    if not args.manifest.is_file():
-        print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
-        return None
     loaded = load_program(args.manifest, offline=args.offline)
     return loaded, check_program(loaded)
 
@@ -105,18 +104,12 @@ def _out_root(args, loaded) -> Path:
 
 
 def cmd_check(args) -> int:
-    got = _pipeline(args)
-    if got is None:
-        return 2
-    _, result = got
+    _, result = _pipeline(args)
     return report(result.diagnostics, result.source_texts, args.format)
 
 
 def cmd_build(args) -> int:
-    got = _pipeline(args)
-    if got is None:
-        return 2
-    loaded, result = got
+    loaded, result = _pipeline(args)
     rc = report(result.diagnostics, result.source_texts, args.format)
     if rc != 0 or loaded.manifest is None:
         return rc
@@ -128,10 +121,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_doc(args) -> int:
-    got = _pipeline(args)
-    if got is None:
-        return 2
-    loaded, result = got
+    loaded, result = _pipeline(args)
     diags = list(result.diagnostics)
     if loaded.manifest is not None:
         # Docs need only parse+resolution; they are written even when the
@@ -142,9 +132,6 @@ def cmd_doc(args) -> int:
 
 
 def cmd_update(args) -> int:
-    if not args.manifest.is_file():
-        print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
-        return 2
     loaded = load_program(args.manifest, offline=args.offline)
     rc = report(loaded.diagnostics, {}, args.format)
     if loaded.manifest is None:
@@ -155,16 +142,10 @@ def cmd_update(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    if not args.manifest.is_file():
-        print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
-        return 2
-    root = args.manifest.parent
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     changed: list[Path] = []
-    for path in discover_sources(root):
-        file_id = str(path.relative_to(root))
-        text, ddiags = decode_source(path.read_bytes(), file_id)
+    for path, file_id, _, text, ddiags in read_sources(args.manifest.parent):
         sources[file_id] = text
         if ddiags:
             diags += ddiags

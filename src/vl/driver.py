@@ -13,15 +13,7 @@ from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
 from .lexer import decode_source
 from .parser import parse_source
-from .project import (
-    DependencySource,
-    Lockfile,
-    Manifest,
-    PlanUnit,
-    build_plan,
-    load_manifest,
-    resolve_dependencies,
-)
+from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
 from .resolver import MonoResult, SymbolTable, UnitView, build_symbols, monomorphize
 
 
@@ -29,7 +21,6 @@ from .resolver import MonoResult, SymbolTable, UnitView, build_symbols, monomorp
 class LoadedProgram:
     manifest: Manifest | None
     plan: list[PlanUnit] = field(default_factory=list)
-    sources: list[DependencySource] = field(default_factory=list)
     lock: Lockfile = field(default_factory=Lockfile)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
@@ -46,17 +37,19 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
         if not ldiags:  # a lockfile that is not UTF-8 counts as absent
             lock, ldiags = Lockfile.parse(text, str(lock_path))
         diags += ldiags
-    sources, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
-    diags += ddiags
-    plan, pdiags = build_plan(manifest, sources)
-    diags += pdiags
-    return LoadedProgram(manifest, plan, sources, new_lock, diags)
+    plan, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
+    return LoadedProgram(manifest, plan, new_lock, diags + ddiags)
 
 
-def discover_sources(root: Path) -> list[Path]:
-    """All .vl files under src/, recursive, sorted by path for determinism."""
+def read_sources(root: Path, is_root: bool = True):
+    """(path, file_id, output stem, text, decode diagnostics) of each .vl file
+    under `root`/src, recursive, in path order.  The root project's file ids are
+    relative to its root; a dependency's are its cache paths."""
     src = root / "src"
-    return sorted(src.rglob("*.vl")) if src.is_dir() else []
+    for path in sorted(src.rglob("*.vl")) if src.is_dir() else []:
+        rel = path.relative_to(root)
+        file_id = str(rel) if is_root else str(path)
+        yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
 
 
 @dataclass
@@ -94,7 +87,6 @@ class ProgramResult:
 def check_program(loaded: LoadedProgram) -> ProgramResult:
     """Parse, resolve, and analyze every unit in dependency order."""
     result = ProgramResult(diagnostics=list(loaded.diagnostics))
-    url2name = {s.url: s.name for s in loaded.sources}
     tables: dict[str, SymbolTable] = {}
     for pu in loaded.plan:
         unit = UnitResult(
@@ -104,8 +96,7 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
             pu.is_root,
             EmitConfig(pu.manifest.clock_type, pu.manifest.reset_type),
         )
-        deps = {name: tables[name] for d in pu.manifest.dependencies if (name := url2name.get(d.url)) in tables}
-        _check_unit(result, unit, _unit_sources(pu), deps)
+        _check_unit(result, unit, read_sources(pu.root, pu.is_root), {name: tables[name] for name in pu.deps})
         tables[pu.name] = unit.table
     return _monomorphize(result)
 
@@ -114,23 +105,15 @@ def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> 
     """Single-unit pipeline over in-memory sources (test convenience)."""
     result = ProgramResult()
     unit = UnitResult(name, Manifest(name, "0.0.0"), Path("."), True, EmitConfig())
-    sources = [(file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
+    sources = [(Path(file_id), file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
     _check_unit(result, unit, sources, {})
     return _monomorphize(result)
 
 
-def _unit_sources(pu: PlanUnit):
-    """(file_id, output stem, text, decode diagnostics) of each source file of a planned unit."""
-    for path in discover_sources(pu.root):
-        rel = path.relative_to(pu.root)
-        file_id = str(rel) if pu.is_root else str(path)
-        yield file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
-
-
 def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str, SymbolTable]) -> None:
-    """Parse `unit`'s (file_id, stem, text, decode diagnostics) sources, index and
-    analyze them, and add it to `result`.  A file that did not decode is skipped."""
-    for file_id, stem, text, ddiags in sources:
+    """Parse `unit`'s sources (as `read_sources` yields them), index and analyze
+    them, and add it to `result`.  A file that did not decode is skipped."""
+    for _, file_id, stem, text, ddiags in sources:
         result.source_texts[file_id] = text
         if ddiags:
             result.diagnostics += ddiags

@@ -23,12 +23,6 @@ class EmitConfig:
     reset_type: str = "async_low"
 
 
-@dataclass
-class EmitUnit:
-    module_name: str
-    text: str
-
-
 def _bound(e: ast.Expr, suffix: str) -> str:
     """A dimension bound, emitted textually (params are not pre-evaluated)."""
     text = expr_text(e)
@@ -139,7 +133,7 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, re
         raise TypeError(f"unexpected statement {s!r}")
 
 
-def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> EmitUnit:
+def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
     """Lower one analyzed, monomorphized module to SystemVerilog text.
 
     `ff_bindings` is the analyzer's `AnalysisInfo.ff_bindings`, keyed by the
@@ -171,7 +165,7 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBin
         _emit_module_item(it, w, ff_bindings, cfg)
     w.depth -= 1
     w.put("endmodule")
-    return EmitUnit(m.name, "\n".join(w.lines) + "\n")
+    return "\n".join(w.lines) + "\n"
 
 
 def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig) -> None:
@@ -218,7 +212,7 @@ def _emit_inst(it: ast.InstDecl, w: _Writer) -> None:
     w.put(");")
 
 
-def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> EmitUnit:
+def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> str:
     w = _Writer()
     w.put(f"package {pkg.name};")
     w.depth += 1
@@ -226,7 +220,7 @@ def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> EmitUnit:
         _emit_module_item(it, w, {}, cfg)
     w.depth -= 1
     w.put("endpackage")
-    return EmitUnit(pkg.name, "\n".join(w.lines) + "\n")
+    return "\n".join(w.lines) + "\n"
 
 
 def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
@@ -234,9 +228,9 @@ def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, Ff
     parts = []
     for item in items:
         if isinstance(item, ast.ModuleDecl):
-            parts.append(emit_module(item, cfg, ff_bindings).text)
+            parts.append(emit_module(item, cfg, ff_bindings))
         else:
-            parts.append(emit_package(item, cfg).text)
+            parts.append(emit_package(item, cfg))
     return "\n".join(parts)
 
 

@@ -156,13 +156,12 @@ class _Fmt:
     # -- module items --
 
     def emit_module_item(self, it) -> None:
-        doc = getattr(it, "doc", None)
-        self.lead(it.span, doc)
+        self.lead(it.span, it.doc)
         if isinstance(it, ast.VarDecl):
             dom = f"`{it.domain} " if it.domain else ""
-            self.put(f"var {it.name}: {dom}{type_text(it.ty)};" + self.trail_doc(doc))
+            self.put(f"var {it.name}: {dom}{type_text(it.ty)};")
         elif isinstance(it, ast.ConstDecl):
-            self.put(f"const {it.name}: {type_text(it.ty)} = {expr_text(it.value)};" + self.trail_doc(doc))
+            self.put(f"const {it.name}: {type_text(it.ty)} = {expr_text(it.value)};")
         elif isinstance(it, ast.InstDecl):
             self.emit_inst(it)
         elif isinstance(it, ast.AssignItem):
@@ -194,6 +193,7 @@ class _Fmt:
             self.put("}")
         else:
             raise TypeError(f"unexpected module item {it!r}")
+        self.out[-1] += self.trail_doc(it.doc)
         self.trailing(it.span)
 
     def emit_inst(self, it: ast.InstDecl) -> None:
@@ -201,7 +201,7 @@ class _Fmt:
         if it.generic_args:
             head += "::<" + ", ".join(g.text for g in it.generic_args) + ">"
         if not it.param_conns and not it.port_conns:
-            self.put(head + ";" + self.trail_doc(it.doc))
+            self.put(head + ";")
             return
         # Comments inside the lists are rare: place them per connection only
         # when the next unplaced comment starts inside this instance.

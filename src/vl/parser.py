@@ -374,27 +374,17 @@ class _Parser:
         return PortDecl(name.text, name.span, direction, domain, self.parse_type())
 
     def parse_module_item(self):
-        doc = self.take_leading_docs(self.cur().span.byte_start)
-        if self.cur().text in _Parser._DECLS:
-            return self.parse_decl(doc)
-        if self.at_kw("assign"):
-            return self.parse_assign_item()
-        if self.at_kw("always_ff"):
-            return self.parse_always_ff()
-        if self.at_kw("always_comb"):
-            start = self.bump().span
-            body = self.parse_block()
-            return AlwaysComb(body, self.span_to_prev(start))
-        if self.at_kw("unsafe"):
-            start = self.unsafe_cdc()
-            items = self.braced(self.parse_module_item)
-            return UnsafeCdcItem(items, self.span_to_prev(start))
-        raise self.unexpected("a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
+        return self.documented_item(_Parser._MODULE_ITEMS, "a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
 
-    def parse_decl(self, doc):
-        """The `var`, `const`, `inst` or `function` declaration at the current keyword."""
-        decl = _Parser._DECLS[self.cur().text](self)
-        return self.attach(decl, doc, self.toks[self.pos - 1].span.line)
+    def documented_item(self, parsers: dict, expected: str):
+        """The item that `parsers` maps the current keyword to, with its leading
+        doc, or else the trailing `///` on its last line."""
+        doc = self.take_leading_docs(self.cur().span.byte_start)
+        t = self.cur()
+        if t.kind != TokenKind.KEYWORD or t.text not in parsers:
+            raise self.unexpected(expected)
+        item = parsers[t.text](self)
+        return self.attach(item, doc, self.toks[self.pos - 1].span.line)
 
     def parse_var(self) -> VarDecl:
         start = self.bump().span
@@ -448,6 +438,16 @@ class _Parser:
         self.expect_punct(";")
         return AssignItem(lvalue, rhs, self.span_to_prev(start))
 
+    def parse_always_comb(self) -> AlwaysComb:
+        start = self.bump().span
+        body = self.parse_block()
+        return AlwaysComb(body, self.span_to_prev(start))
+
+    def parse_unsafe_item(self) -> UnsafeCdcItem:
+        start = self.unsafe_cdc()
+        items = self.braced(self.parse_module_item)
+        return UnsafeCdcItem(items, self.span_to_prev(start))
+
     def parse_always_ff(self) -> AlwaysFf:
         start = self.bump().span
         clock = reset = None
@@ -486,7 +486,17 @@ class _Parser:
         name = self.expect_name("argument name")
         return ArgDecl(name.text, name.span, self.parse_type())
 
-    _DECLS = {"var": parse_var, "const": parse_const, "inst": parse_inst, "function": parse_function}
+    _MODULE_ITEMS = {
+        "var": parse_var,
+        "const": parse_const,
+        "inst": parse_inst,
+        "function": parse_function,
+        "assign": parse_assign_item,
+        "always_ff": parse_always_ff,
+        "always_comb": parse_always_comb,
+        "unsafe": parse_unsafe_item,
+    }
+    _PACKAGE_ITEMS = {"const": parse_const, "function": parse_function}
 
     # -- package --
 
@@ -497,10 +507,7 @@ class _Parser:
         return PackageDecl(name.text, name.span, items, self.span_to_prev(start), is_pub, doc)
 
     def parse_package_item(self):
-        doc = self.take_leading_docs(self.cur().span.byte_start)
-        if self.at_kw("const") or self.at_kw("function"):
-            return self.parse_decl(doc)
-        raise self.unexpected("`const` or `function`")
+        return self.documented_item(_Parser._PACKAGE_ITEMS, "`const` or `function`")
 
     # -- types --
 

@@ -1,5 +1,5 @@
 """Project definition files, dependency fetching into a cache, lockfiles, and
-build planning.
+the compile plan.
 
 The manifest `vl.toml` is a TOML subset: `[project]`, `[build]`, and
 `[dependencies]` tables with string values only.  Dependencies name a git URL
@@ -246,33 +246,55 @@ def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path 
 
 
 @dataclass
-class DependencySource:
+class PlanUnit:
     name: str
-    url: str
-    version: str
-    revision: str
-    cache_path: Path
+    root: Path
     manifest: Manifest
+    deps: list[str] = field(default_factory=list)  # names of its planned dependencies
+    is_root: bool = False
 
 
 def resolve_dependencies(
     manifest: Manifest,
     lock: Lockfile | None = None,
     offline: bool = False,
-) -> tuple[list[DependencySource], Lockfile, list[Diagnostic]]:
-    """Resolve the transitive dependency graph and produce the new lockfile."""
+) -> tuple[list[PlanUnit], Lockfile, list[Diagnostic]]:
+    """One depth-first walk over the dependency graph.  Returns the compile plan
+    (each unit after its dependencies, in request order, the root last) and the
+    new lockfile.  A cycle is E0405 at the request that closes it; the units on
+    or above it stay out of the plan.  A (url, version) that failed is not retried."""
     diags: list[Diagnostic] = []
     locked = lock.by_url() if lock else {}
-    sources: dict[str, DependencySource] = {}
+    plan: list[PlanUnit] = []
+    new_lock = Lockfile()
+    units: dict[str, PlanUnit | None] = {}  # url -> planned unit, None when on or above a cycle
+    walking: set[str] = set()
+    blocked: set[str] = set()  # urls on or above a cycle
+    failed: set[tuple[str, str]] = set()
     claimed: dict[str, str] = {manifest.name: "the root project"}
-    stack: list[str] = []
 
-    def visit(dep: DepRequest) -> None:
-        if dep.url in stack:
+    def visit(dep: DepRequest) -> PlanUnit | None:
+        if dep.url in walking:
             diags.append(Diagnostic("E0405", f"dependency cycle through {dep.url}", dep.span))
-            return
-        if dep.url in sources:
-            return
+            blocked.add(dep.url)
+            return None
+        if dep.url in units:
+            return units[dep.url]
+        if (dep.url, dep.version) in failed:
+            return None
+        fetched = fetch(dep)
+        if fetched is None:
+            failed.add((dep.url, dep.version))
+            return None
+        revision, path, dep_manifest = fetched
+        new_lock.entries.append(LockEntry(dep.url, dep.version, revision, dep_manifest.name))
+        walking.add(dep.url)
+        units[dep.url] = place(dep_manifest, path, dep.url)
+        walking.discard(dep.url)
+        return units[dep.url]
+
+    def fetch(dep: DepRequest) -> tuple[str, Path, Manifest] | None:
+        """(revision, cache path, manifest) of a requested dependency; None after reporting why not."""
         entry = locked.get(dep.url)
         if entry is not None and entry.version == dep.version:
             revision = entry.revision
@@ -280,83 +302,34 @@ def resolve_dependencies(
             revision, err = _resolve_version(dep)
             if err is not None:
                 diags.append(err)
-                return
+                return None
         path, err = _ensure_cached(dep, revision, offline)
         if err is not None:
             diags.append(err)
-            return
+            return None
         manifest_path = path / "vl.toml"
         if not manifest_path.is_file():
             diags.append(Diagnostic("E0401", f"dependency {dep.url} has no vl.toml", dep.span))
-            return
+            return None
         dep_manifest, mdiags = load_manifest(manifest_path)
         diags.extend(mdiags)
         if dep_manifest is None:
-            return
+            return None
         if dep_manifest.name in claimed:
-            diags.append(
-                Diagnostic(
-                    "E0406",
-                    f"project name `{dep_manifest.name}` of {dep.url} is already used by {claimed[dep_manifest.name]}",
-                    dep.span,
-                )
-            )
-            return
+            msg = f"project name `{dep_manifest.name}` of {dep.url} is already used by {claimed[dep_manifest.name]}"
+            diags.append(Diagnostic("E0406", msg, dep.span))
+            return None
         claimed[dep_manifest.name] = dep.url
-        sources[dep.url] = DependencySource(dep_manifest.name, dep.url, dep.version, revision, path, dep_manifest)
-        stack.append(dep.url)
-        for sub in dep_manifest.dependencies:
-            visit(sub)
-        stack.pop()
+        return revision, path, dep_manifest
 
-    for dep in manifest.dependencies:
-        visit(dep)
+    def place(m: Manifest, root: Path, url: str | None) -> PlanUnit | None:
+        """Visit `m`'s dependencies, then append its unit to the plan unless one of them is blocked."""
+        deps = [u.name for d in m.dependencies if (u := visit(d)) is not None]
+        if any(d.url in blocked for d in m.dependencies):
+            blocked.add(url)
+            return None
+        plan.append(PlanUnit(m.name, root, m, deps, is_root=url is None))
+        return plan[-1]
 
-    new_lock = Lockfile(
-        sorted(
-            (LockEntry(s.url, s.version, s.revision, s.name) for s in sources.values()),
-            key=lambda e: e.url,
-        )
-    )
-    return list(sources.values()), new_lock, diags
-
-
-# -- build planning --------------------------------------------------------------
-
-
-@dataclass
-class PlanUnit:
-    name: str
-    root: Path
-    manifest: Manifest
-    is_root: bool = False
-
-
-def build_plan(manifest: Manifest, sources: list[DependencySource]) -> tuple[list[PlanUnit], list[Diagnostic]]:
-    """Topological compile order: dependencies first, name as the tie-break."""
-    diags: list[Diagnostic] = []
-    by_url = {s.url: s for s in sources}
-    units = {s.name: PlanUnit(s.name, s.cache_path, s.manifest) for s in sources}
-    units[manifest.name] = PlanUnit(manifest.name, manifest.root_dir, manifest, is_root=True)
-
-    def dep_names(m: Manifest) -> list[str]:
-        names = []
-        for d in m.dependencies:
-            src = by_url.get(d.url)
-            if src is not None:
-                names.append(src.name)
-        return names
-
-    edges = {name: set(dep_names(u.manifest)) & set(units) for name, u in units.items()}
-    placed: list[PlanUnit] = []
-    done: set[str] = set()
-    while len(done) < len(units):
-        ready = sorted(n for n in units if n not in done and edges[n] <= done)
-        if not ready:
-            span = manifest.dependencies[0].span if manifest.dependencies else Span(str(manifest.path), 0, 0, 1, 1)
-            diags.append(Diagnostic("E0405", "dependency cycle prevents a build order", span))
-            break
-        for name in ready:
-            placed.append(units[name])
-            done.add(name)
-    return placed, diags
+    place(manifest, manifest.root_dir, None)
+    return plan, new_lock, diags

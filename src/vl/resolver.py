@@ -310,6 +310,9 @@ class _Mono:
     def __init__(self, units: list[UnitView]):
         self.units = units
         self.diags: list[Diagnostic] = []
+        # (code, span, message) of each connection finding in a template body,
+        # reported once however many instances repeat it
+        self.connection_findings: set[tuple] = set()
         # (template key, arg keys) -> instance, in the order they are completed
         self.instances: dict[tuple, GenericInstance] = {}
         # id(template) -> its concrete modules
@@ -390,7 +393,10 @@ class _Mono:
                     )
                 )
             if it.target.text in env:
-                self.diags += check_connections(it, target_decl, scope)
+                for d in check_connections(it, target_decl, scope):
+                    if (d.code, d.span, d.message) not in self.connection_findings:
+                        self.connection_findings.add((d.code, d.span, d.message))
+                        self.diags.append(d)
                 return replace(it, target=ast.PathExpr(self.display(target_key, unit), it.target.span), generic_args=[])
             return replace(it, generic_args=[]) if it.generic_args else it
         if len(it.generic_args) != len(target_decl.generic_params):

@@ -314,11 +314,26 @@ def test_findings_are_reported_once_and_only_where_they_can_be_known(src, expect
     assert [(d.code, d.span.line, d.span.column) for d in result.diagnostics] == expected
 
 
+# A failing constant read by later parameters, ports or modules, and a
+# connection error in a template body that two instances repeat.
+ONCE_PROBES = [
+    "module M #(param A: u32 = NOPE, param B: u32 = A) (o: output logic<B>) {\n    assign o = 0;\n}\n",
+    "package P {\n    const A: u32 = NOPE;\n}\n"
+    "module M1 (o: output logic<P::A>) {\n    assign o = 0;\n}\n"
+    "module M2 (o: output logic<P::A>) {\n    assign o = 0;\n}\n",
+    "module LeafA (o: output logic) {\n    assign o = 0;\n}\n"
+    "module LeafB (o: output logic) {\n    assign o = 0;\n}\n"
+    "module Wrap::<T> () {\n    inst u: T (o: 1'b1);\n}\n"
+    "module Top () {\n    inst a: Wrap::<LeafA> ();\n    inst b: Wrap::<LeafB> ();\n}\n",
+]
+
+
 def test_no_finding_is_reported_twice_on_the_fixtures_and_figures():
     sources = [p.read_text() for p in sorted(FIXTURES.glob("*.vl"))] + [FIG1, FIG2, FIG3, FIG3_FF, FIG6, CDC_BAD]
-    for src in sources:
+    for src in sources + ONCE_PROBES:
         found = [(d.code, d.span.byte_start, d.span.byte_end, d.message) for d in check_strings([("main.vl", src)]).diagnostics]
         assert len(found) == len(set(found)), found
+        assert found or src not in ONCE_PROBES
 
 
 # -- literal widths --------------------------------------------------------------

@@ -64,12 +64,12 @@ def test_compound_bound_is_parenthesized():
 
 
 def test_empty_module():
-    assert emit_one(module_of("module M () {}"), EmitConfig()).text == "module M;\nendmodule\n"
+    assert emit_one(module_of("module M () {}"), EmitConfig()) == "module M;\nendmodule\n"
 
 
 def test_fig1_emission_structure():
-    unit = emit_one(module_of(FIG1), EmitConfig("posedge", "async_low"))
-    (sv,) = svread.parse_sv(unit.text)
+    text = emit_one(module_of(FIG1), EmitConfig("posedge", "async_low"))
+    (sv,) = svread.parse_sv(text)
     assert sv.name == "Counter"
     assert sv.params == [("WIDTH", ("1",))]
     assert [(d, n) for d, _, n, _ in sv.ports] == [("input", "i_clk"), ("input", "i_rst"), ("output", "o_cnt")]
@@ -83,32 +83,32 @@ def test_fig1_emission_structure():
 
 
 def test_compound_assign_lowering():
-    unit = emit_one(module_of(FIG1), EmitConfig())
-    assert "r_cnt <= r_cnt + (1);" in unit.text
+    text = emit_one(module_of(FIG1), EmitConfig())
+    assert "r_cnt <= r_cnt + (1);" in text
 
 
 def test_fig2_posedge_async_low():
-    unit = emit_one(module_of(FIG2), EmitConfig("posedge", "async_low"))
-    assert "always_ff @ (posedge i_clk_a or negedge i_rst_a) begin" in unit.text
-    assert "if (!i_rst_a) begin" in unit.text
-    assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in unit.text
-    assert "if (i_rst_b) begin" in unit.text
+    text = emit_one(module_of(FIG2), EmitConfig("posedge", "async_low"))
+    assert "always_ff @ (posedge i_clk_a or negedge i_rst_a) begin" in text
+    assert "if (!i_rst_a) begin" in text
+    assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in text
+    assert "if (i_rst_b) begin" in text
 
 
 def test_fig2_negedge_sync_high():
-    unit = emit_one(module_of(FIG2), EmitConfig("negedge", "sync_high"))
-    assert "always_ff @ (negedge i_clk_a) begin" in unit.text
-    assert "if (i_rst_a) begin" in unit.text
+    text = emit_one(module_of(FIG2), EmitConfig("negedge", "sync_high"))
+    assert "always_ff @ (negedge i_clk_a) begin" in text
+    assert "if (i_rst_a) begin" in text
     # The sync reset must not appear in any sensitivity list.
-    for line in unit.text.splitlines():
+    for line in text.splitlines():
         if "always_ff" in line:
             assert "i_rst_a" not in line
-    assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in unit.text
+    assert "always_ff @ (negedge i_clk_b or posedge i_rst_b) begin" in text
 
 
 def test_fig2_b_process_immune_to_config():
     def b_lines(cfg):
-        text = emit_one(module_of(FIG2), cfg).text
+        text = emit_one(module_of(FIG2), cfg)
         lines = text.splitlines()
         start = next(i for i, l in enumerate(lines) if "i_clk_b" in l)
         return lines[start : start + 4]
@@ -119,7 +119,7 @@ def test_fig2_b_process_immune_to_config():
 
 
 def test_fig2_config_orthogonality():
-    texts = {cfg: emit_one(module_of(FIG2), cfg).text for cfg in ALL_CONFIGS}
+    texts = {cfg: emit_one(module_of(FIG2), cfg) for cfg in ALL_CONFIGS}
     reference = texts[ALL_CONFIGS[0]].splitlines()
     for cfg, text in texts.items():
         lines = text.splitlines()
@@ -142,24 +142,24 @@ def test_explicit_variant_module_immune_to_all_configs():
         "    }\n"
         "}\n"
     )
-    texts = {emit_one(module_of(src), cfg).text for cfg in ALL_CONFIGS}
+    texts = {emit_one(module_of(src), cfg) for cfg in ALL_CONFIGS}
     assert len(texts) == 1  # byte-identical under every clock/reset config
 
 
 def test_name_preservation():
-    unit = emit_one(module_of(FIG1), EmitConfig())
+    text = emit_one(module_of(FIG1), EmitConfig())
     for name in ["Counter", "WIDTH", "i_clk", "i_rst", "o_cnt", "r_cnt"]:
-        assert re.search(rf"\b{name}\b", unit.text)
+        assert re.search(rf"\b{name}\b", text)
 
 
 def test_process_correspondence():
-    unit = emit_one(module_of(FIG2), EmitConfig())
-    assert unit.text.count("always_ff") == FIG2.count("always_ff")
+    text = emit_one(module_of(FIG2), EmitConfig())
+    assert text.count("always_ff") == FIG2.count("always_ff")
 
 
 def test_emission_deterministic():
-    a = emit_one(module_of(FIG1), EmitConfig()).text
-    b = emit_one(module_of(FIG1), EmitConfig()).text
+    a = emit_one(module_of(FIG1), EmitConfig())
+    b = emit_one(module_of(FIG1), EmitConfig())
     assert a == b
 
 
@@ -237,7 +237,7 @@ def test_nested_unary_operators_are_not_fused():
         "    assign q = -(~i);\n"
         "}\n"
     )
-    text = emit_one(module_of(src), EmitConfig()).text
+    text = emit_one(module_of(src), EmitConfig())
     assert "assign o = - -i;" in text
     assert "assign p = ~ -i;" in text
     assert "assign q = -(~i);" in text

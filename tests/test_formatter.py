@@ -71,6 +71,25 @@ def test_doc_comments_preserved_verbatim():
     assert_stable(src)
 
 
+def test_doc_on_every_module_item_stays_in_place():
+    head = "module M (\n    clk: input clock,\n    o: output logic,\n) {\n"
+    bodies = [
+        "    /// drives o\n    assign o = 0;\n",
+        "    assign o = 0; /// drives o\n    var x: logic;\n",
+        "    /// the register\n    always_ff (clk) {\n        o = 1;\n    }\n",
+        "    always_ff (clk) {\n        o = 1;\n    } /// the register\n",
+        "    /// comb\n    always_comb {\n        o = 1;\n    }\n",
+        "    /// crossing\n    unsafe (cdc) {\n        /// inner\n        assign o = 0;\n    }\n",
+        "    unsafe (cdc) {\n        assign o = 0; /// inner\n    } /// crossing\n",
+        "    inst u: N (\n        a: o,\n    ); /// the inst\n",
+        "    function f () -> u32 {\n        return 1;\n    } /// f\n",
+    ]
+    for body in bodies:
+        src = head + body + "}\n"
+        assert roundtrip(src) == src
+        assert_stable(src)
+
+
 def test_regular_comments_survive():
     src = (
         "// file header\n"

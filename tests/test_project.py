@@ -3,7 +3,8 @@ import subprocess
 import pytest
 
 import vl.project as project
-from vl.project import Lockfile, build_plan, load_manifest, resolve_dependencies
+from vl.driver import load_program
+from vl.project import Lockfile, load_manifest, resolve_dependencies
 
 FIG5_MANIFEST = """\
 [project]
@@ -119,15 +120,15 @@ def root_manifest(tmp_path, deps):
 def test_resolve_file_url_dependency(tmp_path, cache):
     url = make_repo(tmp_path, "sample")
     m = root_manifest(tmp_path, [(url, "0.1.0")])
-    sources, lock, diags = resolve_dependencies(m)
+    plan, lock, diags = resolve_dependencies(m)
     assert diags == []
-    (src,) = sources
+    src, _ = plan
     assert src.name == "sample"
-    assert len(src.revision) == 40
-    assert (src.cache_path / "src" / "main.vl").is_file()
-    assert not (src.cache_path / ".git").exists()
+    assert (src.root / "src" / "main.vl").is_file()
+    assert not (src.root / ".git").exists()
     (entry,) = lock.entries
     assert (entry.url, entry.version, entry.name) == (url, "0.1.0", "sample")
+    assert len(entry.revision) == 40
 
 
 def test_lockfile_idempotency(tmp_path, cache):
@@ -148,8 +149,8 @@ def test_warm_cache_offline_zero_fetches(tmp_path, cache, monkeypatch):
     calls = []
     real = project._git
     monkeypatch.setattr(project, "_git", lambda *a, **k: calls.append(a) or real(*a, **k))
-    sources, _, diags = resolve_dependencies(m, lock=lock, offline=True)
-    assert diags == [] and len(sources) == 1
+    plan, _, diags = resolve_dependencies(m, lock=lock, offline=True)
+    assert diags == [] and len(plan) == 2
     assert calls == []
 
 
@@ -171,30 +172,64 @@ def test_transitive_dependencies(tmp_path, cache):
     leaf_url = make_repo(tmp_path, "leaf")
     mid_url = make_repo(tmp_path, "mid", deps=[(leaf_url, "0.1.0")])
     m = root_manifest(tmp_path, [(mid_url, "0.1.0")])
-    sources, lock, diags = resolve_dependencies(m)
+    plan, lock, diags = resolve_dependencies(m)
     assert diags == []
-    assert sorted(s.name for s in sources) == ["leaf", "mid"]
+    assert [(u.name, u.deps) for u in plan] == [("leaf", []), ("mid", ["leaf"]), ("local", ["mid"])]
     assert len(lock.entries) == 2
 
 
-def test_dependency_cycle_is_e0405(tmp_path, cache):
+def make_cycle(tmp_path, a_deps=()):
+    """Repos a and b requesting each other (a also requests `a_deps`); returns a's url."""
     # Both repos must exist before their manifests can reference each other.
     a_dir = tmp_path / "repo_a"
     b_dir = tmp_path / "repo_b"
     a_url, b_url = f"file://{a_dir}", f"file://{b_dir}"
-    for d, name, other in ((a_dir, "a", b_url), (b_dir, "b", a_url)):
+    for d, name, deps in ((a_dir, "a", [(b_url, "0.1.0"), *a_deps]), (b_dir, "b", [(a_url, "0.1.0")])):
         (d / "src").mkdir(parents=True)
-        (d / "vl.toml").write_text(
-            f'[project]\nname = "{name}"\nversion = "0.1.0"\n\n[dependencies]\n"{other}" = "0.1.0"\n'
-        )
+        dep_lines = "".join(f'"{url}" = "{ver}"\n' for url, ver in deps)
+        (d / "vl.toml").write_text(f'[project]\nname = "{name}"\nversion = "0.1.0"\n\n[dependencies]\n{dep_lines}')
         (d / "src" / "main.vl").write_text("pub module M () {}\n")
         git("init", "-q", cwd=d)
         git("add", "-A", cwd=d)
         git("commit", "-q", "-m", "init", cwd=d)
         git("tag", "v0.1.0", cwd=d)
+    return a_url
+
+
+def test_dependency_cycle_is_e0405(tmp_path, cache):
+    a_url = make_cycle(tmp_path)
     m = root_manifest(tmp_path, [(a_url, "0.1.0")])
-    _, _, diags = resolve_dependencies(m)
-    assert "E0405" in [d.code for d in diags]
+    plan, lock, diags = resolve_dependencies(m)
+    # Once, at b's request of a; a, b and the root above them stay out of the plan.
+    (d,) = diags
+    assert d.code == "E0405" and a_url in d.message and d.span.file_id.startswith(str(cache))
+    assert plan == [] and sorted(e.name for e in lock.entries) == ["a", "b"]
+    assert [d.code for d in load_program(m.path).diagnostics] == ["E0405"]
+
+
+def test_cycle_leaves_units_below_it_planned(tmp_path, cache):
+    leaf_url = make_repo(tmp_path, "leaf")
+    a_url = make_cycle(tmp_path, a_deps=[(leaf_url, "0.1.0")])
+    side_url = make_repo(tmp_path / "side", "side", deps=[(a_url, "0.1.0")])
+    m = root_manifest(tmp_path, [(a_url, "0.1.0"), (side_url, "0.1.0"), (leaf_url, "0.1.0")])
+    plan, lock, diags = resolve_dependencies(m)
+    assert [d.code for d in diags] == ["E0405"]
+    assert [u.name for u in plan] == ["leaf"]
+    assert sorted(e.name for e in lock.entries) == ["a", "b", "leaf", "side"]
+
+
+def test_failed_request_is_resolved_once(tmp_path, cache, monkeypatch):
+    d_url = make_repo(tmp_path, "ddd")
+    b_url = make_repo(tmp_path / "b", "bbb", deps=[(d_url, "9.9.9")])
+    c_url = make_repo(tmp_path / "c", "ccc", deps=[(d_url, "9.9.9")])
+    m = root_manifest(tmp_path, [(b_url, "0.1.0"), (c_url, "0.1.0")])
+    calls = []
+    real = project._git
+    monkeypatch.setattr(project, "_git", lambda args, **k: calls.append(args) or real(args, **k))
+    plan, _, diags = resolve_dependencies(m)
+    assert [d.code for d in diags] == ["E0403"]
+    assert calls.count(["ls-remote", "--tags", d_url]) == 1
+    assert [(u.name, u.deps) for u in plan] == [("bbb", []), ("ccc", []), ("local", ["bbb", "ccc"])]
 
 
 def test_namespace_collision_is_e0406(tmp_path, cache):
@@ -208,8 +243,7 @@ def test_namespace_collision_is_e0406(tmp_path, cache):
 def test_build_plan_fig5(tmp_path, cache):
     url = make_repo(tmp_path, "sample")
     m = root_manifest(tmp_path, [(url, "0.1.0")])
-    sources, _, _ = resolve_dependencies(m)
-    plan, diags = build_plan(m, sources)
+    plan, _, diags = resolve_dependencies(m)
     assert diags == []
     assert [u.name for u in plan] == ["sample", "local"]
     assert plan[-1].is_root
@@ -217,8 +251,8 @@ def test_build_plan_fig5(tmp_path, cache):
 
 def test_build_plan_no_deps(tmp_path):
     m = root_manifest(tmp_path, [])
-    plan, diags = build_plan(m, [])
-    assert diags == [] and [u.name for u in plan] == ["local"]
+    plan, lock, diags = resolve_dependencies(m)
+    assert diags == [] and [u.name for u in plan] == ["local"] and lock.entries == []
 
 
 def test_build_plan_diamond(tmp_path, cache):
@@ -226,9 +260,7 @@ def test_build_plan_diamond(tmp_path, cache):
     b_url = make_repo(tmp_path / "b", "bbb", deps=[(d_url, "0.1.0")])
     c_url = make_repo(tmp_path / "c", "ccc", deps=[(d_url, "0.1.0")])
     m = root_manifest(tmp_path, [(b_url, "0.1.0"), (c_url, "0.1.0")])
-    sources, _, diags = resolve_dependencies(m)
-    assert diags == []
-    plan, diags = build_plan(m, sources)
+    plan, _, diags = resolve_dependencies(m)
     assert diags == []
     assert [u.name for u in plan] == ["ddd", "bbb", "ccc", "local"]
 
@@ -245,6 +277,6 @@ def test_dependency_own_build_config(tmp_path, cache):
     git("commit", "-q", "-m", "init", cwd=repo)
     git("tag", "v0.1.0", cwd=repo)
     m = root_manifest(tmp_path, [(f"file://{repo}", "0.1.0")])
-    sources, _, diags = resolve_dependencies(m)
+    plan, _, diags = resolve_dependencies(m)
     assert diags == []
-    assert sources[0].manifest.clock_type == "negedge"
+    assert plan[0].manifest.clock_type == "negedge"
