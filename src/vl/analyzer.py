@@ -195,10 +195,9 @@ class _ConstEval:
 
     def path(self, e: ast.PathExpr, scope: Scope) -> int:
         quiet: list[Diagnostic] = []
-        rp = resolve(e, scope, quiet)
-        if rp is None:
+        sym = resolve(e, scope, quiet)
+        if sym is None:
             raise ConstError(quiet[0])
-        sym = rp.target
         if sym.kind not in (SymbolKind.PARAM, SymbolKind.CONST):
             self.fail(f"`{e.text}` is a {sym.kind_name}, not a constant", e.span)
         if id(sym.decl) in self.active:
@@ -411,10 +410,9 @@ class _ModuleChecker:
                 self.const_value(self.ev.eval, sub.hi, scope)
                 self.const_value(self.ev.eval, sub.lo, scope)
             elif isinstance(sub, ast.PathExpr):
-                rp = resolve(sub, scope, self.diags)
-                if rp is None:
+                sym = resolve(sub, scope, self.diags)
+                if sym is None:
                     continue
-                sym = rp.target
                 if sym.kind in (SymbolKind.MODULE, SymbolKind.PACKAGE, SymbolKind.NAMESPACE, SymbolKind.INST):
                     self.diags.append(
                         Diagnostic("E0203", f"`{sub.text}` is a {sym.kind_name}, not a value", sub.span)
@@ -461,10 +459,9 @@ class _ModuleChecker:
         if base is None:
             self.diags.append(Diagnostic("E0306", "assignment target is not an lvalue", span))
             return
-        rp = resolve(base, scope, self.diags)
-        if rp is None:
+        sym = resolve(base, scope, self.diags)
+        if sym is None:
             return
-        sym = rp.target
         if sym.kind not in (SymbolKind.VAR, SymbolKind.PORT):
             self.diags.append(
                 Diagnostic("E0306", f"cannot assign to `{base.text}` ({sym.kind_name})", base.span)
@@ -491,10 +488,9 @@ class _ModuleChecker:
     def connect(self, it: ast.InstDecl) -> None:
         """Record the reads and drives of an instance's connections; the
         connection rules are resolver.check_connections."""
-        rp = resolve(it.target, self.scope, self.diags)
-        if rp is None:
+        sym = resolve(it.target, self.scope, self.diags)
+        if sym is None:
             return
-        sym = rp.target
         if sym.kind == SymbolKind.GENERIC_PARAM:
             ports = None  # known once mono substitutes the argument module
         elif sym.kind != SymbolKind.MODULE:
@@ -527,15 +523,15 @@ class _ModuleChecker:
 
     def check_call(self, call: ast.CallExpr, scope) -> None:
         """E0310 when a call's arity disagrees with the function declaration."""
-        rp = resolve(call.path, scope, self.diags)
-        if rp is None:
+        sym = resolve(call.path, scope, self.diags)
+        if sym is None:
             return
-        if rp.target.kind != SymbolKind.FUNCTION:
+        if sym.kind != SymbolKind.FUNCTION:
             self.diags.append(
-                Diagnostic("E0203", f"`{call.path.text}` is a {rp.target.kind_name}, not a function", call.path.span)
+                Diagnostic("E0203", f"`{call.path.text}` is a {sym.kind_name}, not a function", call.path.span)
             )
             return
-        decl: ast.FunctionDecl = rp.target.decl
+        decl: ast.FunctionDecl = sym.decl
         if len(call.args) != len(decl.args):
             self.diags.append(
                 Diagnostic(

@@ -1,8 +1,9 @@
 """Syntax tree for vl source files.
 
-Nodes keep their spans and doc comments so the formatter can reproduce source
-losslessly at declaration granularity.  `structure()` strips positions for the
-structural comparisons the formatter tests rely on.
+Nodes keep their spans so the formatter can weave the file's comments back
+in at declaration granularity; modules, params and ports also keep the doc
+comments `vl doc` reads.  `structure()` strips positions for the structural
+comparisons the formatter tests rely on.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ class ParamDecl:
     name_span: Span
     ty: TypeSpec
     default: Expr
+    span: Span
     doc: DocComment | None = None
 
 
@@ -168,6 +170,7 @@ class PortDecl:
     direction: str  # input | output
     domain: str | None
     ty: TypeSpec
+    span: Span
     doc: DocComment | None = None
 
 
@@ -178,7 +181,6 @@ class VarDecl:
     domain: str | None
     ty: TypeSpec
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
@@ -188,7 +190,6 @@ class ConstDecl:
     ty: TypeSpec
     value: Expr
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
@@ -207,7 +208,6 @@ class InstDecl:
     param_conns: list[Connection]
     port_conns: list[Connection]
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
@@ -215,7 +215,6 @@ class AssignItem:
     lvalue: Expr
     rhs: Expr
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
@@ -226,14 +225,12 @@ class AlwaysFf:
     reset_span: Span | None
     body: Block
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
 class AlwaysComb:
     body: Block
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
@@ -251,14 +248,12 @@ class FunctionDecl:
     ret: TypeSpec
     body: Block
     span: Span
-    doc: DocComment | None = None
 
 
 @dataclass
 class UnsafeCdcItem:
     items: list["ModuleItem"]
     span: Span
-    doc: DocComment | None = None
 
 
 ModuleItem = VarDecl | ConstDecl | InstDecl | AssignItem | AlwaysFf | AlwaysComb | FunctionDecl | UnsafeCdcItem
@@ -276,6 +271,10 @@ class ModuleDecl:
     span: Span
     is_pub: bool = False
     doc: DocComment | None = None
+    # The `)` closing the param list and the port list, when present: the
+    # formatter keeps the comments before them inside their list.
+    params_close: Span | None = None
+    ports_close: Span | None = None
 
 
 @dataclass
@@ -285,7 +284,6 @@ class PackageDecl:
     items: list[ConstDecl | FunctionDecl]
     span: Span
     is_pub: bool = False
-    doc: DocComment | None = None
 
 
 Item = ModuleDecl | PackageDecl
@@ -296,13 +294,14 @@ class SourceFile:
     file_id: str
     text: str
     items: list[Item]
-    comments: list[Comment] = field(default_factory=list)
-    orphan_docs: list[DocComment] = field(default_factory=list)
+    # Every `//` and `///` comment, in source order; the formatter prints
+    # each where it stands.
+    comments: list[Comment | DocComment] = field(default_factory=list)
 
 
 # --- structural comparison -------------------------------------------------
 
-_SKIP_FIELDS = frozenset({"span", "name_span", "clock_span", "reset_span", "text", "comments", "orphan_docs"})
+_SKIP_FIELDS = frozenset({"span", "name_span", "clock_span", "reset_span", "text", "comments"})
 
 
 def structure(node):
@@ -315,7 +314,7 @@ def structure(node):
     if isinstance(node, (SizedLiteral, DecLiteral)):
         return (type(node).__name__, node.text)
     if isinstance(node, DocComment):
-        return ("doc", node.text, node.trailing)
+        return ("doc", node.text, node.own_line)
     if isinstance(node, Span) or node is None:
         return None
     if isinstance(node, (str, int, bool)):

@@ -1,8 +1,8 @@
 """Canonical source formatter: deterministic 4-space layout, idempotent.
 
-Doc comments are reproduced verbatim at their attachment points; regular
-comments are re-attached at declaration/statement granularity (own-line
-comments stay on their own line, trailing comments stay on their line).
+Comments, `//` and `///` alike, are woven back in at declaration/statement
+granularity: own-line comments stay on their own line, trailing comments stay
+on their line.  Doc comments get their `/// ` marker back on every line.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from bisect import bisect_right
 
 from . import ast
 from .ast import expr_text, type_text
-from .tokens import DocComment, Span
+from .tokens import DocComment
 
 
 def format_source(sf: ast.SourceFile) -> str:
@@ -24,13 +24,14 @@ class _Fmt:
         self.sf = sf
         self.out: list[str] = []
         self.indent = 0
-        self.comments = sorted(sf.comments, key=lambda c: c.span.byte_start)
+        self.comments = sf.comments
         self.used = [False] * len(self.comments)
         # Every comment before the furthest `leading` query is used, so a
         # cursor that only moves forward finds the rest.
         self.next_comment = 0
-        # A `//` comment runs to the end of its line: at most one per line.
+        # A comment runs to the end of its line: at most one per line.
         self.trailing_at = {c.span.line: i for i, c in enumerate(self.comments) if not c.own_line}
+        self.doc_end = -1  # length of `out` after the latest `///` block put on its own lines
         self.newlines = [m.start() for m in re.finditer("\n", sf.text)]
 
     def line_of(self, byte: int) -> int:
@@ -49,7 +50,16 @@ class _Fmt:
                 break
             if not self.used[i]:
                 self.used[i] = True
-                self.put(c.text)
+                if isinstance(c, DocComment):
+                    # Two adjacent blocks would read back as one: keep the
+                    # blank line the parser puts between them.
+                    if self.doc_end == len(self.out):
+                        self.put("///")
+                    for line in _lines(c):
+                        self.put(line)
+                    self.doc_end = len(self.out)
+                else:
+                    self.put(c.text)
             self.next_comment += 1
 
     def trailing(self, span) -> None:
@@ -59,30 +69,7 @@ class _Fmt:
         if i is not None and not self.used[i]:
             self.used[i] = True
             if self.out:
-                self.out[-1] += " " + self.comments[i].text
-
-    def flush_comments(self) -> None:
-        for i, c in enumerate(self.comments):
-            if not self.used[i]:
-                self.used[i] = True
-                self.put(c.text)
-
-    # -- doc comments --
-
-    def doc_lines(self, doc: DocComment) -> None:
-        for text in doc.text.split("\n"):
-            self.put(f"/// {text}" if text else "///")
-
-    def lead(self, span: Span, doc: DocComment | None) -> None:
-        """The comments before a declaration, then its leading doc."""
-        if doc is not None and not doc.trailing:
-            self.leading(doc.span.byte_start)
-            self.doc_lines(doc)
-        else:
-            self.leading(span.byte_start)
-
-    def trail_doc(self, doc: DocComment | None) -> str:
-        return f" /// {doc.text}" if doc is not None and doc.trailing else ""
+                self.out[-1] += " " + _lines(self.comments[i])[0]
 
     # -- top level --
 
@@ -91,13 +78,11 @@ class _Fmt:
             if i:
                 self.put("")
             self.emit_item(item)
-        for doc in self.sf.orphan_docs:
-            self.doc_lines(doc)
-        self.flush_comments()
+        self.leading(len(self.sf.text))
         return "\n".join(self.out) + "\n" if self.out else ""
 
     def emit_item(self, item) -> None:
-        self.lead(item.span, item.doc)
+        self.leading(item.span.byte_start)
         if isinstance(item, ast.ModuleDecl):
             self.emit_module(item)
         else:
@@ -114,6 +99,7 @@ class _Fmt:
             self.indent += 1
             for p in m.params:
                 self.emit_param(p)
+            self.leading(m.params_close.byte_start)
             self.indent -= 1
             head = ")"
         if m.ports:
@@ -121,6 +107,7 @@ class _Fmt:
             self.indent += 1
             for p in m.ports:
                 self.emit_port(p)
+            self.leading(m.ports_close.byte_start)
             self.indent -= 1
             self.put(") {")
         else:
@@ -133,15 +120,15 @@ class _Fmt:
         self.put("}")
 
     def emit_param(self, p: ast.ParamDecl) -> None:
-        self.lead(p.name_span, p.doc)
-        self.put(f"param {p.name}: {type_text(p.ty)} = {expr_text(p.default)}," + self.trail_doc(p.doc))
-        self.trailing(p.name_span)
+        self.leading(p.span.byte_start)
+        self.put(f"param {p.name}: {type_text(p.ty)} = {expr_text(p.default)},")
+        self.trailing(p.span)
 
     def emit_port(self, p: ast.PortDecl) -> None:
-        self.lead(p.name_span, p.doc)
+        self.leading(p.span.byte_start)
         dom = f"`{p.domain} " if p.domain else ""
-        self.put(f"{p.name}: {p.direction} {dom}{type_text(p.ty)}," + self.trail_doc(p.doc))
-        self.trailing(p.name_span)
+        self.put(f"{p.name}: {p.direction} {dom}{type_text(p.ty)},")
+        self.trailing(p.span)
 
     def emit_package(self, pkg: ast.PackageDecl) -> None:
         head = "pub package " if pkg.is_pub else "package "
@@ -156,7 +143,7 @@ class _Fmt:
     # -- module items --
 
     def emit_module_item(self, it) -> None:
-        self.lead(it.span, it.doc)
+        self.leading(it.span.byte_start)
         if isinstance(it, ast.VarDecl):
             dom = f"`{it.domain} " if it.domain else ""
             self.put(f"var {it.name}: {dom}{type_text(it.ty)};")
@@ -193,7 +180,6 @@ class _Fmt:
             self.put("}")
         else:
             raise TypeError(f"unexpected module item {it!r}")
-        self.out[-1] += self.trail_doc(it.doc)
         self.trailing(it.span)
 
     def emit_inst(self, it: ast.InstDecl) -> None:
@@ -267,3 +253,11 @@ class _Fmt:
         else:
             raise TypeError(f"unexpected statement {s!r}")
         self.trailing(s.span)
+
+
+def _lines(c) -> list[str]:
+    """The output lines of a comment: a `//` one verbatim, a doc comment with
+    its `///` marker back on every line."""
+    if isinstance(c, DocComment):
+        return [f"/// {line}" if line else "///" for line in c.text.split("\n")]
+    return [c.text]

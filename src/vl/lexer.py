@@ -109,7 +109,7 @@ def scan(source: str, file_id: str) -> LexResult:
             body = text[4:] if text.startswith("/// ") else text[3:]
             if code_line == line:
                 _flush_docs(run, r.doc_comments)
-                r.doc_comments.append(DocComment(body, span, trailing=True))
+                r.doc_comments.append(DocComment(body, span, False))
             else:
                 if run and line != run[-1][1].line + 1:
                     _flush_docs(run, r.doc_comments)
@@ -147,7 +147,7 @@ def _flush_docs(run: list[tuple[str, Span]], docs: list[DocComment]) -> None:
         return
     first, last = run[0][1], run[-1][1]
     span = Span(first.file_id, first.byte_start, last.byte_end, first.line, first.column)
-    docs.append(DocComment("\n".join(body for body, _ in run), span))
+    docs.append(DocComment("\n".join(body for body, _ in run), span, True))
     run.clear()
 
 

@@ -80,7 +80,7 @@ def parse_source(text: str, file_id: str) -> tuple[SourceFile, list[Diagnostic]]
     """Lex and parse one file; returns the tree plus all lex/parse diagnostics."""
     r = scan(text, file_id)
     sf, diags = parse(r.tokens, r.doc_comments, file_id, text)
-    sf.comments = r.comments
+    sf.comments = sorted(r.comments + r.doc_comments, key=lambda c: c.span.byte_start)
     return sf, r.diagnostics + diags
 
 
@@ -100,13 +100,13 @@ def parse_expression(text: str) -> Expr:
 class _Parser:
     def __init__(self, tokens: list[Token], docs: list[DocComment], file_id: str, text: str):
         self.toks = list(tokens)
-        docs = sorted(docs, key=lambda d: d.span.byte_start)
-        # A leading-doc query takes every doc that ends before it, so the docs
-        # not yet taken are always a suffix: a cursor that only moves forward.
-        self.lead_docs = [d for d in docs if not d.trailing]
+        # `docs` are in source order and leading-doc queries come in source
+        # order too, so the docs not yet passed are a suffix: a cursor that
+        # only moves forward.
+        self.lead_docs = [d for d in docs if d.own_line]
         self.lead_next = 0
         # A trailing `///` runs to the end of its line: at most one per line.
-        self.trail_docs = {d.span.line: d for d in docs if d.trailing}
+        self.trail_docs = {d.span.line: d for d in docs if not d.own_line}
         self.file_id = file_id
         self.text = text
         self.pos = 0
@@ -264,30 +264,30 @@ class _Parser:
 
     # -- doc comments --
 
-    def take_leading_docs(self, before: int) -> DocComment | None:
+    def leading_doc(self) -> DocComment | None:
+        """The `///` blocks between the last token read and the current one,
+        as one doc with a blank line between blocks.  Docs before the last
+        token document nothing."""
+        after = self.toks[self.pos - 1].span.byte_end if self.pos else 0
+        before = self.cur().span.byte_start
         got: list[DocComment] = []
-        while self.lead_next < len(self.lead_docs) and self.lead_docs[self.lead_next].span.byte_end <= before:
-            got.append(self.lead_docs[self.lead_next])
+        while self.lead_next < len(self.lead_docs) and self.lead_docs[self.lead_next].span.byte_start < before:
+            d = self.lead_docs[self.lead_next]
+            if d.span.byte_start >= after:
+                got.append(d)
             self.lead_next += 1
-        if not got:
-            return None
-        if len(got) == 1:
-            return got[0]
-        return DocComment("\n\n".join(d.text for d in got), got[0].span)
-
-    def attach(self, decl, doc: DocComment | None, line: int):
-        """Give `decl` its leading `doc`, or else the trailing `///` on `line`;
-        that one is taken either way."""
-        trailing = self.trail_docs.pop(line, None)
-        decl.doc = doc or trailing
-        return decl
+        if len(got) < 2:
+            return got[0] if got else None
+        return DocComment("\n\n".join(d.text for d in got), got[0].span, True)
 
     def documented(self, parse):
-        """A param or port with its doc; a trailing `///` sits after its comma."""
-        doc = self.take_leading_docs(self.cur().span.byte_start)
+        """A param or port with its doc: its leading doc, or else the `///`
+        on the line where it ends.  That one is taken either way."""
+        doc = self.leading_doc()
         decl = parse()
-        line = self.cur().span.line if self.at_punct(",") else decl.name_span.line
-        return self.attach(decl, doc, line)
+        trailing = self.trail_docs.pop(self.toks[self.pos - 1].span.line, None)
+        decl.doc = doc or trailing
+        return decl
 
     # -- recovery --
 
@@ -315,20 +315,18 @@ class _Parser:
                 items.append(self.parse_item())
             except _ParseError:
                 self.recover()
-        orphans = sorted(self.lead_docs[self.lead_next :] + list(self.trail_docs.values()), key=lambda d: d.span.byte_start)
-        return SourceFile(self.file_id, self.text, items, orphan_docs=orphans)
+        return SourceFile(self.file_id, self.text, items)
 
     def parse_item(self):
-        start = self.cur()
-        doc = self.take_leading_docs(start.span.byte_start)
-        is_pub = False
-        if self.at_kw("pub"):
+        start = self.cur().span
+        doc = self.leading_doc()
+        is_pub = self.at_kw("pub")
+        if is_pub:
             self.bump()
-            is_pub = True
         if self.at_kw("module"):
-            return self.parse_module(is_pub, doc, start.span)
+            return self.parse_module(is_pub, doc, start)
         if self.at_kw("package"):
-            return self.parse_package(is_pub, doc, start.span)
+            return self.parse_package(is_pub, start)
         raise self.unexpected("`module` or `package`")
 
     # -- items --
@@ -341,26 +339,31 @@ class _Parser:
             self.bump()
             generic_params = self.delimited(">", self.expect_punct("<").span, lambda: self.expect_ident("generic parameter").text)
         params: list[ParamDecl] = []
+        params_close = ports_close = None
         if self.at_punct("#"):
             self.bump()
             params = self.delimited(")", self.expect_punct("(").span, lambda: self.documented(self.parse_param))
+            params_close = self.toks[self.pos - 1].span
         ports: list[PortDecl] = []
         if self.at_punct("("):
             ports = self.delimited(")", self.bump().span, lambda: self.documented(self.parse_port))
-            if ports:  # a trailing `///` after `)` belongs to the last port
-                self.attach(ports[-1], ports[-1].doc, self.toks[self.pos - 1].span.line)
+            ports_close = self.toks[self.pos - 1].span
         self.recovered = False
         body = self.braced(self.parse_module_item)
-        return ModuleDecl(name.text, name.span, generic_params, params, ports, body, self.recovered, self.span_to_prev(start), is_pub, doc)
+        span = self.span_to_prev(start)
+        return ModuleDecl(
+            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc, params_close, ports_close
+        )
 
     def parse_param(self) -> ParamDecl:
         if not self.at_kw("param"):
             raise self.unexpected("`param`")
-        self.bump()
+        start = self.bump().span
         name = self.expect_name("parameter name")
         ty = self.parse_type()
         self.expect_punct("=")
-        return ParamDecl(name.text, name.span, ty, self.parse_expr())
+        default = self.parse_expr()
+        return ParamDecl(name.text, name.span, ty, default, self.span_to_prev(start))
 
     def parse_port(self) -> PortDecl:
         name = self.expect_name("port name")
@@ -371,20 +374,18 @@ class _Parser:
         domain = None
         if self.cur().kind == TokenKind.DOMAIN_TICK:
             domain = self.bump().text[1:]
-        return PortDecl(name.text, name.span, direction, domain, self.parse_type())
+        ty = self.parse_type()
+        return PortDecl(name.text, name.span, direction, domain, ty, self.span_to_prev(name.span))
 
     def parse_module_item(self):
-        return self.documented_item(_Parser._MODULE_ITEMS, "a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
+        return self.keyword_item(_Parser._MODULE_ITEMS, "a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
 
-    def documented_item(self, parsers: dict, expected: str):
-        """The item that `parsers` maps the current keyword to, with its leading
-        doc, or else the trailing `///` on its last line."""
-        doc = self.take_leading_docs(self.cur().span.byte_start)
+    def keyword_item(self, parsers: dict, expected: str):
+        """The item that `parsers` maps the current keyword to."""
         t = self.cur()
         if t.kind != TokenKind.KEYWORD or t.text not in parsers:
             raise self.unexpected(expected)
-        item = parsers[t.text](self)
-        return self.attach(item, doc, self.toks[self.pos - 1].span.line)
+        return parsers[t.text](self)
 
     def parse_var(self) -> VarDecl:
         start = self.bump().span
@@ -500,14 +501,14 @@ class _Parser:
 
     # -- package --
 
-    def parse_package(self, is_pub: bool, doc, start: Span) -> PackageDecl:
+    def parse_package(self, is_pub: bool, start: Span) -> PackageDecl:
         self.bump()
         name = self.expect_ident("package name")
         items = self.braced(self.parse_package_item)
-        return PackageDecl(name.text, name.span, items, self.span_to_prev(start), is_pub, doc)
+        return PackageDecl(name.text, name.span, items, self.span_to_prev(start), is_pub)
 
     def parse_package_item(self):
-        return self.documented_item(_Parser._PACKAGE_ITEMS, "`const` or `function`")
+        return self.keyword_item(_Parser._PACKAGE_ITEMS, "`const` or `function`")
 
     # -- types --
 

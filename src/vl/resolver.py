@@ -74,13 +74,6 @@ class SymbolTable:
     function_scopes: dict[int, Scope] = field(default_factory=dict)
 
 
-@dataclass
-class ResolvedPath:
-    segments: list[str]
-    target: Symbol
-    namespace_root: str | None = None  # None = local, else dependency project name
-
-
 def build_symbols(
     files: list[ast.SourceFile],
     dependency_namespaces: dict[str, SymbolTable] | None = None,
@@ -160,14 +153,14 @@ def _index_package(table, pkg: ast.PackageDecl, unit, declare) -> None:
                 declare(fscope, Symbol(a.name, SymbolKind.VAR, a.name_span, unit, decl=a, ty=a.ty))
 
 
-def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> ResolvedPath | None:
-    """Innermost-scope-first lookup; the first segment may name a dependency,
-    and each later one is looked up in the members of the symbol before it."""
+def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> Symbol | None:
+    """The symbol `path` names, by innermost-scope-first lookup; the first
+    segment may name a dependency, and each later one is looked up in the
+    members of the symbol before it."""
     sym = scope.lookup(path.segments[0])
     if sym is None:
         diags.append(Diagnostic("E0202", f"undefined identifier `{path.segments[0]}`", path.span))
         return None
-    root: str | None = None
     for seg in path.segments[1:]:
         if sym.members is None:
             diags.append(
@@ -176,7 +169,6 @@ def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> Resolv
             return None
         member = sym.members.entries.get(seg)
         if sym.kind == SymbolKind.NAMESPACE:
-            root = sym.name
             if member is None or not member.is_pub:
                 diags.append(Diagnostic("E0202", f"dependency `{sym.name}` has no public item `{seg}`", path.span))
                 return None
@@ -184,7 +176,7 @@ def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> Resolv
             diags.append(Diagnostic("E0202", f"package `{sym.name}` has no item `{seg}`", path.span))
             return None
         sym = member
-    return ResolvedPath(list(path.segments), sym, root)
+    return sym
 
 
 _CLOCK_OR_RESET = ast.CLOCK_KINDS | ast.RESET_KINDS
@@ -237,8 +229,8 @@ def check_connections(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) ->
             if not isinstance(c.expr, ast.PathExpr):
                 diags.append(Diagnostic("E0315", f"port `{c.name}` needs a clock/reset-typed signal", c.expr.span))
                 continue
-            rp = resolve(c.expr, scope, [])
-            if rp is not None and not clock_or_reset(rp.target.ty):
+            sym = resolve(c.expr, scope, [])
+            if sym is not None and not clock_or_reset(sym.ty):
                 diags.append(
                     Diagnostic(
                         "E0315",
@@ -422,18 +414,18 @@ class _Mono:
         if path.text in env:  # a generic parameter of the module being instantiated
             return env[path.text]
         quiet: list[Diagnostic] = []
-        rp = resolve(path, scope, quiet)
-        if rp is None:
+        sym = resolve(path, scope, quiet)
+        if sym is None:
             return None  # E0202/E0203 are reported by the analyzer's pass
-        if rp.target.kind == SymbolKind.MODULE:
-            return (rp.target.unit, rp.target.name)
-        if rp.target.kind == SymbolKind.GENERIC_PARAM:
+        if sym.kind == SymbolKind.MODULE:
+            return (sym.unit, sym.name)
+        if sym.kind == SymbolKind.GENERIC_PARAM:
             return None  # inst of an unsubstituted parameter: template body itself
         if required:
             self.diags.append(
                 Diagnostic(
                     "E0205",
-                    f"generic argument `{path.text}` is a {rp.target.kind_name}, not a module",
+                    f"generic argument `{path.text}` is a {sym.kind_name}, not a module",
                     path.span,
                 )
             )

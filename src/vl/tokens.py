@@ -39,7 +39,8 @@ class Token:
 
 @dataclass(slots=True)
 class DocComment:
-    """One block of consecutive `///` lines, or a single trailing `///`.
+    """One block of consecutive own-line `///` lines, or a single `///` after
+    code on its line.
 
     `text` has the `///` marker (and one following space, if present)
     stripped from every line.
@@ -47,7 +48,7 @@ class DocComment:
 
     text: str
     span: Span
-    trailing: bool = False
+    own_line: bool
 
 
 @dataclass(frozen=True, slots=True)

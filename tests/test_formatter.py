@@ -1,9 +1,11 @@
 from hypothesis import given, strategies as st
 
 from vl.ast import structure
+from vl.docgen import extract_docs
 from vl.formatter import format_source
 from vl.lexer import scan
 from vl.parser import parse_source
+from vl.tokens import Comment
 
 from test_parser import FIG1, parse_ok
 
@@ -141,6 +143,33 @@ def test_comments_before_a_closing_brace_stay_in_their_block():
     assert roundtrip(src) == src
 
 
+def test_every_comment_stays_where_it_stands():
+    """Each probe is already in canonical form, so fmt must give it back
+    byte for byte: no comment moves, none is dropped, and the stray doc at
+    the end of `A` does not become `B`'s description."""
+    probes = [
+        # a trailing doc on a param that also has a leading doc
+        "module M #(\n    /// lead\n    param A: u32 = 1, /// trail\n) () {\n}\n",
+        # a doc before a statement
+        "module M (\n    o: output logic,\n) {\n    always_comb {\n        /// why\n        o = 1'b0;\n    }\n"
+        "    var v: logic;\n}\n",
+        # a trailing doc on a statement
+        "module M (\n    o: output logic,\n) {\n    always_comb {\n        o = 1'b0; /// why\n    }\n"
+        "    var v: logic;\n}\n",
+        # a `//` line between a doc and its declaration
+        "module M () {\n    /// d\n    // note\n    var v: logic;\n    var w: logic;\n}\n",
+        # a doc before a module's closing brace
+        "pub module A () {\n    var v: logic;\n    /// stray\n}\n\npub module B () {\n}\n",
+        # a comment before the `)` of a port list
+        "module M (\n    a: input logic,\n    // spare ports\n) {\n    var v: logic;\n}\n",
+    ]
+    for src in probes:
+        assert roundtrip(src) == src
+        assert_stable(src)
+    models, _ = extract_docs([parse_ok(probes[4])])
+    assert [(m.name, m.body_doc) for m in models] == [("A", ""), ("B", "")]
+
+
 _ITEMS = [
     ["var v: logic;"],
     ["assign v = a;"],
@@ -154,25 +183,51 @@ _ITEMS = [
 
 @st.composite
 def commented_module(draw):
-    """A module, one declaration or statement per line, with `//` comments on
-    their own lines and at line ends at random places."""
+    """A pub module, one param, port, declaration or statement per line, with
+    `//` comments and `///` blocks on their own lines (a blank line before
+    some) and at line ends (`///` only after `,`, `;` and `}`), at random
+    places."""
+    nparams = draw(st.integers(0, 3))
     nports = draw(st.integers(0, 3))
-    lines = ["module M (", *(f"    p{i}: input logic," for i in range(nports)), ") {"] if nports else ["module M () {"]
+    lines = ["pub module M #(", *(f"    param P{i}: u32 = {i}," for i in range(nparams))] if nparams else []
+    close = ") " if nparams else "pub module M "
+    if nports:
+        lines += [close + "(", *(f"    p{i}: input logic," for i in range(nports)), ") {"]
+    else:
+        lines.append(close + "() {")
     for item in draw(st.lists(st.sampled_from(_ITEMS), max_size=5)):
         lines += ["    " + line for line in item]
     lines.append("}")
     out: list[str] = []
     for line in lines + [""]:
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
             out.append(f"// own {len(out)}")
-        if line and draw(st.integers(0, 3)) == 0:
+        elif kind == 1:
+            if draw(st.booleans()):
+                out.append("")
+            out += [f"/// doc {len(out)}", *(["/// more"] if draw(st.booleans()) else [])]
+        kind = draw(st.integers(0, 5))
+        if line and kind == 0:
             line += f" // trailing {len(out)}"
+        elif line and kind == 1 and line[-1] in ",;}":
+            line += f" /// trailing {len(out)}"
         out.append(line)
     return "\n".join(out)
+
+
+def comment_texts(src):
+    """Every `//` comment and every non-empty `///` line of `src`, in order."""
+    r = scan(src, "t.vl")
+    texts = []
+    for c in sorted(r.comments + r.doc_comments, key=lambda c: c.span.byte_start):
+        texts += [c.text] if isinstance(c, Comment) else [line for line in c.text.split("\n") if line]
+    return texts
 
 
 @given(commented_module())
 def test_every_comment_kept_once_in_order_property(src):
     once = roundtrip(src)
-    assert [c.text for c in scan(once, "t.vl").comments] == [c.text for c in scan(src, "t.vl").comments]
+    assert comment_texts(once) == comment_texts(src)
     assert roundtrip(once) == once
+    assert extract_docs([parse_ok(once)])[0] == extract_docs([parse_ok(src)])[0]

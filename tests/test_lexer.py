@@ -74,9 +74,9 @@ def test_doc_comment_block_and_trailing():
     assert len(r.doc_comments) == 2
     block, trail = r.doc_comments
     assert block.text == "Counter\nsecond line"
-    assert not block.trailing
+    assert block.own_line
     assert trail.text == "Trailing"
-    assert trail.trailing
+    assert not trail.own_line
 
 
 def test_doc_blocks_split_on_gap():

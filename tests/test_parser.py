@@ -165,7 +165,7 @@ def test_trailing_doc_attaches_to_port():
     )
     ports = sf.items[0].ports
     assert [p.doc.text for p in ports] == ["Clock", "Input Data"]
-    assert all(p.doc.trailing for p in ports)
+    assert not any(p.doc.own_line for p in ports)
 
 
 def test_leading_doc_attaches_to_param():

@@ -74,8 +74,8 @@ def test_order_independence_of_resolution():
         m = next(i for i in (a.items + b.items) if i.name == "A")
         scope = table.module_scopes[id(m)]
         diags = []
-        rp = resolve(ast.PathExpr(["B"], m.name_span), scope, diags)
-        assert diags == [] and rp.target.kind == SymbolKind.MODULE
+        sym = resolve(ast.PathExpr(["B"], m.name_span), scope, diags)
+        assert diags == [] and sym.kind == SymbolKind.MODULE
 
 
 def test_resolve_local_var():
@@ -83,16 +83,16 @@ def test_resolve_local_var():
     m = sf.items[0]
     scope = table.module_scopes[id(m)]
     diags = []
-    rp = resolve(ast.PathExpr(["r_cnt"], m.name_span), scope, diags)
-    assert diags == [] and rp.target.kind == SymbolKind.VAR
+    sym = resolve(ast.PathExpr(["r_cnt"], m.name_span), scope, diags)
+    assert diags == [] and sym.kind == SymbolKind.VAR
 
 
 def test_resolve_undefined_is_e0202():
     sf, table, _ = symbols("module M () {}")
     m = sf.items[0]
     diags = []
-    rp = resolve(ast.PathExpr(["nonexistent"], m.name_span), table.module_scopes[id(m)], diags)
-    assert rp is None and [d.code for d in diags] == ["E0202"]
+    sym = resolve(ast.PathExpr(["nonexistent"], m.name_span), table.module_scopes[id(m)], diags)
+    assert sym is None and [d.code for d in diags] == ["E0202"]
 
 
 def test_resolve_dependency_path():
@@ -102,9 +102,9 @@ def test_resolve_dependency_path():
     m = sf.items[0]
     scope = table.module_scopes[id(m)]
     out = []
-    rp = resolve(ast.PathExpr(["sample", "Sample"], m.name_span), scope, out)
-    assert out == [] and rp.namespace_root == "sample"
-    assert rp.target.kind == SymbolKind.MODULE
+    sym = resolve(ast.PathExpr(["sample", "Sample"], m.name_span), scope, out)
+    assert out == [] and sym.unit == "sample"
+    assert sym.kind == SymbolKind.MODULE
     # Non-pub items are not visible through the namespace.
     out = []
     assert resolve(ast.PathExpr(["sample", "Hidden"], m.name_span), scope, out) is None
@@ -116,8 +116,8 @@ def test_resolve_package_const():
     sf, table, _ = symbols(src)
     m = sf.items[1]
     out = []
-    rp = resolve(ast.PathExpr(["p", "C"], m.name_span), table.module_scopes[id(m)], out)
-    assert out == [] and rp.target.kind == SymbolKind.CONST
+    sym = resolve(ast.PathExpr(["p", "C"], m.name_span), table.module_scopes[id(m)], out)
+    assert out == [] and sym.kind == SymbolKind.CONST
 
 
 def test_member_of_non_container_is_e0203():
