@@ -44,75 +44,6 @@ class FfBinding:
     uses_if_reset: bool
 
 
-@dataclass
-class AnalysisInfo:
-    """Facts the emitter needs: per-process clock/reset bindings."""
-
-    ff_bindings: dict[int, FfBinding] = field(default_factory=dict)
-
-
-def module_signal_types(m: ast.ModuleDecl) -> dict[str, ast.TypeSpec]:
-    types: dict[str, ast.TypeSpec] = {}
-    for p in m.ports:
-        types[p.name] = p.ty
-    for it, _ in ast.iter_module_items(m.body):
-        if isinstance(it, ast.VarDecl):
-            types[it.name] = it.ty
-    return types
-
-
-def bind_always_ff(m: ast.ModuleDecl) -> tuple[dict[int, FfBinding], list[Diagnostic]]:
-    """Bind each always_ff to its clock (and reset, when needed).
-
-    Abbreviated forms require exactly one clock-typed (and reset-typed) signal
-    in the module; explicit names must have clock/reset types.
-    """
-    diags: list[Diagnostic] = []
-    bindings: dict[int, FfBinding] = {}
-    types = module_signal_types(m)
-    typed = {what: [n for n, t in types.items() if t.kind in kinds] for what, kinds in _SPECIAL_KINDS.items()}
-
-    def bind(what: str, name: str | None, span: Span | None, ff: ast.AlwaysFf) -> str | None:
-        """The `what` ("clock" or "reset") of `ff`: `name` as written, or,
-        when it is None, the module's only `what`-typed signal."""
-        if name is None:
-            if len(typed[what]) == 1:
-                return typed[what][0]
-            diags.append(
-                Diagnostic(
-                    "E0312",
-                    f"cannot infer the {what} for an abbreviated always_ff: {len(typed[what])} {what}-typed signals in scope",
-                    ff.span,
-                )
-            )
-        elif name not in types:
-            diags.append(Diagnostic("E0202", f"undefined identifier `{name}`", span))
-        elif types[name].kind not in _SPECIAL_KINDS[what]:
-            diags.append(Diagnostic("E0314", f"`{name}` in a sensitivity list must have a {what} type", span))
-        else:
-            return name
-        return None
-
-    for it, _ in ast.iter_module_items(m.body):
-        if not isinstance(it, ast.AlwaysFf):
-            continue
-        uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(it.body.stmts))
-        clock = bind("clock", it.clock_name, it.clock_span, it)
-        reset = None
-        if uses_ir and it.clock_name is not None and it.reset_name is None:
-            diags.append(Diagnostic("E0313", "`if_reset` requires a reset in this always_ff's sensitivity list", it.span))
-        elif uses_ir or it.reset_name is not None:
-            reset = bind("reset", it.reset_name, it.reset_span, it)
-        bindings[id(it)] = FfBinding(
-            clock,
-            types[clock].kind if clock else None,
-            reset,
-            types[reset].kind if reset else None,
-            uses_ir,
-        )
-    return bindings, diags
-
-
 # -- constant evaluation ------------------------------------------------------
 
 
@@ -227,17 +158,19 @@ class _ConstEval:
 # -- per-unit analysis ---------------------------------------------------------
 
 
-def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[Diagnostic], AnalysisInfo]:
-    """Run the full check catalog over one project's parsed files."""
+def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[Diagnostic], dict[int, FfBinding]]:
+    """Run the full check catalog over one project's parsed files.  Returns the
+    diagnostics and the clock/reset binding of each always_ff, keyed by the
+    `id()` of the process."""
     diags: list[Diagnostic] = []
-    info = AnalysisInfo()
+    bindings: dict[int, FfBinding] = {}
     ev = _ConstEval()
     for sf in sorted(files, key=lambda f: f.file_id):
         for item in sf.items:
             chk = _ModuleChecker(item, table, ev)
             diags += chk.run()
-            info.ff_bindings.update(chk.bindings)
-    return diags, info
+            bindings.update(chk.bindings)
+    return diags, bindings
 
 
 def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
@@ -266,6 +199,8 @@ def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
 
 @dataclass
 class _Signal:
+    """A port or var of the module's own scope."""
+
     sym: Symbol
     direction: str | None  # input/output for ports, None for vars
     domain: str | None
@@ -273,6 +208,17 @@ class _Signal:
     @property
     def special(self) -> bool:
         return clock_or_reset(self.sym.ty)
+
+
+@dataclass
+class _Site:
+    """What one assign, always_ff, always_comb, inst or function drives and
+    reads of the module's own signals."""
+
+    kind: str
+    item: ast.ModuleItem
+    drive_spans: dict[str, Span] = field(default_factory=dict)  # signal -> its first drive span here
+    read_spans: list[tuple[str, Span, bool]] = field(default_factory=list)  # (signal, span, inside unsafe (cdc))
 
 
 class _ModuleChecker:
@@ -287,23 +233,20 @@ class _ModuleChecker:
         self.table = table
         self.diags: list[Diagnostic] = []
         self.bindings: dict[int, FfBinding] = {}
-        self.signals: dict[str, _Signal] = {}
-        # name -> list of (site kind, site id, span); one entry per driving site
-        self.drives: dict[str, list[tuple[str, int, Span]]] = {}
+        self.signals = {
+            name: _Signal(sym, sym.decl.direction if sym.kind == SymbolKind.PORT else None, sym.decl.domain)
+            for name, sym in self.scope.entries.items()
+            if sym.kind in (SymbolKind.PORT, SymbolKind.VAR)
+        }
+        self.sites: list[_Site] = []
         # names wired to a port of a generic parameter, whose direction is unknown
         self.maybe_driven: set[str] = set()
-        self.reads: dict[str, list[Span]] = {}
-        # (ff id, signal name, span, amnesty) for CDC
-        self.ff_reads: list[tuple[int, str, Span, bool]] = []
-        # signal -> list of domain sources per driving site
-        self.domain_drivers: dict[str, list[tuple[str, object]]] = {}
         self.ev = ev
 
     def run(self) -> list[Diagnostic]:
-        """Collect the signals, then check every item in one walk, then the
-        whole-module rules that need all drives and reads."""
-        self.collect_signals()
-        self.bindings, self.diags = bind_always_ff(self.m)
+        """Check every item in one walk, recording one site per assign,
+        process, inst and function; then the whole-module rules, which read
+        the sites."""
         for p in self.m.params:
             self.const_init(p)
         for p in self.m.ports:
@@ -314,34 +257,78 @@ class _ModuleChecker:
                 if isinstance(it, ast.ConstDecl):
                     self.const_init(it)
             elif isinstance(it, ast.AssignItem):
-                self.drive(it.lvalue, "assign", id(it), it.span, self.scope)
-                reads = self.expr_read(it.rhs, self.scope)
-                reads += self.select_reads(it.lvalue, self.scope, None, False)
-                self.note_domain_driver(it.lvalue, ("comb", frozenset(reads)))
+                site = self.site("assign", it)
+                self.drive(site, it.lvalue, it.span, self.scope)
+                self.expr_read(site, it.rhs, self.scope)
+                self.select_reads(site, it.lvalue, self.scope)
             elif isinstance(it, ast.AlwaysFf):
-                self.walk_process(it, "always_ff", in_unsafe)
+                self.bind_always_ff(it)
+                self.walk_stmts(self.site("always_ff", it), it.body.stmts, self.scope, in_unsafe)
             elif isinstance(it, ast.AlwaysComb):
-                self.walk_process(it, "always_comb", in_unsafe)
+                self.walk_stmts(self.site("always_comb", it), it.body.stmts, self.scope, in_unsafe)
                 self.check_latches(it.body)
             elif isinstance(it, ast.InstDecl):
                 self.connect(it)
             elif isinstance(it, ast.FunctionDecl):
-                fscope = self.table.function_scopes[id(it)]
-                self.walk_stmts(it.body.stmts, None, fscope, "function", id(it), False)
+                self.walk_stmts(self.site("function", it), it.body.stmts, self.table.function_scopes[id(it)], False)
         self.check_drivers()
         self.check_cdc()
         return self.diags
 
-    def collect_signals(self) -> None:
-        for p in self.m.ports:
-            sym = self.scope.entries.get(p.name)
-            if sym is not None and sym.decl is p:
-                self.signals[p.name] = _Signal(sym, p.direction, p.domain)
-        for it, _ in ast.iter_module_items(self.m.body):
-            if isinstance(it, ast.VarDecl):
-                sym = self.scope.entries.get(it.name)
-                if sym is not None and sym.decl is it:
-                    self.signals[it.name] = _Signal(sym, None, it.domain)
+    def site(self, kind: str, item: ast.ModuleItem) -> _Site:
+        site = _Site(kind, item)
+        self.sites.append(site)
+        return site
+
+    def own(self, sym: Symbol) -> bool:
+        """Whether `sym` is one of the module's own signals, not a function
+        argument or anything else of the same name."""
+        sig = self.signals.get(sym.name)
+        return sig is not None and sig.sym is sym
+
+    # -- clock and reset --
+
+    def bind_always_ff(self, ff: ast.AlwaysFf) -> None:
+        """Bind `ff` to its clock (and reset, when needed).  An abbreviated
+        form requires exactly one clock-typed (and reset-typed) signal in the
+        module; explicit names must have clock/reset types."""
+        uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(ff.body.stmts))
+        clock = self.bind("clock", ff.clock_name, ff.clock_span, ff)
+        reset = None
+        if uses_ir and ff.clock_name is not None and ff.reset_name is None:
+            self.diags.append(Diagnostic("E0313", "`if_reset` requires a reset in this always_ff's sensitivity list", ff.span))
+        elif uses_ir or ff.reset_name is not None:
+            reset = self.bind("reset", ff.reset_name, ff.reset_span, ff)
+        self.bindings[id(ff)] = FfBinding(
+            clock,
+            self.signals[clock].sym.ty.kind if clock else None,
+            reset,
+            self.signals[reset].sym.ty.kind if reset else None,
+            uses_ir,
+        )
+
+    def bind(self, what: str, name: str | None, span: Span | None, ff: ast.AlwaysFf) -> str | None:
+        """The `what` ("clock" or "reset") of `ff`: `name` as written, or,
+        when it is None, the module's only `what`-typed signal."""
+        kinds = _SPECIAL_KINDS[what]
+        if name is None:
+            typed = [n for n, sig in self.signals.items() if sig.sym.ty.kind in kinds]
+            if len(typed) == 1:
+                return typed[0]
+            self.diags.append(
+                Diagnostic(
+                    "E0312",
+                    f"cannot infer the {what} for an abbreviated always_ff: {len(typed)} {what}-typed signals in scope",
+                    ff.span,
+                )
+            )
+        elif name not in self.signals:
+            self.diags.append(Diagnostic("E0202", f"undefined identifier `{name}`", span))
+        elif self.signals[name].sym.ty.kind not in kinds:
+            self.diags.append(Diagnostic("E0314", f"`{name}` in a sensitivity list must have a {what} type", span))
+        else:
+            return name
+        return None
 
     # -- constant contexts --
 
@@ -363,45 +350,28 @@ class _ModuleChecker:
         for d in ty.packed_dims + ty.unpacked_dims:
             self.const_value(self.ev.eval, d, self.scope)
 
-    # -- processes --
+    # -- reads and drives --
 
-    def walk_process(self, proc, kind: str, amnesty: bool) -> None:
-        ff_id = id(proc) if kind == "always_ff" else None
-        assigned, read_names = self.walk_stmts(proc.body.stmts, ff_id, self.scope, kind, id(proc), amnesty)
-        source = ("comb", frozenset(read_names)) if kind == "always_comb" else ("ff", id(proc))
-        for name in assigned:
-            self.domain_drivers.setdefault(name, []).append(source)
-
-    def walk_stmts(self, stmts, ff_id, scope, site_kind, site_id, amnesty) -> tuple[list[str], set[str]]:
-        """Record the drives and reads of `stmts`; returns the single-segment
-        names assigned, in first-assigned order, and the signal names read."""
-        assigned: dict[str, None] = {}
-        read_names: set[str] = set()
-        for s, unsafe in ast.iter_stmts(stmts, amnesty):
+    def walk_stmts(self, site: _Site, stmts, scope, unsafe: bool) -> None:
+        """Record the drives and reads of `stmts` into `site`."""
+        for s, inner in ast.iter_stmts(stmts, unsafe):
             if isinstance(s, ast.AssignStmt):
-                self.drive(s.lvalue, site_kind, site_id, s.span, scope)
-                read_names.update(self.expr_read(s.rhs, scope, ff_id=ff_id, amnesty=unsafe))
-                read_names.update(self.select_reads(s.lvalue, scope, ff_id, unsafe))
-                base = ast.lvalue_base(s.lvalue)
-                if base is not None and len(base.segments) == 1:
-                    assigned.setdefault(base.segments[0])
+                self.drive(site, s.lvalue, s.span, scope)
+                self.expr_read(site, s.rhs, scope, inner)
+                self.select_reads(site, s.lvalue, scope, inner)
             elif isinstance(s, ast.ReturnStmt):
-                read_names.update(self.expr_read(s.value, scope, ff_id=ff_id, amnesty=unsafe))
+                self.expr_read(site, s.value, scope, inner)
             elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
                 for cond, _ in ast.if_arms(s)[0]:
                     if cond is not None:
-                        read_names.update(self.expr_read(cond, scope, ff_id=ff_id, amnesty=unsafe))
-        return list(assigned), read_names
+                        self.expr_read(site, cond, scope, inner)
 
-    # -- reads and drives --
-
-    def expr_read(self, e: ast.Expr, scope, ff_id=None, amnesty=False, use="read") -> list[str]:
+    def expr_read(self, site: _Site | None, e: ast.Expr, scope, unsafe: bool = False, generic: bool = False) -> None:
         """Resolve every path in `e` and check its literal widths, calls and
-        range bounds; returns the signal names read.  `use` is what `e` feeds:
-        "read", ordinary dataflow, recorded as reads; "param", a parameter
-        connection, not recorded; "generic", a port of a generic parameter,
-        recorded, with no E0315 until mono knows the port's type."""
-        names: list[str] = []
+        range bounds; record the signals it reads into `site`.  A parameter
+        connection has no site: it carries no dataflow.  On a port of a
+        generic parameter (`generic`), E0315 waits until mono knows the
+        port's type."""
         self.diags += check_literal_widths(e)
         for sub in ast.walk_exprs(e):
             if isinstance(sub, ast.CallExpr):
@@ -421,27 +391,19 @@ class _ModuleChecker:
                     self.diags.append(
                         Diagnostic("E0203", f"function `{sub.text}` must be called", sub.span)
                     )
-                elif use == "generic" or self.dataflow(sym, sub):
-                    name = sub.segments[0]
-                    if use != "param" and len(sub.segments) == 1 and name in self.signals:
-                        names.append(name)
-                        self.reads.setdefault(name, []).append(sub.span)
-                        if ff_id is not None:
-                            self.ff_reads.append((ff_id, name, sub.span, amnesty))
-        return names
+                elif (generic or self.dataflow(sym, sub)) and site is not None and self.own(sym):
+                    site.read_spans.append((sym.name, sub.span, unsafe))
 
-    def select_reads(self, lvalue: ast.Expr, scope, ff_id, amnesty) -> list[str]:
+    def select_reads(self, site: _Site, lvalue: ast.Expr, scope, unsafe: bool = False) -> None:
         """Index/range expressions inside an lvalue are reads."""
-        names: list[str] = []
         e = lvalue
         while isinstance(e, (ast.IndexExpr, ast.RangeExpr)):
             if isinstance(e, ast.IndexExpr):
-                names += self.expr_read(e.index, scope, ff_id=ff_id, amnesty=amnesty)
+                self.expr_read(site, e.index, scope, unsafe)
             else:
-                names += self.expr_read(e.hi, scope, ff_id=ff_id, amnesty=amnesty)
-                names += self.expr_read(e.lo, scope, ff_id=ff_id, amnesty=amnesty)
+                self.expr_read(site, e.hi, scope, unsafe)
+                self.expr_read(site, e.lo, scope, unsafe)
             e = e.base
-        return names
 
     def dataflow(self, sym: Symbol, path: ast.PathExpr) -> bool:
         """Whether `sym` may carry ordinary data; E0315 if it is a clock or reset."""
@@ -454,7 +416,7 @@ class _ModuleChecker:
             return False
         return True
 
-    def drive(self, lvalue: ast.Expr, site_kind: str, site_id: int, span: Span, scope) -> None:
+    def drive(self, site: _Site, lvalue: ast.Expr, span: Span, scope) -> None:
         base = ast.lvalue_base(lvalue)
         if base is None:
             self.diags.append(Diagnostic("E0306", "assignment target is not an lvalue", span))
@@ -474,16 +436,8 @@ class _ModuleChecker:
                 Diagnostic("E0306", f"input port `{base.text}` cannot be assigned", base.span)
             )
             return
-        name = base.segments[0]
-        if len(base.segments) == 1 and name in self.signals:
-            sites = self.drives.setdefault(name, [])
-            if not any(k == site_kind and i == site_id for k, i, _ in sites):
-                sites.append((site_kind, site_id, span))
-
-    def note_domain_driver(self, lvalue: ast.Expr, source) -> None:
-        base = ast.lvalue_base(lvalue)
-        if base is not None and len(base.segments) == 1 and base.segments[0] in self.signals:
-            self.domain_drivers.setdefault(base.segments[0], []).append(source)
+        if self.own(sym):
+            site.drive_spans.setdefault(sym.name, span)
 
     def connect(self, it: ast.InstDecl) -> None:
         """Record the reads and drives of an instance's connections; the
@@ -501,11 +455,12 @@ class _ModuleChecker:
         else:
             self.diags += check_connections(it, sym.decl, self.scope)
             ports = {p.name: p for p in sym.decl.ports}
+        site = self.site("inst", it)
         for c in it.param_conns:
-            self.expr_read(c.expr, self.scope, use="param")
+            self.expr_read(None, c.expr, self.scope)
         for c in it.port_conns:
             if ports is None:
-                self.expr_read(c.expr, self.scope, use="generic")
+                self.expr_read(site, c.expr, self.scope, generic=True)
                 base = ast.lvalue_base(c.expr)
                 if base is not None and len(base.segments) == 1:
                     self.maybe_driven.add(base.segments[0])
@@ -516,10 +471,10 @@ class _ModuleChecker:
                     resolve(c.expr, self.scope, self.diags)
             elif port is not None and port.direction == "output":
                 if ast.lvalue_base(c.expr) is not None:  # else E0306 from check_connections
-                    self.drive(c.expr, "inst", id(it), c.expr.span, self.scope)
-                    self.select_reads(c.expr, self.scope, None, False)
+                    self.drive(site, c.expr, c.expr.span, self.scope)
+                    self.select_reads(site, c.expr, self.scope)
             else:
-                self.expr_read(c.expr, self.scope)
+                self.expr_read(site, c.expr, self.scope)
 
     def check_call(self, call: ast.CallExpr, scope) -> None:
         """E0310 when a call's arity disagrees with the function declaration."""
@@ -548,17 +503,23 @@ class _ModuleChecker:
         """E0302 multiple drivers, E0303 never driven, W0304 never read.  A
         module that lost an item to parse recovery gets only E0302: the lost
         item may have driven or read any signal."""
+        driving: dict[str, list[tuple[str, Span]]] = {}  # signal -> (site kind, span) per driving site
+        read: set[str] = set()
+        for site in self.sites:
+            for name, span in site.drive_spans.items():
+                driving.setdefault(name, []).append((site.kind, span))
+            read.update(name for name, _, _ in site.read_spans)
         for name, sig in self.signals.items():
             if sig.special:
                 continue
-            sites = sorted(self.drives.get(name, []), key=lambda s: s[2].byte_start)
+            sites = sorted(driving.get(name, []), key=lambda s: s[1].byte_start)
             if len(sites) > 1:
                 self.diags.append(
                     Diagnostic(
                         "E0302",
                         f"`{name}` has {len(sites)} driving sites",
-                        sites[1][2],
-                        [Related(f"also driven by this {k}", sp) for k, _, sp in sites if sp is not sites[1][2]],
+                        sites[1][1],
+                        [Related(f"also driven by this {k}", sp) for k, sp in sites if sp is not sites[1][1]],
                     )
                 )
             if self.m.recovered:
@@ -570,7 +531,7 @@ class _ModuleChecker:
                         Diagnostic("E0303", f"output port `{name}` is never driven", sig.sym.span)
                     )
             elif sig.direction is None:
-                if name not in self.reads:
+                if name not in read:
                     self.diags.append(Diagnostic("W0304", f"variable `{name}` is never read", sig.sym.span))
                 elif not driven:
                     self.diags.append(Diagnostic("E0303", f"variable `{name}` is never driven", sig.sym.span))
@@ -625,17 +586,31 @@ class _ModuleChecker:
 
     def declared_domain(self, name: str):
         """The clock-domain label `name` is annotated with, else _DEFAULT."""
-        sig = self.signals.get(name)
-        return ("named", sig.domain) if sig is not None and sig.domain else _DEFAULT
+        domain = self.signals[name].domain
+        return ("named", domain) if domain else _DEFAULT
 
-    def ff_domain(self, ff_id: int):
-        b = self.bindings.get(ff_id)
-        return self.declared_domain(b.clock) if b is not None and b.clock else _DEFAULT
+    def ff_domain(self, ff: ast.AlwaysFf):
+        clock = self.bindings[id(ff)].clock
+        return self.declared_domain(clock) if clock else _DEFAULT
 
     def check_cdc(self) -> None:
-        """E0316 for cross-domain reads in always_ff outside unsafe(cdc)."""
+        """E0316 for cross-domain reads in always_ff outside unsafe(cdc).  An
+        unannotated signal takes the domain of the sites that drive it: an
+        always_ff its clock's, an assign or always_comb the join of what it
+        reads."""
         domains = {name: self.declared_domain(name) for name in self.signals}
-        annotated = {n for n, s in self.signals.items() if s.domain}
+        # signal -> per driving site, a domain label (always_ff) or the signals read (comb)
+        sources: dict[str, list] = {}
+        for site in self.sites:
+            if site.kind == "always_ff":
+                source = self.ff_domain(site.item)
+            elif site.kind in ("assign", "always_comb"):
+                source = frozenset(name for name, _, _ in site.read_spans)
+            else:
+                continue
+            for name in site.drive_spans:
+                if not self.signals[name].domain:
+                    sources.setdefault(name, []).append(source)
 
         def join(labels) -> object:
             distinct = set(labels)
@@ -645,30 +620,22 @@ class _ModuleChecker:
 
         for _ in range(len(self.signals) + 2):
             changed = False
-            for name in sorted(self.domain_drivers):
-                if name in annotated or name not in self.signals:
-                    continue
-                contributions = []
-                for kind, payload in self.domain_drivers[name]:
-                    if kind == "ff":
-                        contributions.append(self.ff_domain(payload))
-                    else:
-                        contributions.append(join(domains[r] for r in payload if r in domains))
-                new = join(contributions)
+            for name in sorted(sources):
+                new = join(s if isinstance(s, tuple) else join(domains[r] for r in s) for s in sources[name])
                 if domains[name] != new:
                     domains[name] = new
                     changed = True
             if not changed:
                 break
 
-        for ff_id, name, span, amnesty in self.ff_reads:
-            if amnesty:
+        for site in self.sites:
+            if site.kind != "always_ff":
                 continue
-            d1 = domains.get(name, _DEFAULT)
-            if d1 == _DEFAULT:
-                continue
-            d2 = self.ff_domain(ff_id)
-            if d1 != d2:
+            d2 = self.ff_domain(site.item)
+            for name, span, unsafe in site.read_spans:
+                d1 = domains[name]
+                if unsafe or d1 == _DEFAULT or d1 == d2:
+                    continue
                 if d1 == _MIXED:
                     detail = f"`{name}` mixes several clock domains"
                 else:

@@ -271,10 +271,11 @@ class ModuleDecl:
     span: Span
     is_pub: bool = False
     doc: DocComment | None = None
-    # The `)` closing the param list and the port list, when present: the
-    # formatter keeps the comments before them inside their list.
-    params_close: Span | None = None
-    ports_close: Span | None = None
+    # The param list and the port list, `(` to `)`, when present: the
+    # formatter keeps the comments on the opener's line and before the `)`
+    # inside their list.
+    params_span: Span | None = None
+    ports_span: Span | None = None
 
 
 @dataclass

@@ -7,14 +7,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ast
-from .analyzer import AnalysisInfo, analyze_unit
+from .analyzer import FfBinding, analyze_unit
 from .diagnostics import Diagnostic, has_errors, sorted_diagnostics
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
 from .lexer import decode_source
 from .parser import parse_source
 from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
-from .resolver import MonoResult, SymbolTable, UnitView, build_symbols, monomorphize
+from .resolver import MonoResult, SymbolTable, build_symbols, monomorphize
 
 
 @dataclass
@@ -54,15 +54,15 @@ def read_sources(root: Path, is_root: bool = True):
 
 @dataclass
 class UnitResult:
-    name: str
-    manifest: Manifest
-    root: Path
-    is_root: bool
-    config: EmitConfig
+    plan: PlanUnit
     files: list[ast.SourceFile] = field(default_factory=list)
     stems: dict[str, str] = field(default_factory=dict)  # file_id -> output stem
     table: SymbolTable | None = None
-    info: AnalysisInfo | None = None
+    ff_bindings: dict[int, FfBinding] = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return self.plan.name
 
 
 @dataclass
@@ -75,7 +75,7 @@ class ProgramResult:
     @property
     def root(self) -> UnitResult | None:
         for u in self.units:
-            if u.is_root:
+            if u.plan.is_root:
                 return u
         return None
 
@@ -89,13 +89,7 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
     result = ProgramResult(diagnostics=list(loaded.diagnostics))
     tables: dict[str, SymbolTable] = {}
     for pu in loaded.plan:
-        unit = UnitResult(
-            pu.name,
-            pu.manifest,
-            pu.root,
-            pu.is_root,
-            EmitConfig(pu.manifest.clock_type, pu.manifest.reset_type),
-        )
+        unit = UnitResult(pu)
         _check_unit(result, unit, read_sources(pu.root, pu.is_root), {name: tables[name] for name in pu.deps})
         tables[pu.name] = unit.table
     return _monomorphize(result)
@@ -104,7 +98,7 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
 def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> ProgramResult:
     """Single-unit pipeline over in-memory sources (test convenience)."""
     result = ProgramResult()
-    unit = UnitResult(name, Manifest(name, "0.0.0"), Path("."), True, EmitConfig())
+    unit = UnitResult(PlanUnit(name, Path("."), Manifest(name, "0.0.0"), is_root=True))
     sources = [(Path(file_id), file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
     _check_unit(result, unit, sources, {})
     return _monomorphize(result)
@@ -124,14 +118,14 @@ def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str
         unit.stems[file_id] = stem
     unit.table, rdiags = build_symbols(unit.files, deps, unit.name)
     result.diagnostics += rdiags
-    adiags, unit.info = analyze_unit(unit.files, unit.table)
+    adiags, unit.ff_bindings = analyze_unit(unit.files, unit.table)
     result.diagnostics += adiags
     result.units.append(unit)
 
 
 def _monomorphize(result: ProgramResult) -> ProgramResult:
     """Monomorphize the checked units and put all diagnostics in report order."""
-    result.mono = monomorphize([UnitView(u.name, u.files, u.table) for u in result.units])
+    result.mono = monomorphize(result.units)
     result.diagnostics = sorted_diagnostics(result.diagnostics + result.mono.diagnostics)
     return result
 
@@ -141,12 +135,13 @@ def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], lis
     written: list[Path] = []
     diags: list[Diagnostic] = []
     for unit in result.units:
-        out_dir = out_root / "sv" if unit.is_root else out_root / "sv" / unit.name
+        out_dir = out_root / "sv" if unit.plan.is_root else out_root / "sv" / unit.name
         files = []
         for sf in unit.files:
             items = result.mono.items.get((unit.name, sf.file_id), [])
             files.append((unit.stems[sf.file_id], items))
-        paths, ediags = emit_project(files, unit.config, unit.info.ff_bindings, out_dir)
+        config = EmitConfig(unit.plan.manifest.clock_type, unit.plan.manifest.reset_type)
+        paths, ediags = emit_project(files, config, unit.ff_bindings, out_dir)
         written += paths
         diags += ediags
         if ediags:
@@ -164,5 +159,5 @@ def doc_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], list
     if root is None:
         return [], [], []
     models, diags = extract_docs(root.files)
-    written = write_docs(models, out_root / "doc", root.manifest.wavedrom_url)
+    written = write_docs(models, out_root / "doc", root.plan.manifest.wavedrom_url)
     return written, models, diags

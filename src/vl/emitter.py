@@ -136,7 +136,7 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, re
 def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
     """Lower one analyzed, monomorphized module to SystemVerilog text.
 
-    `ff_bindings` is the analyzer's `AnalysisInfo.ff_bindings`, keyed by the
+    `ff_bindings` is the second result of `analyze_unit`, keyed by the
     id of each `always_ff` node; generic instances share those nodes with
     their template.
     """

@@ -63,9 +63,12 @@ class _Fmt:
             self.next_comment += 1
 
     def trailing(self, span) -> None:
-        if span is None or span.byte_end == 0:
-            return
-        i = self.trailing_at.get(self.line_of(span.byte_end - 1))
+        if span is not None and span.byte_end:
+            self.trailing_on(self.line_of(span.byte_end - 1))
+
+    def trailing_on(self, line: int) -> None:
+        """Append the comment at the end of source `line` to the last output line."""
+        i = self.trailing_at.get(line)
         if i is not None and not self.used[i]:
             self.used[i] = True
             if self.out:
@@ -95,19 +98,19 @@ class _Fmt:
         if m.generic_params:
             head += "::<" + ", ".join(m.generic_params) + ">"
         if m.params:
-            self.put(head + " #(")
+            self.open_list(head + " #(", m.params_span, m.params[0])
             self.indent += 1
             for p in m.params:
                 self.emit_param(p)
-            self.leading(m.params_close.byte_start)
+            self.comments_before_close(m.params_span)
             self.indent -= 1
             head = ")"
         if m.ports:
-            self.put(head + " (")
+            self.open_list(head + " (", m.ports_span, m.ports[0])
             self.indent += 1
             for p in m.ports:
                 self.emit_port(p)
-            self.leading(m.ports_close.byte_start)
+            self.comments_before_close(m.ports_span)
             self.indent -= 1
             self.put(") {")
         else:
@@ -118,6 +121,14 @@ class _Fmt:
         self.comments_before_close(m.span)
         self.indent -= 1
         self.put("}")
+
+    def open_list(self, text: str, span, first) -> None:
+        """Put `text`, the opener of the param or port list at `span`.  A
+        comment on the opener's line stays there, unless the list's `first`
+        entry starts on that line too and takes it."""
+        self.put(text)
+        if first.span.line != span.line:
+            self.trailing_on(span.line)
 
     def emit_param(self, p: ast.ParamDecl) -> None:
         self.leading(p.span.byte_start)
@@ -222,7 +233,7 @@ class _Fmt:
         self.indent -= 1
 
     def comments_before_close(self, span) -> None:
-        """Keep comments before a closing `}` inside the block they are in."""
+        """Keep comments before a closing `}` or `)` inside the block or list they are in."""
         self.leading(span.byte_end - 1)
 
     def emit_stmt(self, s) -> None:

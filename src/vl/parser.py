@@ -339,20 +339,22 @@ class _Parser:
             self.bump()
             generic_params = self.delimited(">", self.expect_punct("<").span, lambda: self.expect_ident("generic parameter").text)
         params: list[ParamDecl] = []
-        params_close = ports_close = None
+        params_span = ports_span = None
         if self.at_punct("#"):
             self.bump()
-            params = self.delimited(")", self.expect_punct("(").span, lambda: self.documented(self.parse_param))
-            params_close = self.toks[self.pos - 1].span
+            opener = self.expect_punct("(").span
+            params = self.delimited(")", opener, lambda: self.documented(self.parse_param))
+            params_span = self.span_to_prev(opener)
         ports: list[PortDecl] = []
         if self.at_punct("("):
-            ports = self.delimited(")", self.bump().span, lambda: self.documented(self.parse_port))
-            ports_close = self.toks[self.pos - 1].span
+            opener = self.bump().span
+            ports = self.delimited(")", opener, lambda: self.documented(self.parse_port))
+            ports_span = self.span_to_prev(opener)
         self.recovered = False
         body = self.braced(self.parse_module_item)
         span = self.span_to_prev(start)
         return ModuleDecl(
-            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc, params_close, ports_close
+            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc, params_span, ports_span
         )
 
     def parse_param(self) -> ParamDecl:

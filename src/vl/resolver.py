@@ -268,13 +268,6 @@ class GenericInstance:
 
 
 @dataclass
-class UnitView:
-    name: str
-    files: list[ast.SourceFile]
-    table: SymbolTable
-
-
-@dataclass
 class MonoResult:
     # Emission-ready items per (unit, file): concrete modules and packages in
     # source order, with monomorphized instances in place of their templates.
@@ -288,7 +281,8 @@ def mangle(template_name: str, args: tuple[str, ...]) -> str:
     return template_name + "__" + "__".join(a.replace("::", "_") for a in args)
 
 
-def monomorphize(units: list[UnitView]) -> MonoResult:
+def monomorphize(units: list) -> MonoResult:
+    """Monomorphize the driver's checked units; each has `name`, `files` and `table`."""
     return _Mono(units).run()
 
 
@@ -299,7 +293,7 @@ class _Mono:
     generic instance; everything else, packages included, is the source object.
     """
 
-    def __init__(self, units: list[UnitView]):
+    def __init__(self, units: list):
         self.units = units
         self.diags: list[Diagnostic] = []
         # (code, span, message) of each connection finding in a template body,

@@ -16,7 +16,6 @@ import pytest
 
 import svread
 import vl.project as project_mod
-from vl.analyzer import bind_always_ff
 from vl.cli import main
 from vl.driver import check_strings
 from vl.emitter import EmitConfig, emit_items, emit_module
@@ -25,7 +24,7 @@ from vl.ast import structure
 from vl.parser import parse_source
 
 from test_docgen import FIG6
-from test_emitter import ALL_CONFIGS, FIG2
+from test_emitter import ALL_CONFIGS, FIG2, ff_bindings
 from test_parser import FIG1, parse_ok
 from test_resolver import FIG3
 
@@ -61,7 +60,7 @@ endmodule
 def test_criterion_1_fig1_round_trip():
     start = time.monotonic()
     module = parse_ok(FIG1).items[0]
-    emitted = emit_module(module, EmitConfig("posedge", "async_low"), bind_always_ff(module)[0])
+    emitted = emit_module(module, EmitConfig("posedge", "async_low"), ff_bindings(module))
     (mine,) = svread.parse_sv(emitted)
     # Reference transcription, with the reset port renamed per the criterion.
     (ref,) = svread.parse_sv(FIG1_LEFT_SV.replace("i_rst_n", "i_rst"))
@@ -85,7 +84,7 @@ def test_criterion_1_fig1_round_trip():
 
 def test_criterion_2_fig2_matrix():
     module = parse_ok(FIG2).items[0]
-    bindings = bind_always_ff(module)[0]
+    bindings = ff_bindings(module)
     upper = emit_module(module, EmitConfig("posedge", "async_low"), bindings)
     assert "always_ff @ (posedge i_clk_a or negedge i_rst_a) begin" in upper
     assert "if (!i_rst_a) begin" in upper
@@ -122,7 +121,7 @@ def test_criterion_3_fig3_generics():
     result = check_strings([("main.vl", FIG3)])
     assert result.ok, result.diagnostics
     items = result.mono.items[("local", "main.vl")]
-    text = emit_items(items, EmitConfig(), result.units[0].info.ff_bindings)
+    text = emit_items(items, EmitConfig(), result.units[0].ff_bindings)
     modules = {m.name: m for m in svread.parse_sv(text)}
     assert "SramQueue__SramVendorA" in modules and "SramQueue__SramVendorB" in modules
     assert "SramQueue" not in modules  # the template itself is not emitted
@@ -138,7 +137,7 @@ def test_criterion_3_fig3_generics():
     twice = FIG3 + "\nmodule Again () {\n    inst q: SramQueue::<SramVendorA>();\n}\n"
     r2 = check_strings([("main.vl", twice)])
     assert r2.ok
-    emitted = emit_items(r2.mono.items[("local", "main.vl")], EmitConfig(), r2.units[0].info.ff_bindings)
+    emitted = emit_items(r2.mono.items[("local", "main.vl")], EmitConfig(), r2.units[0].ff_bindings)
     count = sum(1 for m in svread.parse_sv(emitted) if m.name == "SramQueue__SramVendorA")
     assert count == 1
     ok(3, "Fig. 3 yields exactly two monomorphized queues; duplicate pairs share one definition")

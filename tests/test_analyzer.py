@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from vl.analyzer import ConstError, analyze_unit, bind_always_ff, check_literal_widths, eval_const
+from vl.analyzer import ConstError, analyze_unit, check_literal_widths, eval_const
 from vl.driver import check_strings
 from vl.parser import MAX_NESTING, parse_expression, parse_source
 from vl.resolver import build_symbols
@@ -19,8 +19,8 @@ def check(src, file_id="main.vl"):
     sf, pdiags = parse_source(src, file_id)
     assert pdiags == [], pdiags
     table, rdiags = build_symbols([sf], {})
-    diags, info = analyze_unit([sf], table)
-    return rdiags + diags, sf, table, info
+    diags, bindings = analyze_unit([sf], table)
+    return rdiags + diags, sf, table, bindings
 
 
 def codes(src):
@@ -134,6 +134,40 @@ def test_untouched_var_is_w0304():
 def test_driven_but_unread_var_is_w0304():
     src = "module M (i: input logic) { var x: logic; always_comb { x = i; } }"
     assert codes(src) == ["W0304"]
+
+
+def test_function_argument_is_not_the_module_signal():
+    # Driving an argument named like a var is not a second driver of the var,
+    # and reading it is not a read of the var.
+    drives_arg = (
+        "module M (i: input logic, o: output logic) {\n"
+        "    var v: logic;\n"
+        "    assign v = i;\n"
+        "    assign o = f(v);\n"
+        "    function f (v: logic) -> logic { v = 1'b0; return v; }\n"
+        "}\n"
+    )
+    assert codes(drives_arg) == []
+    reads_arg = "module M () {\n    var w: logic;\n    function f (w: logic) -> logic { return w; }\n}\n"
+    diags, *_ = check(reads_arg)
+    assert [(d.code, d.message, d.span.line) for d in diags] == [("W0304", "variable `w` is never read", 2)]
+
+
+def test_lvalue_index_and_range_are_reads():
+    src = (
+        "module M (i_s: input logic<2>, i_d: input logic<4>, o: output logic<4>) {\n"
+        "    var s: logic<2>;\n"
+        "    var t: logic<2>;\n"
+        "    var r: logic<4>;\n"
+        "    assign s = i_s;\n"
+        "    assign t = ~i_s;\n"
+        "    always_comb { r = i_d; r[s] = 1'b0; r[s:t] = 1'b1; }\n"
+        "    assign o = r;\n"
+        "}\n"
+    )
+    assert "W0304" not in codes(src)
+    # without the reads in the selects, `s` and `t` are never read
+    assert codes(src.replace("r[s] = 1'b0; r[s:t] = 1'b1; ", "")) == ["W0304", "W0304"]
 
 
 # -- latches -------------------------------------------------------------------
@@ -378,8 +412,7 @@ def _to_base(value, radix):
 
 
 def test_fig1_abbreviated_binding():
-    sf, _ = parse_source(FIG1, "m.vl")
-    bindings, diags = bind_always_ff(sf.items[0])
+    diags, _, _, bindings = check(FIG1)
     assert diags == []
     (b,) = bindings.values()
     assert (b.clock, b.reset, b.uses_if_reset) == ("i_clk", "i_rst", True)
@@ -483,6 +516,14 @@ def test_unsafe_item_wrapping_always_ff_also_suppresses():
         "unsafe (cdc) { always_ff (i_clk_b) { r_b = r_a; } }",
     )
     assert codes(src) == []
+
+
+def test_cross_domain_index_in_lvalue_is_e0316():
+    src = CDC_BAD.replace("r_b = r_a;", "r_b[r_a] = 1'b1;").replace("var r_b: logic;", "var r_b: logic<2>;")
+    diags, *_ = check(src)
+    assert [d.code for d in diags] == ["E0316"]
+    span = diags[0].span
+    assert (span.line, src[span.byte_start : span.byte_end]) == (10, "r_a")  # the index in `r_b[r_a] = …`
 
 
 def test_mixed_domain_comb_conflicts_everywhere():

@@ -1,8 +1,11 @@
 import re
 
-from vl.analyzer import bind_always_ff
+from vl import ast
+from vl.analyzer import analyze_unit
 from vl.emitter import EmitConfig, emit_items, emit_module, emit_project, lower_type, unpacked_suffix
+from vl.resolver import build_symbols
 import svread
+from test_formatter import assert_stable, roundtrip
 from test_parser import FIG1, parse_ok
 
 FIG2 = """\
@@ -33,8 +36,14 @@ def module_of(src, name=None):
     return next(i for i in sf.items if i.name == name)
 
 
+def ff_bindings(*items):
+    """The analyzer's always_ff bindings for `items`, checked as one file."""
+    sf = ast.SourceFile("main.vl", "", list(items))
+    return analyze_unit([sf], build_symbols([sf])[0])[1]
+
+
 def emit_one(m, cfg):
-    return emit_module(m, cfg, bind_always_ff(m)[0])
+    return emit_module(m, cfg, ff_bindings(m))
 
 
 def ty_of(src):
@@ -207,7 +216,7 @@ def test_package_and_function_emission():
 
 def test_emit_project_writes_files(tmp_path):
     sf = parse_ok(FIG1)
-    paths, diags = emit_project([("counter", sf.items)], EmitConfig(), bind_always_ff(sf.items[0])[0], tmp_path / "sv")
+    paths, diags = emit_project([("counter", sf.items)], EmitConfig(), ff_bindings(*sf.items), tmp_path / "sv")
     assert diags == []
     assert [p.name for p in paths] == ["counter.sv"]
     text = paths[0].read_text()
@@ -224,8 +233,43 @@ def test_emit_project_unwritable_dir(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     items = parse_ok(FIG1).items
-    _, diags = emit_project([("x", items)], EmitConfig(), bind_always_ff(items[0])[0], target / "sub")
+    _, diags = emit_project([("x", items)], EmitConfig(), ff_bindings(*items), target / "sub")
     assert [d.code for d in diags] == ["EIO01"]
+
+
+def test_bare_block_and_unsafe_statement():
+    # A bare `{ }` lowers to `begin`/`end`; an `unsafe (cdc) { }` statement
+    # to its body alone.
+    src = (
+        "module B (\n"
+        "    i_clk: input clock,\n"
+        "    i_rst: input reset,\n"
+        "    i: input logic,\n"
+        "    o: output logic,\n"
+        ") {\n"
+        "    var r: logic;\n"
+        "    always_ff {\n"
+        "        if_reset {\n"
+        "            r = 0;\n"
+        "        } else {\n"
+        "            {\n"
+        "                r = i;\n"
+        "            }\n"
+        "        }\n"
+        "    }\n"
+        "    always_comb {\n"
+        "        unsafe (cdc) {\n"
+        "            o = r;\n"
+        "        }\n"
+        "    }\n"
+        "}\n"
+    )
+    (sv,) = svread.parse_sv(emit_one(module_of(src), EmitConfig()))
+    ff, comb = sv.processes
+    assert ff.stmts[0][3] == [("block", [("assign", ("r",), "<=", ("i",))])]
+    assert comb.stmts == [("assign", ("o",), "=", ("r",))]
+    assert roundtrip(src) == src
+    assert_stable(src)
 
 
 def test_nested_unary_operators_are_not_fused():

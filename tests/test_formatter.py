@@ -162,12 +162,17 @@ def test_every_comment_stays_where_it_stands():
         "pub module A () {\n    var v: logic;\n    /// stray\n}\n\npub module B () {\n}\n",
         # a comment before the `)` of a port list
         "module M (\n    a: input logic,\n    // spare ports\n) {\n    var v: logic;\n}\n",
+        # comments on the line of a list's opener
+        "pub module M ( /// t\n    a: input logic,\n) {\n    var v: logic;\n}\n",
+        "module M #( // c\n    param A: u32 = 1,\n) ( // d\n    a: input logic,\n) {\n}\n",
     ]
     for src in probes:
         assert roundtrip(src) == src
         assert_stable(src)
     models, _ = extract_docs([parse_ok(probes[4])])
     assert [(m.name, m.body_doc) for m in models] == [("A", ""), ("B", "")]
+    (model,), _ = extract_docs([parse_ok(probes[6])])
+    assert [(r.name, r.doc) for r in model.ports] == [("a", "")]
 
 
 _ITEMS = [

@@ -1,8 +1,9 @@
+from types import SimpleNamespace
+
 from vl import ast
 from vl.parser import parse_source
 from vl.resolver import (
     SymbolKind,
-    UnitView,
     build_symbols,
     mangle,
     monomorphize,
@@ -28,7 +29,7 @@ def unit_view(src, name="local", deps=None, file_id="main.vl"):
     sf = parsed(src, file_id)
     table, diags = build_symbols([sf], deps or {}, name)
     assert diags == []
-    return UnitView(name, [sf], table)
+    return SimpleNamespace(name=name, files=[sf], table=table)
 
 
 def test_fig1_entries():
