@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from . import ast
 from .diagnostics import Diagnostic, Related
 from .lexer import sized_literal_parts, sized_literal_value
-from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_connections, clock_or_reset, resolve
+from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_inst, clock_or_reset, resolve
 from .tokens import Span
 
 _U64_MASK = (1 << 64) - 1
@@ -158,19 +158,19 @@ class _ConstEval:
 # -- per-unit analysis ---------------------------------------------------------
 
 
-def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[Diagnostic], dict[int, FfBinding]]:
+def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[Diagnostic], dict[int, FfBinding | Symbol]]:
     """Run the full check catalog over one project's parsed files.  Returns the
-    diagnostics and the clock/reset binding of each always_ff, keyed by the
-    `id()` of the process."""
+    diagnostics and what the checks resolved, keyed by node `id()`: the
+    clock/reset binding of each always_ff, and the module symbol of each inst
+    target and generic argument path that names one."""
     diags: list[Diagnostic] = []
-    bindings: dict[int, FfBinding] = {}
+    resolved: dict[int, FfBinding | Symbol] = {}
     ev = _ConstEval()
     for sf in sorted(files, key=lambda f: f.file_id):
         for item in sf.items:
-            chk = _ModuleChecker(item, table, ev)
+            chk = _ModuleChecker(item, table, ev, resolved)
             diags += chk.run()
-            bindings.update(chk.bindings)
-    return diags, bindings
+    return diags, resolved
 
 
 def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
@@ -222,7 +222,7 @@ class _Site:
 
 
 class _ModuleChecker:
-    def __init__(self, m: ast.ModuleDecl | ast.PackageDecl, table: SymbolTable, ev: _ConstEval):
+    def __init__(self, m: ast.ModuleDecl | ast.PackageDecl, table: SymbolTable, ev: _ConstEval, resolved: dict):
         if isinstance(m, ast.PackageDecl):
             # A package is checked as a module with no params, ports or processes.
             self.scope = table.package_scopes[id(m)]
@@ -232,7 +232,7 @@ class _ModuleChecker:
         self.m = m
         self.table = table
         self.diags: list[Diagnostic] = []
-        self.bindings: dict[int, FfBinding] = {}
+        self.resolved = resolved
         self.signals = {
             name: _Signal(sym, sym.decl.direction if sym.kind == SymbolKind.PORT else None, sym.decl.domain)
             for name, sym in self.scope.entries.items()
@@ -299,7 +299,7 @@ class _ModuleChecker:
             self.diags.append(Diagnostic("E0313", "`if_reset` requires a reset in this always_ff's sensitivity list", ff.span))
         elif uses_ir or ff.reset_name is not None:
             reset = self.bind("reset", ff.reset_name, ff.reset_span, ff)
-        self.bindings[id(ff)] = FfBinding(
+        self.resolved[id(ff)] = FfBinding(
             clock,
             self.signals[clock].sym.ty.kind if clock else None,
             reset,
@@ -377,8 +377,7 @@ class _ModuleChecker:
             if isinstance(sub, ast.CallExpr):
                 self.check_call(sub, scope)
             elif isinstance(sub, ast.RangeExpr):
-                self.const_value(self.ev.eval, sub.hi, scope)
-                self.const_value(self.ev.eval, sub.lo, scope)
+                self.bounds(sub, scope)
             elif isinstance(sub, ast.PathExpr):
                 sym = resolve(sub, scope, self.diags)
                 if sym is None:
@@ -395,15 +394,29 @@ class _ModuleChecker:
                     site.read_spans.append((sym.name, sub.span, unsafe))
 
     def select_reads(self, site: _Site, lvalue: ast.Expr, scope, unsafe: bool = False) -> None:
-        """Index/range expressions inside an lvalue are reads."""
+        """Index/range expressions inside an lvalue are reads, and the bounds
+        of a range are constants."""
         e = lvalue
         while isinstance(e, (ast.IndexExpr, ast.RangeExpr)):
             if isinstance(e, ast.IndexExpr):
                 self.expr_read(site, e.index, scope, unsafe)
             else:
+                self.bounds(e, scope)
                 self.expr_read(site, e.hi, scope, unsafe)
                 self.expr_read(site, e.lo, scope, unsafe)
             e = e.base
+
+    def bounds(self, r: ast.RangeExpr, scope) -> None:
+        """E0301 unless both bounds of a part-select are constants.  A name
+        in a bound that does not resolve is left to its read (E0202/E0203)."""
+        for bound in (r.hi, r.lo):
+            try:
+                self.ev.eval(bound, scope)
+            except ConstError as err:
+                d, b = err.diagnostic, bound.span
+                unresolved = d.code in ("E0202", "E0203") and d.span.file_id == b.file_id and b.byte_start <= d.span.byte_start < b.byte_end
+                if not err.repeat and not unresolved:
+                    self.diags.append(d)
 
     def dataflow(self, sym: Symbol, path: ast.PathExpr) -> bool:
         """Whether `sym` may carry ordinary data; E0315 if it is a clock or reset."""
@@ -439,10 +452,23 @@ class _ModuleChecker:
         if self.own(sym):
             site.drive_spans.setdefault(sym.name, span)
 
+    def module(self, path: ast.PathExpr) -> Symbol | None:
+        """The symbol an inst target or generic argument names (E0202/E0203
+        if none); a module's is recorded for mono."""
+        sym = resolve(path, self.scope, self.diags)
+        if sym is not None and sym.kind == SymbolKind.MODULE:
+            self.resolved[id(path)] = sym
+        return sym
+
     def connect(self, it: ast.InstDecl) -> None:
-        """Record the reads and drives of an instance's connections; the
-        connection rules are resolver.check_connections."""
-        sym = resolve(it.target, self.scope, self.diags)
+        """Resolve an instance's target and generic arguments (E0205 for an
+        argument that is no module), and record the reads and drives of its
+        connections; the rules against the target are resolver.check_inst."""
+        for arg in it.generic_args:
+            sym = self.module(arg)
+            if sym is not None and sym.kind not in (SymbolKind.MODULE, SymbolKind.GENERIC_PARAM):
+                self.diags.append(Diagnostic("E0205", f"generic argument `{arg.text}` is a {sym.kind_name}, not a module", arg.span))
+        sym = self.module(it.target)
         if sym is None:
             return
         if sym.kind == SymbolKind.GENERIC_PARAM:
@@ -453,7 +479,7 @@ class _ModuleChecker:
             )
             return
         else:
-            self.diags += check_connections(it, sym.decl, self.scope)
+            self.diags += check_inst(it, sym.decl, self.scope)
             ports = {p.name: p for p in sym.decl.ports}
         site = self.site("inst", it)
         for c in it.param_conns:
@@ -467,10 +493,10 @@ class _ModuleChecker:
                 continue
             port = ports.get(c.name)
             if port is not None and clock_or_reset(port.ty):
-                if isinstance(c.expr, ast.PathExpr):  # else E0315 from check_connections
+                if isinstance(c.expr, ast.PathExpr):  # else E0315 from check_inst
                     resolve(c.expr, self.scope, self.diags)
             elif port is not None and port.direction == "output":
-                if ast.lvalue_base(c.expr) is not None:  # else E0306 from check_connections
+                if ast.lvalue_base(c.expr) is not None:  # else E0306 from check_inst
                     self.drive(site, c.expr, c.expr.span, self.scope)
                     self.select_reads(site, c.expr, self.scope)
             else:
@@ -590,7 +616,7 @@ class _ModuleChecker:
         return ("named", domain) if domain else _DEFAULT
 
     def ff_domain(self, ff: ast.AlwaysFf):
-        clock = self.bindings[id(ff)].clock
+        clock = self.resolved[id(ff)].clock
         return self.declared_domain(clock) if clock else _DEFAULT
 
     def check_cdc(self) -> None:

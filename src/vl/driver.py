@@ -14,7 +14,7 @@ from .emitter import EmitConfig, emit_project
 from .lexer import decode_source
 from .parser import parse_source
 from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
-from .resolver import MonoResult, SymbolTable, build_symbols, monomorphize
+from .resolver import MonoResult, Symbol, SymbolTable, build_symbols, monomorphize
 
 
 @dataclass
@@ -58,7 +58,9 @@ class UnitResult:
     files: list[ast.SourceFile] = field(default_factory=list)
     stems: dict[str, str] = field(default_factory=dict)  # file_id -> output stem
     table: SymbolTable | None = None
-    ff_bindings: dict[int, FfBinding] = field(default_factory=dict)
+    # analyze_unit's record: always_ff bindings, and inst target and generic
+    # argument modules, keyed by node id
+    resolved: dict[int, FfBinding | Symbol] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -118,7 +120,7 @@ def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str
         unit.stems[file_id] = stem
     unit.table, rdiags = build_symbols(unit.files, deps, unit.name)
     result.diagnostics += rdiags
-    adiags, unit.ff_bindings = analyze_unit(unit.files, unit.table)
+    adiags, unit.resolved = analyze_unit(unit.files, unit.table)
     result.diagnostics += adiags
     result.units.append(unit)
 
@@ -141,7 +143,7 @@ def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], lis
             items = result.mono.items.get((unit.name, sf.file_id), [])
             files.append((unit.stems[sf.file_id], items))
         config = EmitConfig(unit.plan.manifest.clock_type, unit.plan.manifest.reset_type)
-        paths, ediags = emit_project(files, config, unit.ff_bindings, out_dir)
+        paths, ediags = emit_project(files, config, unit.resolved, out_dir)
         written += paths
         diags += ediags
         if ediags:

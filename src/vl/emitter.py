@@ -133,12 +133,12 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, re
         raise TypeError(f"unexpected statement {s!r}")
 
 
-def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
+def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, resolved: dict) -> str:
     """Lower one analyzed, monomorphized module to SystemVerilog text.
 
-    `ff_bindings` is the second result of `analyze_unit`, keyed by the
-    id of each `always_ff` node; generic instances share those nodes with
-    their template.
+    `resolved` is the second result of `analyze_unit`, which holds the
+    binding of each `always_ff` keyed by the node's id; generic instances
+    share those nodes with their template.
     """
     w = _Writer()
     param_lines = [f"parameter {lower_type(p.ty)} {p.name} = {expr_text(p.default)}" for p in m.params]
@@ -162,7 +162,7 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, ff_bindings: dict[int, FfBin
 
     w.depth += 1
     for it, _ in ast.iter_module_items(m.body):
-        _emit_module_item(it, w, ff_bindings, cfg)
+        _emit_module_item(it, w, resolved, cfg)
     w.depth -= 1
     w.put("endmodule")
     return "\n".join(w.lines) + "\n"
@@ -223,12 +223,12 @@ def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> str:
     return "\n".join(w.lines) + "\n"
 
 
-def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, FfBinding]) -> str:
+def emit_items(items: list[ast.Item], cfg: EmitConfig, resolved: dict) -> str:
     """One source file's worth of SystemVerilog, modules in order."""
     parts = []
     for item in items:
         if isinstance(item, ast.ModuleDecl):
-            parts.append(emit_module(item, cfg, ff_bindings))
+            parts.append(emit_module(item, cfg, resolved))
         else:
             parts.append(emit_package(item, cfg))
     return "\n".join(parts)
@@ -237,7 +237,7 @@ def emit_items(items: list[ast.Item], cfg: EmitConfig, ff_bindings: dict[int, Ff
 def emit_project(
     files: list[tuple[str, list[ast.Item]]],
     cfg: EmitConfig,
-    ff_bindings: dict[int, FfBinding],
+    resolved: dict,
     out_dir: Path,
 ) -> tuple[list[Path], list[Diagnostic]]:
     """Write one `.sv` per source file (same stem); byte-stable across runs."""
@@ -251,7 +251,7 @@ def emit_project(
         diags.append(Diagnostic("EIO01", f"cannot create output directory: {err}", _io_span(out_dir)))
         return written, diags
     for stem, items in files:
-        text = emit_items(items, cfg, ff_bindings)
+        text = emit_items(items, cfg, resolved)
         path = out_dir / f"{stem}.sv"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ on their line.  Doc comments get their `/// ` marker back on every line.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from . import ast
 from .ast import expr_text, type_text
@@ -31,7 +31,9 @@ class _Fmt:
         self.next_comment = 0
         # A comment runs to the end of its line: at most one per line.
         self.trailing_at = {c.span.line: i for i, c in enumerate(self.comments) if not c.own_line}
+        self.comment_starts = [c.span.byte_start for c in self.comments]
         self.doc_end = -1  # length of `out` after the latest `///` block put on its own lines
+        self.tailed = 0  # length of `out` when its last line got a trailing comment
         self.newlines = [m.start() for m in re.finditer("\n", sf.text)]
 
     def line_of(self, byte: int) -> int:
@@ -67,12 +69,30 @@ class _Fmt:
             self.trailing_on(self.line_of(span.byte_end - 1))
 
     def trailing_on(self, line: int) -> None:
-        """Append the comment at the end of source `line` to the last output line."""
+        """Append the comment at the end of source `line` to the last output
+        line, unless that line has one already: two would read back as one,
+        so the second is left to `leading`, which puts it on its own line."""
         i = self.trailing_at.get(line)
-        if i is not None and not self.used[i]:
+        if i is not None and not self.used[i] and self.tailed != len(self.out):
             self.used[i] = True
-            if self.out:
-                self.out[-1] += " " + _lines(self.comments[i])[0]
+            self.tailed = len(self.out)
+            self.out[-1] += " " + _lines(self.comments[i])[0]
+
+    def trailing_lines(self, first: int, end: int) -> None:
+        """Append the comments at the ends of source lines `first` to `end - 1`
+        to the last output line, while every comment before them is placed."""
+        for line in range(first, end):
+            i = self.trailing_at.get(line)
+            if i is not None and not all(self.used[self.next_comment : i]):
+                return
+            self.trailing_on(line)
+
+    def commented(self, span) -> bool:
+        """Whether a comment starts inside `span`."""
+        if span is None:
+            return False
+        i = bisect_left(self.comment_starts, span.byte_start)
+        return i < len(self.comment_starts) and self.comment_starts[i] < span.byte_end
 
     # -- top level --
 
@@ -97,38 +117,32 @@ class _Fmt:
         head += m.name
         if m.generic_params:
             head += "::<" + ", ".join(m.generic_params) + ">"
-        if m.params:
-            self.open_list(head + " #(", m.params_span, m.params[0])
-            self.indent += 1
-            for p in m.params:
-                self.emit_param(p)
-            self.comments_before_close(m.params_span)
-            self.indent -= 1
-            head = ")"
-        if m.ports:
-            self.open_list(head + " (", m.ports_span, m.ports[0])
-            self.indent += 1
-            for p in m.ports:
-                self.emit_port(p)
-            self.comments_before_close(m.ports_span)
-            self.indent -= 1
-            self.put(") {")
+        line = m.name_span.line  # the first source line the next opener stands for
+        # A list is written out, one entry per line, when it has entries or comments.
+        if m.params or self.commented(m.params_span):
+            self.emit_list(head + " #(", line, m.params, m.params_span, self.emit_param)
+            head, line = ")", self.line_of(m.params_span.byte_end - 1)
+        if m.ports or self.commented(m.ports_span):
+            self.emit_list(head + " (", line, m.ports, m.ports_span, self.emit_port)
+            head, line = ")", self.line_of(m.ports_span.byte_end - 1)
         else:
-            self.put(head + " () {")
-        self.indent += 1
-        for it in m.body:
-            self.emit_module_item(it)
-        self.comments_before_close(m.span)
-        self.indent -= 1
+            head += " ()"
+        self.emit_list(head + " {", line, m.body, m.span, self.emit_module_item)
         self.put("}")
 
-    def open_list(self, text: str, span, first) -> None:
-        """Put `text`, the opener of the param or port list at `span`.  A
-        comment on the opener's line stays there, unless the list's `first`
-        entry starts on that line too and takes it."""
+    def emit_list(self, text: str, line: int, entries: list, span, emit) -> None:
+        """Put `text`, the opener of a list or body that ends with `span`,
+        then `emit` each of its `entries` one level in, then the comments
+        before its closer.  The comments at the ends of the source lines
+        from `line` up to the first entry's stay on the opener's line: one
+        after the opener, or inside a `::<…>` list before it."""
         self.put(text)
-        if first.span.line != span.line:
-            self.trailing_on(span.line)
+        self.trailing_lines(line, entries[0].span.line if entries else self.line_of(span.byte_end - 1))
+        self.indent += 1
+        for e in entries:
+            emit(e)
+        self.comments_before_close(span)
+        self.indent -= 1
 
     def emit_param(self, p: ast.ParamDecl) -> None:
         self.leading(p.span.byte_start)
@@ -143,12 +157,7 @@ class _Fmt:
 
     def emit_package(self, pkg: ast.PackageDecl) -> None:
         head = "pub package " if pkg.is_pub else "package "
-        self.put(head + pkg.name + " {")
-        self.indent += 1
-        for it in pkg.items:
-            self.emit_module_item(it)
-        self.comments_before_close(pkg.span)
-        self.indent -= 1
+        self.emit_list(head + pkg.name + " {", pkg.name_span.line, pkg.items, pkg.span, self.emit_module_item)
         self.put("}")
 
     # -- module items --
@@ -169,25 +178,17 @@ class _Fmt:
             if it.clock_name:
                 names = it.clock_name + (f", {it.reset_name}" if it.reset_name else "")
                 head += f" ({names})"
-            self.put(head + " {")
-            self.emit_block(it.body)
+            self.emit_block(head + " {", it.body)
             self.put("}")
         elif isinstance(it, ast.AlwaysComb):
-            self.put("always_comb {")
-            self.emit_block(it.body)
+            self.emit_block("always_comb {", it.body)
             self.put("}")
         elif isinstance(it, ast.FunctionDecl):
             args = ", ".join(f"{a.name}: {type_text(a.ty)}" for a in it.args)
-            self.put(f"function {it.name} ({args}) -> {type_text(it.ret)} {{")
-            self.emit_block(it.body)
+            self.emit_block(f"function {it.name} ({args}) -> {type_text(it.ret)} {{", it.body)
             self.put("}")
         elif isinstance(it, ast.UnsafeCdcItem):
-            self.put("unsafe (cdc) {")
-            self.indent += 1
-            for sub in it.items:
-                self.emit_module_item(sub)
-            self.comments_before_close(it.span)
-            self.indent -= 1
+            self.emit_list("unsafe (cdc) {", it.span.line, it.items, it.span, self.emit_module_item)
             self.put("}")
         else:
             raise TypeError(f"unexpected module item {it!r}")
@@ -198,7 +199,8 @@ class _Fmt:
         if it.generic_args:
             head += "::<" + ", ".join(g.text for g in it.generic_args) + ">"
         if not it.param_conns and not it.port_conns:
-            self.put(head + ";")
+            self.put(head + ";")  # the comment on the last line is the item's trailing one
+            self.trailing_lines(it.span.line, self.line_of(it.span.byte_end - 1))
             return
         # Comments inside the lists are rare: place them per connection only
         # when the next unplaced comment starts inside this instance.
@@ -206,10 +208,12 @@ class _Fmt:
         commented = i < len(self.comments) and self.comments[i].span.byte_start < it.span.byte_end
         last_line = self.line_of(it.span.byte_end - 1)
         closing = it.port_conns or it.param_conns
+        line = it.span.line
         for conns, opener in ((it.param_conns, " #("), (it.port_conns, " (")):
             if not conns:
                 continue
             self.put(head + opener)
+            self.trailing_lines(line, conns[0].name_span.line)
             self.indent += 1
             for c in conns:
                 if commented:
@@ -220,17 +224,14 @@ class _Fmt:
             if conns is closing:
                 self.comments_before_close(it.span)
             self.indent -= 1
-            head = ")"
+            head, line = ")", self.line_of(conns[-1].expr.span.byte_end - 1)
         self.put(");")
 
     # -- statements --
 
-    def emit_block(self, block: ast.Block) -> None:
-        self.indent += 1
-        for s in block.stmts:
-            self.emit_stmt(s)
-        self.comments_before_close(block.span)
-        self.indent -= 1
+    def emit_block(self, text: str, block: ast.Block) -> None:
+        """Put `text`, the line that opens `block`, and its statements."""
+        self.emit_list(text, block.span.line, block.stmts, block.span, self.emit_stmt)
 
     def comments_before_close(self, span) -> None:
         """Keep comments before a closing `}` or `)` inside the block or list they are in."""
@@ -244,22 +245,18 @@ class _Fmt:
             arms, orelse = ast.if_arms(s)
             head = ""
             for cond, block in arms:
-                self.put(head + ("if_reset {" if cond is None else f"if {expr_text(cond)} {{"))
-                self.emit_block(block)
+                self.emit_block(head + ("if_reset {" if cond is None else f"if {expr_text(cond)} {{"), block)
                 head = "} else "
             if orelse is not None:
-                self.put("} else {")
-                self.emit_block(orelse)
+                self.emit_block("} else {", orelse)
             self.put("}")
         elif isinstance(s, ast.ReturnStmt):
             self.put(f"return {expr_text(s.value)};")
         elif isinstance(s, ast.UnsafeCdcStmt):
-            self.put("unsafe (cdc) {")
-            self.emit_block(s.body)
+            self.emit_block("unsafe (cdc) {", s.body)
             self.put("}")
         elif isinstance(s, ast.Block):
-            self.put("{")
-            self.emit_block(s)
+            self.emit_block("{", s)
             self.put("}")
         else:
             raise TypeError(f"unexpected statement {s!r}")

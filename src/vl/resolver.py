@@ -188,14 +188,21 @@ def clock_or_reset(ty: ast.TypeSpec | None) -> bool:
     return ty is not None and ty.kind in _CLOCK_OR_RESET
 
 
-def check_connections(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[Diagnostic]:
-    """The connection rules of `it` against its target module, with the
-    connection expressions resolved in `scope`: E0307/E0308/E0309 for names,
+def check_inst(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[Diagnostic]:
+    """The rules of `it` against its target module, with the connection
+    expressions resolved in `scope`: E0204 for a generic-argument count that
+    does not match the target's, E0307/E0308/E0309 for connection names,
     E0306 for an output wired to a non-lvalue, E0315 for a clock/reset port
     wired to anything but a clock/reset-typed signal.  Run by the analyzer,
     and by mono on generic-parameter targets once they are substituted.  A
     name that does not resolve is left to the analyzer's E0202."""
     diags: list[Diagnostic] = []
+    if len(it.generic_args) != len(target.generic_params):
+        if target.generic_params:
+            detail = f"expects {len(target.generic_params)} generic argument(s), got {len(it.generic_args)}"
+        else:
+            detail = f"is not generic but got {len(it.generic_args)} generic argument(s)"
+        diags.append(Diagnostic("E0204", f"`{target.name}` {detail}", it.target.span))
     for conns, decls, what in ((it.param_conns, target.params, "parameter"), (it.port_conns, target.ports, "port")):
         names = {d.name for d in decls}
         seen: dict[str, Span] = {}
@@ -282,7 +289,9 @@ def mangle(template_name: str, args: tuple[str, ...]) -> str:
 
 
 def monomorphize(units: list) -> MonoResult:
-    """Monomorphize the driver's checked units; each has `name`, `files` and `table`."""
+    """Monomorphize the driver's checked units; each has `name`, `files`,
+    `table` and `resolved`, the analyzer's record of the module symbol each
+    inst target and generic argument names, keyed by the id of its path."""
     return _Mono(units).run()
 
 
@@ -294,29 +303,21 @@ class _Mono:
     """
 
     def __init__(self, units: list):
-        self.units = units
+        self.units = {u.name: u for u in units}
         self.diags: list[Diagnostic] = []
-        # (code, span, message) of each connection finding in a template body,
+        # (code, span, message) of each inst finding in a template body,
         # reported once however many instances repeat it
-        self.connection_findings: set[tuple] = set()
+        self.findings: set[tuple] = set()
         # (template key, arg keys) -> instance, in the order they are completed
         self.instances: dict[tuple, GenericInstance] = {}
         # id(template) -> its concrete modules
         self.made: dict[int, list[ast.ModuleDecl]] = {}
         self.stack: list[tuple] = []
-        # module symbol key (unit, name) -> decl
-        self.modules: dict[tuple[str, str], ast.ModuleDecl] = {}
-        for u in units:
-            for sf in u.files:
-                for item in sf.items:
-                    if isinstance(item, ast.ModuleDecl):
-                        self.modules.setdefault((u.name, item.name), item)
-        self.tables = {u.name: u.table for u in units}
 
     def run(self) -> MonoResult:
         rewritten = {
-            id(item): self.instantiate(item, u.name, {}, item.name)
-            for u in self.units
+            id(item): self.instantiate(item, u, {}, item.name)
+            for u in self.units.values()
             for sf in u.files
             for item in sf.items
             if isinstance(item, ast.ModuleDecl) and not item.generic_params
@@ -324,7 +325,7 @@ class _Mono:
         # Place items: templates are replaced by their instances, in mangled-name
         # order; everything else keeps its source position.
         out: dict[tuple[str, str], list[ast.Item]] = {}
-        for u in self.units:
+        for u in self.units.values():
             for sf in u.files:
                 items: list[ast.Item] = []
                 for item in sf.items:
@@ -340,18 +341,16 @@ class _Mono:
         name_map = {inst.mangled_name: {"template": inst.template.name, "args": list(inst.args)} for inst in instances}
         return MonoResult(out, instances, name_map, self.diags)
 
-    def instantiate(self, m: ast.ModuleDecl, unit: str, env: dict[str, tuple], name: str) -> ast.ModuleDecl:
-        """`m` with generic inst targets rewritten to mangled concrete names.
-
-        Resolution happens in `m`'s defining scope; `env` maps generic
-        parameter names to already-resolved argument module keys.
-        """
-        body = self.rewrite_body(m.body, unit, self.tables[unit].module_scopes[id(m)], env)
+    def instantiate(self, m: ast.ModuleDecl, unit, env: dict[str, Symbol], name: str) -> ast.ModuleDecl:
+        """`m`, a module of `unit`, with generic inst targets rewritten to
+        mangled concrete names; `env` maps generic parameter names to the
+        symbols of their argument modules."""
+        body = self.rewrite_body(m.body, unit, unit.table.module_scopes[id(m)], env)
         if body is m.body and name == m.name:
             return m
         return replace(m, name=name, generic_params=[], body=body)
 
-    def rewrite_body(self, body: list[ast.ModuleItem], unit: str, scope: Scope, env: dict[str, tuple]) -> list[ast.ModuleItem]:
+    def rewrite_body(self, body: list[ast.ModuleItem], unit, scope: Scope, env: dict[str, Symbol]) -> list[ast.ModuleItem]:
         """`body` itself when no item changes, else a new list sharing the unchanged items."""
         out = []
         for it in body:
@@ -364,102 +363,73 @@ class _Mono:
             out.append(it)
         return body if all(a is b for a, b in zip(out, body)) else out
 
-    def rewrite_inst(self, it: ast.InstDecl, unit: str, scope: Scope, env: dict[str, tuple]) -> ast.InstDecl:
-        target_key = self.resolve_module_key(it.target, scope, env)
-        if target_key is None:
-            return it
-        target_decl = self.modules[target_key]
-        if not target_decl.generic_params:
-            if it.generic_args:
-                self.diags.append(
-                    Diagnostic(
-                        "E0204",
-                        f"`{target_decl.name}` is not generic but got {len(it.generic_args)} generic argument(s)",
-                        it.target.span,
-                    )
-                )
+    def rewrite_inst(self, it: ast.InstDecl, unit, scope: Scope, env: dict[str, Symbol]) -> ast.InstDecl:
+        target = self.module(it.target, unit, env)
+        if target is None:
+            return it  # not a module: the analyzer reported it
+        decl: ast.ModuleDecl = target.decl
+        if it.target.text in env:
+            for d in check_inst(it, decl, scope):
+                if (d.code, d.span, d.message) not in self.findings:
+                    self.findings.add((d.code, d.span, d.message))
+                    self.diags.append(d)
+        if len(it.generic_args) != len(decl.generic_params):
+            return it  # E0204
+        if not decl.generic_params:
             if it.target.text in env:
-                for d in check_connections(it, target_decl, scope):
-                    if (d.code, d.span, d.message) not in self.connection_findings:
-                        self.connection_findings.add((d.code, d.span, d.message))
-                        self.diags.append(d)
-                return replace(it, target=ast.PathExpr(self.display(target_key, unit), it.target.span), generic_args=[])
-            return replace(it, generic_args=[]) if it.generic_args else it
-        if len(it.generic_args) != len(target_decl.generic_params):
-            self.diags.append(
-                Diagnostic(
-                    "E0204",
-                    f"`{target_decl.name}` expects {len(target_decl.generic_params)} generic argument(s), got {len(it.generic_args)}",
-                    it.target.span,
-                )
-            )
+                return replace(it, target=ast.PathExpr(self.display(target, unit.name), it.target.span))
             return it
-        arg_keys = []
-        for arg in it.generic_args:
-            key = self.resolve_module_key(arg, scope, env, required=True)
-            if key is None:
-                return it
-            arg_keys.append(key)
-        mangled = self.expand(target_key, tuple(arg_keys), it.target.span)
+        args = [self.module(arg, unit, env) for arg in it.generic_args]
+        if any(arg is None for arg in args):
+            return it  # the analyzer's E0202/E0203/E0205
+        mangled = self.expand(target, args, it.target.span)
         return replace(it, target=ast.PathExpr([mangled], it.target.span), generic_args=[])
 
-    def resolve_module_key(self, path: ast.PathExpr, scope, env: dict[str, tuple], required: bool = False):
-        """Module key for an inst-target or generic-argument path, or None."""
-        if path.text in env:  # a generic parameter of the module being instantiated
+    def module(self, path: ast.PathExpr, unit, env: dict[str, Symbol]) -> Symbol | None:
+        """The module an inst target or generic argument of `unit` names: a
+        generic parameter's from `env`, any other path's from the analyzer."""
+        if path.text in env:
             return env[path.text]
-        quiet: list[Diagnostic] = []
-        sym = resolve(path, scope, quiet)
-        if sym is None:
-            return None  # E0202/E0203 are reported by the analyzer's pass
-        if sym.kind == SymbolKind.MODULE:
-            return (sym.unit, sym.name)
-        if sym.kind == SymbolKind.GENERIC_PARAM:
-            return None  # inst of an unsubstituted parameter: template body itself
-        if required:
-            self.diags.append(
-                Diagnostic(
-                    "E0205",
-                    f"generic argument `{path.text}` is a {sym.kind_name}, not a module",
-                    path.span,
-                )
-            )
-        return None
+        return unit.resolved.get(id(path))
 
-    def expand(self, template_key: tuple, arg_keys: tuple, use_span: Span) -> str:
-        unit = template_key[0]
-        template = self.modules[template_key]
-        args_display = tuple("::".join(self.display(k, unit)) for k in arg_keys)
-        mangled = mangle(template.name, args_display)
-        key = (template_key, arg_keys)
+    def expand(self, template: Symbol, args: list[Symbol], use_span: Span) -> str:
+        decl: ast.ModuleDecl = template.decl
+        args_display = tuple("::".join(self.display(a, template.unit)) for a in args)
+        mangled = mangle(decl.name, args_display)
+        key = ((template.unit, template.name), tuple((a.unit, a.name) for a in args))
         if key in self.instances:
             return mangled
         if key in self.stack:
             self.diags.append(
                 Diagnostic(
                     "E0206",
-                    f"recursive generic instantiation of `{template.name}`",
+                    f"recursive generic instantiation of `{decl.name}`",
                     use_span,
                 )
             )
             return mangled
         self.stack.append(key)
-        made = self.instantiate(template, unit, dict(zip(template.generic_params, arg_keys)), mangled)
+        made = self.instantiate(decl, self.units[template.unit], dict(zip(decl.generic_params, args)), mangled)
         self.stack.pop()
-        self.made.setdefault(id(template), []).append(made)
-        self.instances[key] = GenericInstance(template, args_display, mangled, unit)
+        self.made.setdefault(id(decl), []).append(made)
+        self.instances[key] = GenericInstance(decl, args_display, mangled, template.unit)
         return mangled
 
-    def display(self, key: tuple, from_unit: str) -> list[str]:
+    def display(self, module: Symbol, from_unit: str) -> list[str]:
         """Path for an argument module as seen from `from_unit`.
 
         Cross-project arguments keep their namespace so mangled names stay
         injective; the emitter only uses the last segment.
         """
-        unit, name = key
-        return [name] if unit == from_unit else [unit, name]
+        return [module.name] if module.unit == from_unit else [module.unit, module.name]
 
     def check_collisions(self, instances: list[GenericInstance]) -> None:
-        user_names = {name: decl for (_, name), decl in self.modules.items()}
+        user_names = {
+            sym.name: sym.decl
+            for u in self.units.values()
+            for sym in u.table.project.entries.values()
+            if sym.kind == SymbolKind.MODULE
+        }
         for inst in instances:
             if inst.mangled_name in user_names:
                 self.diags.append(

@@ -165,9 +165,55 @@ def test_lvalue_index_and_range_are_reads():
         "    assign o = r;\n"
         "}\n"
     )
-    assert "W0304" not in codes(src)
+    # the part-select's bounds are reads, and not constants
+    assert [(d.code, d.message) for d in check(src)[0]] == [
+        ("E0301", "`s` is a var, not a constant"),
+        ("E0301", "`t` is a var, not a constant"),
+    ]
     # without the reads in the selects, `s` and `t` are never read
     assert codes(src.replace("r[s] = 1'b0; r[s:t] = 1'b1; ", "")) == ["W0304", "W0304"]
+
+
+def test_lvalue_part_select_bounds_are_constants():
+    src = (
+        "module Leaf (o: output logic<4>) {\n"
+        "    assign o = 4'd0;\n"
+        "}\n"
+        "module M (o: output logic<4>) {\n"
+        "    var s: logic<2>;\n"
+        "    var a: logic<4>;\n"
+        "    var b: logic<4>;\n"
+        "    var c: logic<4>;\n"
+        "    assign s = 2'd1;\n"
+        "    always_comb { a[s:0] = 1'b1; }\n"
+        "    assign b[s:0] = 1'b1;\n"
+        "    inst u: Leaf (o: c[s:0]);\n"
+        "    assign o = a | b | c[s:0];\n"
+        "}\n"
+    )
+    diags, *_ = check(src)
+    assert [(d.code, d.span.line, d.span.column) for d in diags] == [
+        ("E0301", 10, 21),  # always_comb lvalue
+        ("E0301", 11, 14),  # assign lvalue
+        ("E0301", 12, 24),  # output port connection
+        ("E0301", 13, 26),  # the rvalue, as before
+    ]
+    assert {d.message for d in diags} == {"`s` is a var, not a constant"}
+
+
+def test_undefined_name_in_a_part_select_bound_is_one_e0202():
+    src = (
+        "module M (o: output logic<4>) {\n"
+        "    var r: logic<4>;\n"
+        "    assign r[x:0] = 1'b1;\n"
+        "    assign o = r[y:0];\n"
+        "}\n"
+    )
+    diags, *_ = check(src)
+    assert [(d.code, d.message) for d in diags] == [
+        ("E0202", "undefined identifier `x`"),
+        ("E0202", "undefined identifier `y`"),
+    ]
 
 
 # -- latches -------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svread
 import vl
@@ -15,6 +20,7 @@ from vl.parser import MAX_NESTING
 
 from test_analyzer import PASS_THROUGH
 from test_parser import FIG1
+from test_project import make_repo
 from test_resolver import FIG3_FF
 
 
@@ -313,6 +319,82 @@ def test_generic_pass_through_builds(tmp_path):
     (inst,) = modules["Wrap__Leaf"].insts
     assert (inst.type, inst.name) == ("Leaf", "u")
     assert inst.port_conns == {"i_a": ("w",), "o": ("o",)}
+
+
+def test_undefined_generic_argument_fails_the_build(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / "cache"))
+    url = make_repo(tmp_path, "sample")
+    src = (
+        "module Leaf (o: output logic) {\n    assign o = 1'b0;\n}\n"
+        "module Wrap::<T> (o: output logic) {\n    inst u: T (o: o);\n}\n"
+        "module Top (o: output logic, p: output logic) {\n"
+        "    inst w: Wrap::<Nope> (o: o);\n"
+        "    inst v: Wrap::<sample::Nope> (o: p);\n"
+        "}\n"
+    )
+    root = make_project(tmp_path, src, name="top", stem="top")
+    with open(root / "vl.toml", "a") as f:
+        f.write(f'\n[dependencies]\n"{url}" = "0.1.0"\n')
+    assert main(["build", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["code"], d["line"], d["message"]) for d in diags] == [
+        ("E0202", 8, "undefined identifier `Nope`"),
+        ("E0202", 9, "dependency `sample` has no public item `Nope`"),
+    ]
+    assert not list(root.rglob("*.sv"))
+
+
+def test_duplicate_template_is_only_e0201_whichever_file_is_read_first(tmp_path, capsys):
+    # `src/a/b.vl` is read first, but `src/a-b.vl` comes first in file-id order
+    root = make_project(tmp_path, "module Leaf () {}\nmodule Top () {\n    inst w: Wrap::<Leaf>;\n}\n", name="dup", stem="top")
+    (root / "src" / "a-b.vl").write_text("module Wrap::<T> () {\n    inst u: T;\n}\n")
+    (root / "src" / "a").mkdir()
+    (root / "src" / "a" / "b.vl").write_text("module Wrap::<T, U> () {\n    inst u: T;\n}\n")
+    assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["code"], d["file"], d["line"]) for d in diags] == [("E0201", "src/a/b.vl", 1)]
+
+
+_BAD_ARGS = ["Nope", "pkg", "pkg::C", "L0::x"]
+
+
+@st.composite
+def generic_project(draw):
+    """Two leaves, up to three templates and a top module, whose insts take
+    generic arguments of every kind (leaves, templates, the template's own
+    parameters, undefined names, a package and a constant) in any count,
+    though most often the target's."""
+    templates = {f"G{i}": draw(st.integers(1, 2)) for i in range(draw(st.integers(1, 3)))}
+    modules = ["L0", "L1", *templates]
+
+    def inst(k, params):
+        target = draw(st.sampled_from([*templates] * 2 + modules + params))
+        arity = templates.get(target, 0)
+        count = draw(st.sampled_from([arity] * 4 + [0, 1, 2]))
+        args = [draw(st.sampled_from(["L0", "L1"] * 4 + modules + params * 4 + _BAD_ARGS)) for _ in range(count)]
+        return f"    inst u{k}: {target}" + (f"::<{', '.join(args)}>" if args else "") + ";"
+
+    lines = ["package pkg { const C: u32 = 1; }", "module L0 () {}", "module L1 () {}"]
+    for name, arity in templates.items():
+        params = [f"T{j}" for j in range(arity)]
+        lines += [f"module {name}::<{', '.join(params)}> () {{", *(inst(k, params) for k in range(draw(st.integers(0, 2)))), "}"]
+    lines += ["module Top () {", *(inst(k, []) for k in range(draw(st.integers(1, 3)))), "}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(generic_project())
+def test_every_emitted_instance_names_an_emitted_module(src):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = make_project(Path(tmp), src, name="gen", stem="gen")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["build", "--manifest", str(root / "vl.toml")])
+        assert rc in (0, 1) and "internal error:" not in err.getvalue()
+        if rc == 0:
+            modules = [m for m in svread.parse_sv((root / "target" / "sv" / "gen.sv").read_text()) if isinstance(m, svread.SvModule)]
+            names = {m.name for m in modules}
+            assert {i.type for m in modules for i in m.insts} <= names
 
 
 def test_invalid_utf8_in_manifest_is_e0003(tmp_path, capsys):

@@ -165,9 +165,35 @@ def test_every_comment_stays_where_it_stands():
         # comments on the line of a list's opener
         "pub module M ( /// t\n    a: input logic,\n) {\n    var v: logic;\n}\n",
         "module M #( // c\n    param A: u32 = 1,\n) ( // d\n    a: input logic,\n) {\n}\n",
+        # comments after a body's or block's `{`
+        "module M () { // c\n    var v: logic;\n}\n",
+        "module M (\n    a: input logic,\n) { // c\n}\n",
+        "package p { // c\n    const C: u32 = 1;\n}\n",
+        "module M (\n    o: output logic,\n) {\n    always_comb { // c\n        if o { // d\n            o = 1'b0;\n"
+        "        } else { // e\n            o = 1'b1;\n        }\n    }\n}\n",
+        # comments inside an empty list
+        "module M ( // c\n) {\n}\n",
+        "module M #( // c\n) () {\n}\n",
+        "module M #(\n    // c\n) (\n    // d\n) {\n}\n",
+        # a comment after the `(` of an instance's connections
+        "module M () {\n    inst u: L ( // c\n        a: b,\n    );\n}\n",
     ]
     for src in probes:
         assert roundtrip(src) == src
+        assert_stable(src)
+    # A `::<…>` list is written on one line: a comment inside it ends that line.
+    moved = [
+        ("module M::<T, // c\n    U> () {\n}\n", "module M::<T, U> () { // c\n}\n"),
+        ("module M::< // c\n    T> #(\n    param A: u32 = 1,\n) () {\n}\n", "module M::<T> #( // c\n    param A: u32 = 1,\n) () {\n}\n"),
+        ("module M () {\n    inst u: G::<A, // c\n        B>;\n}\n", "module M () {\n    inst u: G::<A, B>; // c\n}\n"),
+        (
+            "module M () {\n    inst u: G::<A, // c\n        B> (\n        a: b,\n    );\n}\n",
+            "module M () {\n    inst u: G::<A, B> ( // c\n        a: b,\n    );\n}\n",
+        ),
+    ]
+    for src, canonical in moved:
+        assert roundtrip(src) == canonical
+        assert roundtrip(canonical) == canonical
         assert_stable(src)
     models, _ = extract_docs([parse_ok(probes[4])])
     assert [(m.name, m.body_doc) for m in models] == [("A", ""), ("B", "")]
@@ -183,19 +209,23 @@ _ITEMS = [
     ["always_comb {", "    v = a;", "}"],
     ["always_comb {", "    if a {", "        v = 1;", "    } else {", "        v = 0;", "    }", "}"],
     ["inst u: Leaf #(", "    W: 8,", "    D: 2,", ") (", "    a: b,", "    c: d,", ");"],
+    ["inst g: G::<A,", "    B>;"],
+    ["inst g: G::<A,", "    B> (", "    a: b,", ");"],
 ]
 
 
 @st.composite
 def commented_module(draw):
-    """A pub module, one param, port, declaration or statement per line, with
-    `//` comments and `///` blocks on their own lines (a blank line before
-    some) and at line ends (`///` only after `,`, `;` and `}`), at random
-    places."""
+    """A pub module, perhaps generic, one param, port, declaration or
+    statement per line, with `//` comments and `///` blocks on their own
+    lines (a blank line before some, none inside a `::<…>` list) and at line
+    ends (`///` only after `,`, `;` and `}`), at random places."""
     nparams = draw(st.integers(0, 3))
     nports = draw(st.integers(0, 3))
-    lines = ["pub module M #(", *(f"    param P{i}: u32 = {i}," for i in range(nparams))] if nparams else []
-    close = ") " if nparams else "pub module M "
+    *lines, name = ["pub module M::<T,", "    U>"] if draw(st.booleans()) else ["pub module M"]
+    if nparams:
+        lines += [name + " #(", *(f"    param P{i}: u32 = {i}," for i in range(nparams))]
+    close = ") " if nparams else name + " "
     if nports:
         lines += [close + "(", *(f"    p{i}: input logic," for i in range(nports)), ") {"]
     else:
@@ -205,7 +235,8 @@ def commented_module(draw):
     lines.append("}")
     out: list[str] = []
     for line in lines + [""]:
-        kind = draw(st.integers(0, 5))
+        # no own-line comment inside a `::<…>` list, which fmt writes on one line
+        kind = draw(st.integers(0, 5)) if line.strip()[:2] not in ("U>", "B>") else None
         if kind == 0:
             out.append(f"// own {len(out)}")
         elif kind == 1:

@@ -1,6 +1,8 @@
 from types import SimpleNamespace
 
 from vl import ast
+from vl.analyzer import analyze_unit
+from vl.driver import check_strings
 from vl.parser import parse_source
 from vl.resolver import (
     SymbolKind,
@@ -26,10 +28,11 @@ def symbols(src, deps=None, unit="local"):
 
 
 def unit_view(src, name="local", deps=None, file_id="main.vl"):
+    """A checked unit as mono reads it; the analyzer's findings are not asserted."""
     sf = parsed(src, file_id)
     table, diags = build_symbols([sf], deps or {}, name)
     assert diags == []
-    return SimpleNamespace(name=name, files=[sf], table=table)
+    return SimpleNamespace(name=name, files=[sf], table=table, resolved=analyze_unit([sf], table)[1])
 
 
 def test_fig1_entries():
@@ -197,14 +200,65 @@ def test_nested_generic_instantiation():
 
 def test_generic_arity_mismatch_is_e0204():
     src = "module A () {}\nmodule G::<T, U> () {}\nmodule P () { inst u: G::<A>; }\n"
-    res = monomorphize([unit_view(src)])
+    res = check_strings([("main.vl", src)])
     assert [d.code for d in res.diagnostics] == ["E0204"]
 
 
 def test_generic_arg_not_module_is_e0205():
     src = "package pkg { const C: u32 = 1; }\nmodule G::<T> () { inst u: T; }\nmodule P () { inst u: G::<pkg>; }\n"
-    res = monomorphize([unit_view(src)])
+    res = check_strings([("main.vl", src)])
     assert [d.code for d in res.diagnostics] == ["E0205"]
+
+
+def test_undefined_generic_argument_is_e0202():
+    src = "module Leaf () {}\nmodule Wrap::<T> () { inst u: T; }\nmodule Top () { inst w: Wrap::<Nope>; }\n"
+    res = check_strings([("main.vl", src)])
+    assert [(d.code, d.message) for d in res.diagnostics] == [("E0202", "undefined identifier `Nope`")]
+    assert res.mono.instances == []
+
+
+def test_generic_argument_findings_in_a_template_body_are_reported_once():
+    # once with two instantiations of `G`, and once in `Dead`, never instantiated
+    src = (
+        "module A () {}\n"
+        "module B () {}\n"
+        "package pkg { const C: u32 = 1; }\n"
+        "module H::<T> () { inst z: T; }\n"
+        "module G::<T> () {\n"
+        "    inst x: A::<B>;\n"
+        "    inst y: H::<pkg>;\n"
+        "    inst w: H::<A, B>;\n"
+        "}\n"
+        "module Dead::<T> () {\n"
+        "    inst x: A::<B>;\n"
+        "    inst y: H::<pkg>;\n"
+        "    inst v: H::<A::B>;\n"
+        "}\n"
+        "module Top () { inst a: G::<A>; inst b: G::<B>; }\n"
+    )
+    res = check_strings([("main.vl", src)])
+    assert [(d.code, d.span.line) for d in res.diagnostics] == [
+        ("E0204", 6),
+        ("E0205", 7),
+        ("E0204", 8),
+        ("E0204", 11),
+        ("E0205", 12),
+        ("E0203", 13),
+    ]
+    assert [i.mangled_name for i in res.mono.instances] == ["G__A", "G__B"]
+
+
+def test_generic_parameter_target_arity_is_checked_after_substitution_once():
+    src = (
+        "module A () {}\n"
+        "module B () {}\n"
+        "module Wrap::<T, U> () { inst u: T::<U>; }\n"
+        "module Top () { inst a: Wrap::<A, A>; inst b: Wrap::<A, B>; }\n"
+    )
+    res = check_strings([("main.vl", src)])
+    assert [(d.code, d.span.line, d.message) for d in res.diagnostics] == [
+        ("E0204", 3, "`A` is not generic but got 1 generic argument(s)")
+    ]
 
 
 def test_recursive_instantiation_is_e0206():
