@@ -208,6 +208,7 @@ class InstDecl:
     param_conns: list[Connection]
     port_conns: list[Connection]
     span: Span
+    params_span: Span | None = None  # `#` to the `)` of the param list
 
 
 @dataclass

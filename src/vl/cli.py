@@ -1,8 +1,8 @@
 """Command-line entry point: `vl new|check|build|fmt|doc|update`.
 
-Human-readable diagnostics go to stderr; `--format json` prints one JSON
-array to stdout.  Exit codes: 0 no errors, 1 error diagnostics, 2 usage or
-IO/config failure.
+Each command reports its diagnostics once, at its end: human-readable to
+stderr, or with `--format json` one JSON array to stdout.  Exit codes: 0 no
+errors, 1 error diagnostics, 2 usage, config or output (EIO01) failure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json
+from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json, write_outputs
 from .driver import check_program, doc_program, emit_program, load_program, read_sources
 from .formatter import format_source
 from .parser import parse_source
@@ -78,6 +78,8 @@ def report(diags: list[Diagnostic], sources: dict[str, str], mode: str) -> int:
     else:
         for d in diags:
             sys.stderr.write(render_human(d, _with_files(sources, d)) + "\n")
+    if any(d.code == "EIO01" for d in diags):
+        return 2
     return 1 if has_errors(diags) else 0
 
 
@@ -110,14 +112,10 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     loaded, result = _pipeline(args)
-    rc = report(result.diagnostics, result.source_texts, args.format)
-    if rc != 0 or loaded.manifest is None:
-        return rc
-    _, ediags = emit_program(result, _out_root(args, loaded))
-    if ediags:
-        report(ediags, result.source_texts, args.format)
-        return 2
-    return 0
+    diags = result.diagnostics
+    if result.ok:  # a manifest that did not load is an error
+        diags = diags + emit_program(result, _out_root(args, loaded))[1]
+    return report(diags, result.source_texts, args.format)
 
 
 def cmd_doc(args) -> int:
@@ -133,12 +131,11 @@ def cmd_doc(args) -> int:
 
 def cmd_update(args) -> int:
     loaded = load_program(args.manifest, offline=args.offline)
-    rc = report(loaded.diagnostics, {}, args.format)
-    if loaded.manifest is None:
-        return 2
-    lock_path = loaded.manifest.root_dir / "vl.lock"
-    lock_path.write_text(loaded.lock.dump(), encoding="utf-8")
-    return rc
+    diags = loaded.diagnostics
+    if loaded.manifest is not None:
+        diags = diags + write_outputs([(loaded.manifest.root_dir / "vl.lock", loaded.lock.dump())])[1]
+    rc = report(diags, {}, args.format)
+    return 2 if loaded.manifest is None else rc
 
 
 def cmd_fmt(args) -> int:
@@ -158,7 +155,7 @@ def cmd_fmt(args) -> int:
         if formatted != text:
             changed.append(path)
             if not args.check:
-                path.write_text(formatted, encoding="utf-8")
+                diags += write_outputs([(path, formatted)])[1]
     rc = report(diags, sources, args.format)
     if args.check and changed:
         for path in changed:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .tokens import Span
 
@@ -24,6 +26,21 @@ class Diagnostic:
     @property
     def severity(self) -> str:
         return "error" if self.code.startswith("E") else "warning"
+
+
+def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list[Diagnostic]]:
+    """The one writer of every output file: write each (path, text) as UTF-8,
+    making its directory first.  Stops at the first failure, which is one
+    EIO01 at that path; returns the paths written before it."""
+    written: list[Path] = []
+    for path, text in outputs:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except OSError as err:
+            return written, [Diagnostic("EIO01", f"cannot write {path}: {err}", Span(str(path), 0, 0, 1, 1))]
+        written.append(path)
+    return written, []
 
 
 def sort_key(d: Diagnostic):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import ast
 from .ast import expr_text, type_text
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, write_outputs
 from .emitter import lower_type, unpacked_suffix
 
 
@@ -296,18 +296,14 @@ def render_index_html(models: list[DocModel], wavedrom_url: str = "wavedrom.min.
     return _page("Modules", body, wavedrom_url, with_wavedrom=False)
 
 
-def write_docs(models: list[DocModel], out_dir: Path, wavedrom_url: str = "wavedrom.min.js") -> list[Path]:
+def write_docs(models: list[DocModel], out_dir: Path, wavedrom_url: str = "wavedrom.min.js") -> tuple[list[Path], list[Diagnostic]]:
     """Write <module>.md/.html plus index pages under `out_dir`."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for m in models:
-        md = out_dir / f"{m.name}.md"
-        md.write_text(render_markdown(m), encoding="utf-8")
-        page = out_dir / f"{m.name}.html"
-        page.write_text(render_html(m, wavedrom_url), encoding="utf-8")
-        written += [md, page]
-    idx_md = out_dir / "index.md"
-    idx_md.write_text(render_index_markdown(models), encoding="utf-8")
-    idx_html = out_dir / "index.html"
-    idx_html.write_text(render_index_html(models, wavedrom_url), encoding="utf-8")
-    return written + [idx_md, idx_html]
+
+    def pages():
+        for m in models:
+            yield out_dir / f"{m.name}.md", render_markdown(m)
+            yield out_dir / f"{m.name}.html", render_html(m, wavedrom_url)
+        yield out_dir / "index.md", render_index_markdown(models)
+        yield out_dir / "index.html", render_index_html(models, wavedrom_url)
+
+    return write_outputs(pages())

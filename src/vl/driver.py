@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import ast
 from .analyzer import FfBinding, analyze_unit
-from .diagnostics import Diagnostic, has_errors, sorted_diagnostics
+from .diagnostics import Diagnostic, has_errors, sorted_diagnostics, write_outputs
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
 from .lexer import decode_source
@@ -42,11 +42,11 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
 
 
 def read_sources(root: Path, is_root: bool = True):
-    """(path, file_id, output stem, text, decode diagnostics) of each .vl file
-    under `root`/src, recursive, in path order.  The root project's file ids are
-    relative to its root; a dependency's are its cache paths."""
+    """(path, file_id, output stem, text, decode diagnostics) of each regular
+    .vl file under `root`/src, recursive, in path order.  The root project's
+    file ids are relative to its root; a dependency's are its cache paths."""
     src = root / "src"
-    for path in sorted(src.rglob("*.vl")) if src.is_dir() else []:
+    for path in sorted(p for p in src.rglob("*.vl") if p.is_file()) if src.is_dir() else []:
         rel = path.relative_to(root)
         file_id = str(rel) if is_root else str(path)
         yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
@@ -133,9 +133,9 @@ def _monomorphize(result: ProgramResult) -> ProgramResult:
 
 
 def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], list[Diagnostic]]:
-    """Write all .sv files plus the name_map.json sidecar under `out_root`."""
+    """Write all .sv files plus the name_map.json sidecar under `out_root`,
+    up to the first file that cannot be written."""
     written: list[Path] = []
-    diags: list[Diagnostic] = []
     for unit in result.units:
         out_dir = out_root / "sv" if unit.plan.is_root else out_root / "sv" / unit.name
         files = []
@@ -143,16 +143,13 @@ def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], lis
             items = result.mono.items.get((unit.name, sf.file_id), [])
             files.append((unit.stems[sf.file_id], items))
         config = EmitConfig(unit.plan.manifest.clock_type, unit.plan.manifest.reset_type)
-        paths, ediags = emit_project(files, config, unit.resolved, out_dir)
+        paths, diags = emit_project(files, config, unit.resolved, out_dir)
         written += paths
-        diags += ediags
-        if ediags:
+        if diags:
             return written, diags
-    out_root.mkdir(parents=True, exist_ok=True)
-    name_map_path = out_root / "name_map.json"
-    name_map_path.write_text(json.dumps(result.mono.name_map, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    written.append(name_map_path)
-    return written, diags
+    name_map = json.dumps(result.mono.name_map, sort_keys=True, indent=2) + "\n"
+    paths, diags = write_outputs([(out_root / "name_map.json", name_map)])
+    return written + paths, diags
 
 
 def doc_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], list[DocModel], list[Diagnostic]]:
@@ -161,5 +158,5 @@ def doc_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], list
     if root is None:
         return [], [], []
     models, diags = extract_docs(root.files)
-    written = write_docs(models, out_root / "doc", root.plan.manifest.wavedrom_url)
-    return written, models, diags
+    written, wdiags = write_docs(models, out_root / "doc", root.plan.manifest.wavedrom_url)
+    return written, models, diags + wdiags

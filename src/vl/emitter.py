@@ -10,9 +10,8 @@ from pathlib import Path
 from . import ast
 from .analyzer import FfBinding
 from .ast import expr_text
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, write_outputs
 from .resolver import clock_or_reset
-from .tokens import Span
 
 _SCALARS = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
 
@@ -241,27 +240,4 @@ def emit_project(
     out_dir: Path,
 ) -> tuple[list[Path], list[Diagnostic]]:
     """Write one `.sv` per source file (same stem); byte-stable across runs."""
-    written: list[Path] = []
-    diags: list[Diagnostic] = []
-    if not files:
-        return written, diags
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        diags.append(Diagnostic("EIO01", f"cannot create output directory: {err}", _io_span(out_dir)))
-        return written, diags
-    for stem, items in files:
-        text = emit_items(items, cfg, resolved)
-        path = out_dir / f"{stem}.sv"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-        except OSError as err:
-            diags.append(Diagnostic("EIO01", f"cannot write {path}: {err}", _io_span(out_dir)))
-            return written, diags
-        written.append(path)
-    return written, diags
-
-
-def _io_span(path: Path) -> Span:
-    return Span(str(path), 0, 0, 1, 1)
+    return write_outputs((out_dir / f"{stem}.sv", emit_items(items, cfg, resolved)) for stem, items in files)

@@ -207,9 +207,11 @@ class _Fmt:
         i = self.next_comment
         commented = i < len(self.comments) and self.comments[i].span.byte_start < it.span.byte_end
         last_line = self.line_of(it.span.byte_end - 1)
-        closing = it.port_conns or it.param_conns
         line = it.span.line
-        for conns, opener in ((it.param_conns, " #("), (it.port_conns, " (")):
+        # Comments before a list's `)` stay in that list; the last list's
+        # closer is the instance's `);`.
+        params_close = it.params_span if it.port_conns else it.span
+        for conns, opener, close in ((it.param_conns, " #(", params_close), (it.port_conns, " (", it.span)):
             if not conns:
                 continue
             self.put(head + opener)
@@ -221,8 +223,7 @@ class _Fmt:
                 self.put(f"{c.name}: {expr_text(c.expr)},")
                 if commented and self.line_of(c.expr.span.byte_end - 1) != last_line:  # a comment there follows `);`
                     self.trailing(c.expr.span)
-            if conns is closing:
-                self.comments_before_close(it.span)
+            self.comments_before_close(close)
             self.indent -= 1
             head, line = ")", self.line_of(conns[-1].expr.span.byte_end - 1)
         self.put(");")

@@ -418,13 +418,16 @@ class _Parser:
             generic_args = self.delimited(">", self.expect_punct("<").span, self.parse_path)
         param_conns: list[Connection] = []
         port_conns: list[Connection] = []
+        params_span = None
         if self.at_punct("#"):
-            self.bump()
+            opener = self.bump().span
             param_conns = self.parse_connections()
+            params_span = self.span_to_prev(opener)
         if self.at_punct("("):
             port_conns = self.parse_connections()
         self.expect_punct(";")
-        return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, self.span_to_prev(start))
+        span = self.span_to_prev(start)
+        return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, span, params_span)
 
     def parse_connections(self) -> list[Connection]:
         return self.delimited(")", self.expect_punct("(").span, self.parse_connection)

@@ -227,7 +227,10 @@ def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path 
     tmp = cache_root() / f".tmp-{os.getpid()}-{url_hash}-{revision[:12]}"
     if tmp.exists():
         shutil.rmtree(tmp)
-    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        dest.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return None, Diagnostic("EIO01", f"cannot create dependency cache {dest.parent}: {err}", dep.span)
     proc = _git(["clone", "--quiet", dep.url, str(tmp)])
     if proc.returncode != 0:
         return None, Diagnostic("E0403", f"cannot clone {dep.url}: {proc.stderr.strip()}", dep.span)
@@ -236,7 +239,6 @@ def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path 
         shutil.rmtree(tmp, ignore_errors=True)
         return None, Diagnostic("E0403", f"cannot check out {revision} of {dep.url}", dep.span)
     shutil.rmtree(tmp / ".git", ignore_errors=True)
-    dest.parent.mkdir(parents=True, exist_ok=True)
     try:
         os.replace(tmp, dest)
     except OSError:

@@ -415,3 +415,79 @@ def test_invalid_utf8_in_lockfile_is_e0003_and_the_lockfile_is_ignored(tmp_path,
     assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
     (diag,) = json.loads(capsys.readouterr().out)
     assert (diag["code"], diag["file"], diag["line"], diag["column"]) == ("E0003", str(root / "vl.lock"), 1, 1)
+
+
+def one_eio01(capsys, rc: int, path) -> None:
+    """The output-failure contract: exit 2 and one coded EIO01 at `path` in
+    one JSON array, never an uncoded OS error."""
+    out, err = capsys.readouterr()
+    assert rc == 2
+    (diag,) = json.loads(out)
+    assert (diag["code"], diag["file"]) == ("EIO01", str(path))
+    assert "error: [Errno" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "doc"])
+def test_out_that_is_a_file_is_one_eio01(tmp_path, capsys, command):
+    root = make_project(tmp_path, FIG1.replace("module Counter", "pub module Counter"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    rc = main([command, "--manifest", str(root / "vl.toml"), "--out", str(blocker), "--format", "json"])
+    first = blocker / ("sv/counter.sv" if command == "build" else "doc/Counter.md")
+    one_eio01(capsys, rc, first)
+    assert blocker.read_text() == "a file, not a directory"
+
+
+def test_name_map_that_is_a_directory_is_one_eio01(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "target" / "name_map.json").mkdir(parents=True)
+    rc = main(["build", "--manifest", str(root / "vl.toml"), "--format", "json"])
+    one_eio01(capsys, rc, root / "target" / "name_map.json")
+    assert (root / "target" / "sv" / "counter.sv").is_file()
+
+
+def test_lockfile_that_is_a_directory_is_one_eio01(tmp_path, capsys):
+    root = make_project(tmp_path)
+    (root / "vl.lock").mkdir()
+    rc = main(["update", "--manifest", str(root / "vl.toml"), "--format", "json"])
+    one_eio01(capsys, rc, root / "vl.lock")
+
+
+def test_failed_fmt_rewrite_is_one_eio01(tmp_path, monkeypatch, capsys):
+    root = make_project(tmp_path, "module   M(){}", name="fmt3", stem="main")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", denied)
+    rc = main(["fmt", "--manifest", str(root / "vl.toml"), "--format", "json"])
+    one_eio01(capsys, rc, root / "src" / "main.vl")
+    assert (root / "src" / "main.vl").read_bytes() == b"module   M(){}"
+
+
+def test_a_directory_named_vl_is_not_a_source_file(tmp_path, capsys):
+    root = make_project(tmp_path, "pub module M () {\n}\n", name="dirs", stem="main")
+    (root / "src" / "x.vl").mkdir()
+    manifest = str(root / "vl.toml")
+    for command in (["check"], ["build"], ["doc"]):
+        assert main([*command, "--manifest", manifest, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+    assert main(["fmt", "--check", "--manifest", manifest]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(p.name for p in (root / "target" / "sv").iterdir()) == ["main.sv"]
+
+
+def test_dependency_cache_that_is_a_file_is_eio01_at_the_request(tmp_path, monkeypatch, capsys):
+    url = make_repo(tmp_path, "sample")
+    cache = tmp_path / "cache"
+    cache.write_text("a file, not a directory")
+    monkeypatch.setenv("VL_CACHE_DIR", str(cache))
+    root = make_project(tmp_path)
+    with open(root / "vl.toml", "a") as f:
+        f.write(f'\n[dependencies]\n"{url}" = "0.1.0"\n')
+    rc = main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and "error: [Errno" not in err
+    (diag,) = json.loads(out)
+    assert (diag["code"], diag["file"], diag["line"]) == ("EIO01", str(root / "vl.toml"), 6)
+    assert "dependency cache" in diag["message"]

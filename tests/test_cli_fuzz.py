@@ -1,0 +1,110 @@
+"""The CLI contract under adversarial input, run in process: every command
+exits 0, 1 or 2, never with an internal error or an uncoded OS error, and
+`--format json` prints exactly one JSON array (except `fmt --check`, which
+lists drifted paths on stdout after it)."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vl.cli import main
+
+from test_parser import FIG1
+
+_TOKENS = [
+    "pub", "module", "M", "L", "::<", "T", ">", "#(", "(", ")", "{", "}", "[", "]", ",", ";", ":", "=",
+    "param", "W", "u32", "input", "output", "logic", "clock", "reset", "var", "v", "inst", "u", "assign",
+    "always_ff", "always_comb", "if_reset", "if", "else", "1'b0", "8'hff", "4'd16", "3", "+", "package",
+    "const", "`a", "// c", "/// d", "\n", "é", "\t",
+]
+_MANIFEST_LINES = [
+    "[project]", 'name = "p"', 'version = "0.1.0"', 'name = "not-an-ident"', 'version = "1"', "[build]",
+    'clock_type = "negedge"', 'reset_type = "bogus"', 'target_dir = "out"', 'wavedrom_url = "w.js"',
+    "[dependencies]", '"file:///nonexistent/vl-dep" = "0.1.0"', '"x" = "1.0"', "[other]", "garbage", "= =", "[",
+]
+_LOCK_LINES = ["file:///nonexistent/vl-dep\t0.1.0\tdeadbeef\tdep", "a\tb", "", "x\ty\tz\tw\tv"]
+# Output layouts that cannot be written, as `vl` finds them in the project root.
+_LAYOUTS = ["none", "out_is_a_file", "target_is_a_file", "doc_is_a_file", "name_map_is_a_dir", "lock_is_a_dir", "source_is_a_dir"]
+_COMMANDS = [["check"], ["build"], ["doc"], ["fmt", "--check"], ["update"], ["fmt"]]
+
+
+def _soup(items):
+    return st.lists(st.sampled_from(items), max_size=30).map(lambda xs: " ".join(xs))
+
+
+@st.composite
+def fuzz_project(draw):
+    source = draw(
+        st.one_of(
+            st.binary(max_size=120),
+            _soup(_TOKENS).map(str.encode),
+            st.just(FIG1.replace("module Counter", "pub module Counter").encode()),
+        )
+    )
+    valid = '[project]\nname = "p"\nversion = "0.1.0"\n'
+    manifest = draw(
+        st.one_of(
+            st.just(valid.encode()),
+            st.binary(max_size=80),
+            st.lists(st.sampled_from(_MANIFEST_LINES), max_size=8).map(lambda xs: "\n".join(xs).encode()),
+        )
+    )
+    lock = draw(
+        st.one_of(
+            st.none(),
+            st.binary(max_size=40),
+            st.lists(st.sampled_from(_LOCK_LINES), max_size=3).map(lambda xs: "\n".join(xs).encode()),
+        )
+    )
+    return source, manifest, lock, draw(st.sampled_from(_LAYOUTS)), draw(st.sampled_from(["human", "json"]))
+
+
+def _lay_out(root: Path, source: bytes, manifest: bytes, lock: bytes | None, layout: str) -> list[str]:
+    """Write the project; returns the extra arguments of `build` and `doc`."""
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "main.vl").write_bytes(source)
+    (root / "vl.toml").write_bytes(manifest)
+    if lock is not None and layout != "lock_is_a_dir":
+        (root / "vl.lock").write_bytes(lock)
+    if layout == "out_is_a_file":
+        (root / "blocker").write_text("")
+        return ["--out", str(root / "blocker")]
+    if layout == "target_is_a_file":
+        (root / "target").write_text("")
+    elif layout == "doc_is_a_file":
+        (root / "target").mkdir()
+        (root / "target" / "doc").write_text("")
+    elif layout == "name_map_is_a_dir":
+        (root / "target" / "name_map.json").mkdir(parents=True)
+    elif layout == "lock_is_a_dir":
+        (root / "vl.lock").mkdir()
+    elif layout == "source_is_a_dir":
+        (root / "src" / "x.vl").mkdir()
+    return []
+
+
+@settings(max_examples=40, deadline=None)
+@given(fuzz_project())
+def test_every_command_keeps_the_cli_contract(project):
+    source, manifest, lock, layout, mode = project
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp) / "p"
+        out_args = _lay_out(root, source, manifest, lock, layout)
+        mp.setenv("VL_CACHE_DIR", str(Path(tmp) / "cache"))
+        for command in _COMMANDS:
+            extra = out_args if command[0] in ("build", "doc") else []
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([*command, "--manifest", str(root / "vl.toml"), "--offline", "--format", mode, *extra])
+            what = f"{command} on layout {layout}: {stderr.getvalue()}"
+            assert rc in (0, 1, 2), what
+            assert "internal error:" not in stderr.getvalue(), what
+            assert "error: [Errno" not in stderr.getvalue(), what
+            if mode == "json" and command != ["fmt", "--check"]:
+                assert isinstance(json.loads(stdout.getvalue()), list), what

@@ -162,7 +162,8 @@ def test_rendering_is_pure():
 
 def test_write_docs_tree(tmp_path):
     models, _ = extract_docs([parse_ok(FIG6)])
-    written = write_docs(models, tmp_path / "doc")
+    written, diags = write_docs(models, tmp_path / "doc")
+    assert diags == []
     names = sorted(p.name for p in written)
     assert names == ["Sample.html", "Sample.md", "index.html", "index.md"]
     assert "Sample" in (tmp_path / "doc" / "index.md").read_text()

@@ -177,6 +177,8 @@ def test_every_comment_stays_where_it_stands():
         "module M #(\n    // c\n) (\n    // d\n) {\n}\n",
         # a comment after the `(` of an instance's connections
         "module M () {\n    inst u: L ( // c\n        a: b,\n    );\n}\n",
+        # a comment before the `)` of an instance's param list, ports after it
+        "module M () {\n    inst u: L #(\n        W: 8,\n        // own\n    ) (\n        a: b,\n    );\n}\n",
     ]
     for src in probes:
         assert roundtrip(src) == src
@@ -261,9 +263,15 @@ def comment_texts(src):
     return texts
 
 
+def code_tokens(src):
+    """The (kind, text) of every token of `src` that is not a comment."""
+    return [(t.kind, t.text) for t in scan(src, "t.vl").tokens]
+
+
 @given(commented_module())
 def test_every_comment_kept_once_in_order_property(src):
     once = roundtrip(src)
     assert comment_texts(once) == comment_texts(src)
+    assert code_tokens(once) == code_tokens(src)
     assert roundtrip(once) == once
     assert extract_docs([parse_ok(once)])[0] == extract_docs([parse_ok(src)])[0]
