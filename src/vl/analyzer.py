@@ -292,7 +292,7 @@ class _ModuleChecker:
         """Bind `ff` to its clock (and reset, when needed).  An abbreviated
         form requires exactly one clock-typed (and reset-typed) signal in the
         module; explicit names must have clock/reset types."""
-        uses_ir = any(isinstance(s, ast.IfResetStmt) for s, _ in ast.iter_stmts(ff.body.stmts))
+        uses_ir = any(isinstance(s, ast.IfStmt) and s.arms[0][0] is None for s, _ in ast.iter_stmts(ff.body.stmts))
         clock = self.bind("clock", ff.clock_name, ff.clock_span, ff)
         reset = None
         if uses_ir and ff.clock_name is not None and ff.reset_name is None:
@@ -361,8 +361,8 @@ class _ModuleChecker:
                 self.select_reads(site, s.lvalue, scope, inner)
             elif isinstance(s, ast.ReturnStmt):
                 self.expr_read(site, s.value, scope, inner)
-            elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-                for cond, _ in ast.if_arms(s)[0]:
+            elif isinstance(s, ast.IfStmt):
+                for cond, _ in s.arms:
                     if cond is not None:
                         self.expr_read(site, cond, scope, inner)
 
@@ -584,10 +584,9 @@ class _ModuleChecker:
                     must.add(name)
                     maybe.add(name)
                     first_span.setdefault(name, base.span)
-                elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-                    blocks, orelse = ast.if_arms(s)
-                    arms = [flow(block.stmts) for _, block in blocks]
-                    arms.append(flow(orelse.stmts) if orelse else (set(), set()))  # missing else: empty path
+                elif isinstance(s, ast.IfStmt):
+                    arms = [flow(block.stmts) for _, block in s.arms]
+                    arms.append(flow(s.orelse.stmts) if s.orelse else (set(), set()))  # missing else: empty path
                     must |= set.intersection(*(m for m, _ in arms))
                     maybe |= set.union(*(mb for _, mb in arms))
                 elif isinstance(s, (ast.Block, ast.UnsafeCdcStmt)):

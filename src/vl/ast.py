@@ -122,16 +122,12 @@ class AssignStmt:
 
 @dataclass
 class IfStmt:
-    cond: Expr
-    then: Block
-    orelse: "Block | IfStmt | None"
-    span: Span
+    """An `if`/`else if` or `if_reset`/`else if` chain: its (condition,
+    block) arms in source order, then its final `else` block.  Only the head
+    arm of an `if_reset` chain has no condition."""
 
-
-@dataclass
-class IfResetStmt:
-    then: Block
-    orelse: "Block | IfStmt | None"
+    arms: list[tuple[Expr | None, Block]]
+    orelse: Block | None
     span: Span
 
 
@@ -147,7 +143,7 @@ class UnsafeCdcStmt:
     span: Span
 
 
-Stmt = AssignStmt | IfStmt | IfResetStmt | ReturnStmt | UnsafeCdcStmt | Block
+Stmt = AssignStmt | IfStmt | ReturnStmt | UnsafeCdcStmt | Block
 
 
 # --- declarations ---------------------------------------------------------
@@ -323,7 +319,7 @@ def structure(node):
         return node
     if isinstance(node, Enum):
         return node.name
-    if isinstance(node, list):
+    if isinstance(node, (list, tuple)):
         return tuple(structure(x) for x in node)
     if is_dataclass(node):
         parts = [type(node).__name__]
@@ -414,18 +410,6 @@ def iter_module_items(body: list[ModuleItem], unsafe: bool = False):
             yield it, unsafe
 
 
-def if_arms(s: IfStmt | IfResetStmt) -> tuple[list[tuple[Expr | None, Block]], Block | None]:
-    """The (condition, block) arms of an `if`/`else if`/`if_reset` chain in
-    source order, and its final `else` block.  Only an `if_reset` head has no
-    condition."""
-    arms = [(s.cond if isinstance(s, IfStmt) else None, s.then)]
-    node = s.orelse
-    while isinstance(node, IfStmt):
-        arms.append((node.cond, node.then))
-        node = node.orelse
-    return arms, node
-
-
 def iter_stmts(stmts: list[Stmt], unsafe: bool = False):
     """Yield (stmt, inside_unsafe_cdc) in pre-order, with blocks and unsafe(cdc)
     wrappers flattened; a chain is yielded once, by its head, followed by the
@@ -437,9 +421,8 @@ def iter_stmts(stmts: list[Stmt], unsafe: bool = False):
             yield from iter_stmts(s.body.stmts, True)
         else:
             yield s, unsafe
-            if isinstance(s, (IfStmt, IfResetStmt)):
-                arms, orelse = if_arms(s)
-                for _, block in arms:
+            if isinstance(s, IfStmt):
+                for _, block in s.arms:
                     yield from iter_stmts(block.stmts, unsafe)
-                if orelse is not None:
-                    yield from iter_stmts(orelse.stmts, unsafe)
+                if s.orelse is not None:
+                    yield from iter_stmts(s.orelse.stmts, unsafe)

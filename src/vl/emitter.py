@@ -107,17 +107,16 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, re
             w.put(f"{lhs} {asgn} {expr_text(s.rhs)};")
         else:
             w.put(f"{lhs} {asgn} {lhs} {s.op[:-1]} ({expr_text(s.rhs)});")
-    elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-        arms, orelse = ast.if_arms(s)
+    elif isinstance(s, ast.IfStmt):
         head = "if"
-        for cond, block in arms:
+        for cond, block in s.arms:
             test = _reset_condition(binding, reset_kind) if cond is None else expr_text(cond)
             w.put(f"{head} ({test}) begin")
             _lower_block(block, w, nb, binding, reset_kind)
             head = "end else if"
-        if orelse is not None:
+        if s.orelse is not None:
             w.put("end else begin")
-            _lower_block(orelse, w, nb, binding, reset_kind)
+            _lower_block(s.orelse, w, nb, binding, reset_kind)
         w.put("end")
     elif isinstance(s, ast.ReturnStmt):
         w.put(f"return {expr_text(s.value)};")

@@ -242,14 +242,13 @@ class _Fmt:
         self.leading(s.span.byte_start)
         if isinstance(s, ast.AssignStmt):
             self.put(f"{expr_text(s.lvalue)} {s.op} {expr_text(s.rhs)};")
-        elif isinstance(s, (ast.IfStmt, ast.IfResetStmt)):
-            arms, orelse = ast.if_arms(s)
+        elif isinstance(s, ast.IfStmt):
             head = ""
-            for cond, block in arms:
+            for cond, block in s.arms:
                 self.emit_block(head + ("if_reset {" if cond is None else f"if {expr_text(cond)} {{"), block)
                 head = "} else "
-            if orelse is not None:
-                self.emit_block("} else {", orelse)
+            if s.orelse is not None:
+                self.emit_block("} else {", s.orelse)
             self.put("}")
         elif isinstance(s, ast.ReturnStmt):
             self.put(f"return {expr_text(s.value)};")

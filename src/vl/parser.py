@@ -16,7 +16,6 @@ from .ast import (
     DecLiteral,
     Expr,
     FunctionDecl,
-    IfResetStmt,
     IfStmt,
     IndexExpr,
     InstDecl,
@@ -564,26 +563,22 @@ class _Parser:
         self.expect_punct(";")
         return AssignStmt(lvalue, op.text, rhs, self.span_to_prev(lvalue.span))
 
-    def parse_if(self) -> IfStmt | IfResetStmt:
-        """An `if` or `if_reset` head, its `else if` arms and final `else`,
-        read in a loop, then nested through `orelse`; every node of the chain
-        spans from its own `if` to the end of the chain."""
+    def parse_if(self) -> IfStmt:
+        """An `if` or `if_reset` head, its `else if` arms and final `else`."""
+        start = self.cur().span
         arms = []
         orelse = None
         while True:
             head = self.bump()
             cond = self.parse_expr() if head.text == "if" else None
-            arms.append((head.span, cond, self.parse_block()))
+            arms.append((cond, self.parse_block()))
             if not self.at_kw("else"):
                 break
             self.bump()
             if not self.at_kw("if"):
                 orelse = self.parse_block()
                 break
-        for start, cond, then in reversed(arms):
-            span = self.span_to_prev(start)
-            orelse = IfResetStmt(then, orelse, span) if cond is None else IfStmt(cond, then, orelse, span)
-        return orelse
+        return IfStmt(arms, orelse, self.span_to_prev(start))
 
     def parse_lvalue(self) -> Expr:
         t = self.cur()

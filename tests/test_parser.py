@@ -53,7 +53,9 @@ def test_fig1_counter_shape():
     assert kinds == ["VarDecl", "AlwaysFf", "AlwaysComb"]
     ff = m.body[1]
     assert ff.clock_name is None and ff.reset_name is None
-    assert isinstance(ff.body.stmts[0], ast.IfResetStmt)
+    (chain,) = ff.body.stmts
+    assert isinstance(chain, ast.IfStmt) and chain.arms[0][0] is None and len(chain.arms) == 1
+    assert chain.orelse is not None
 
 
 def test_minimal_module():
