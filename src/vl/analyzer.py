@@ -99,8 +99,19 @@ class _ConstEval:
         self.fail("expression is not constant", e.span)
 
     def binop(self, e: ast.BinaryExpr, scope: Scope) -> int:
-        a = self.eval(e.lhs, scope)
-        b = self.eval(e.rhs, scope)
+        # Fold the left spine in a loop: a long `a + b + ...` chain nests to
+        # the left and would otherwise recurse once per term.
+        spine = []
+        while isinstance(e, ast.BinaryExpr):
+            spine.append(e)
+            e = e.lhs
+        a = self.eval(e, scope)
+        for e in reversed(spine):
+            a = self.apply(e, a, self.eval(e.rhs, scope))
+        return a
+
+    def apply(self, e: ast.BinaryExpr, a: int, b: int) -> int:
+        """`e`'s operator on its operands' values `a` and `b`."""
         op = e.op
         if op in _EXACT:
             return int(_EXACT[op](a, b))
@@ -248,6 +259,7 @@ class _ModuleChecker:
         process, inst and function; then the whole-module rules, which read
         the sites."""
         for p in self.m.params:
+            self.dims(p.ty)
             self.const_init(p)
         for p in self.m.ports:
             self.dims(p.ty)
@@ -270,6 +282,9 @@ class _ModuleChecker:
             elif isinstance(it, ast.InstDecl):
                 self.connect(it)
             elif isinstance(it, ast.FunctionDecl):
+                for a in it.args:
+                    self.dims(a.ty)
+                self.dims(it.ret)
                 self.walk_stmts(self.site("function", it), it.body.stmts, self.table.function_scopes[id(it)], False)
         self.check_drivers()
         self.check_cdc()
@@ -347,7 +362,10 @@ class _ModuleChecker:
         self.const_value(self.ev.decl, d, self.scope)
 
     def dims(self, ty: ast.TypeSpec) -> None:
+        """Every width and array size of a type: literal widths, then its
+        value, a constant of the module's or package's own scope."""
         for d in ty.packed_dims + ty.unpacked_dims:
+            self.diags += check_literal_widths(d)
             self.const_value(self.ev.eval, d, self.scope)
 
     # -- reads and drives --

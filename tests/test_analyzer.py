@@ -398,6 +398,8 @@ def test_findings_are_reported_once_and_only_where_they_can_be_known(src, expect
 # connection error in a template body that two instances repeat.
 ONCE_PROBES = [
     "module M #(param A: u32 = NOPE, param B: u32 = A) (o: output logic<B>) {\n    assign o = 0;\n}\n",
+    "module M #(param A: u32 = NOPE, param B: logic<A> = 1) () {\n"
+    "    function f (a: logic<A>) -> logic<A> {\n        return a;\n    }\n}\n",
     "package P {\n    const A: u32 = NOPE;\n}\n"
     "module M1 (o: output logic<P::A>) {\n    assign o = 0;\n}\n"
     "module M2 (o: output logic<P::A>) {\n    assign o = 0;\n}\n",
@@ -429,6 +431,31 @@ def test_literal_width_examples():
 def test_literal_width_in_module():
     src = "module M (o: output logic) { assign o = 4'd16; }"
     assert codes(src) == ["E0311"]
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("module M (o: output logic<8'hfff>) {\n    assign o = 0;\n}\n", [("E0311", 1, 27)]),
+        ("module M () {\n    var v: logic[4'd16];\n    const C: bit<2'd7> = 0;\n}\n", [("W0304", 2, 9), ("E0311", 2, 18), ("E0311", 3, 18)]),
+        ("module M #(param W: logic<Q> = 1) () {}", [("E0202", 1, 27)]),
+        ("module M #(param W: logic<2'd4> = 1) () {}", [("E0311", 1, 27)]),
+        (
+            "module M (o: output logic) {\n    function f (a: logic<X>) -> logic<Y> {\n        return a;\n    }\n"
+            "    assign o = f(1);\n}\n",
+            [("E0202", 2, 26), ("E0202", 2, 39)],
+        ),
+        (
+            "package P {\n    const K: u32 = 4;\n    function f (a: logic<K>, b: bit<1'd2>) -> logic<K + Z> {\n"
+            "        return a;\n    }\n}\n",
+            [("E0311", 3, 37), ("E0202", 3, 57)],
+        ),
+    ],
+    ids=["port", "var_const", "param_type", "param_type_literal", "function_types", "package_function"],
+)
+def test_every_type_gets_literal_widths_and_constant_dims(src, expected):
+    result = check_strings([("main.vl", src)])
+    assert [(d.code, d.span.line, d.span.column) for d in result.diagnostics] == expected
 
 
 def test_literal_width_oracle_1_to_16():

@@ -165,6 +165,23 @@ def test_build_with_errors_emits_nothing(tmp_path):
     assert not (root / "target").exists()
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "module M (o: output logic<8'hfff>) {\n    assign o = 0;\n}\n",
+        "module M #(param W: logic<Q> = 1) (o: output logic) {\n    assign o = W;\n}\n",
+        "module M (o: output logic) {\n    function f (a: logic<X>) -> logic<Y> {\n        return a;\n    }\n"
+        "    assign o = f(1);\n}\n",
+    ],
+    ids=["port_width_literal", "param_type", "function_types"],
+)
+def test_a_type_that_does_not_check_is_not_built(tmp_path, src):
+    root = make_project(tmp_path, src, name="bad", stem="main")
+    assert main(["check", "--manifest", str(root / "vl.toml")]) == 1
+    assert main(["build", "--manifest", str(root / "vl.toml")]) == 1
+    assert not (root / "target").exists()
+
+
 def test_related_spans_render_in_order(tmp_path, capsys):
     src = "module Counter () {}\nmodule Counter () {}\n"
     root = make_project(tmp_path, src, name="dup", stem="main")
@@ -195,6 +212,17 @@ def test_1000_term_chain_checks_builds_and_formats(tmp_path):
     assert chain_sv.assigns == [(("o",), tuple(chain.split()))]
     assert main(["fmt", "--manifest", manifest]) == 0
     assert main(["fmt", "--check", "--manifest", manifest]) == 0
+    # The same chain as a constant, in a param default, a width and a
+    # part-select bound: constant evaluation folds it in a loop.
+    consts = {
+        "param": f"module P #(\n    param W: u32 = {chain},\n) (o: output u32) {{\n    assign o = W;\n}}\n",
+        "width": f"module Wd (o: output logic<{chain}>) {{\n    assign o = 0;\n}}\n",
+        "bound": f"module B (i: input logic<2000>, o: output logic<1000>) {{\n    assign o = i[{chain} - 1:0];\n}}\n",
+    }
+    for stem, src in consts.items():
+        manifest = str(make_project(tmp_path, src, f"const_{stem}", stem) / "vl.toml")
+        for cmd in (["check"], ["build"], ["doc"]):
+            assert main([*cmd, "--manifest", manifest]) == 0, (stem, cmd)
     # A 3,000-arm `else if` chain: the parser reads the arms in a loop.
     arms = "".join(f" else if i == {k} {{\n            o = {k};\n        }}" for k in range(1, 3000))
     src = (
