@@ -204,6 +204,7 @@ class InstDecl:
     param_conns: list[Connection]
     port_conns: list[Connection]
     span: Span
+    generics_span: Span | None = None  # `<` to `>` of the generic argument list
     params_span: Span | None = None  # `#` to the `)` of the param list
 
 
@@ -260,7 +261,7 @@ ModuleItem = VarDecl | ConstDecl | InstDecl | AssignItem | AlwaysFf | AlwaysComb
 class ModuleDecl:
     name: str
     name_span: Span
-    generic_params: list[str]
+    generic_params: list[PathExpr]  # one-segment paths, each at its name
     params: list[ParamDecl]
     ports: list[PortDecl]
     body: list[ModuleItem]
@@ -268,9 +269,10 @@ class ModuleDecl:
     span: Span
     is_pub: bool = False
     doc: DocComment | None = None
-    # The param list and the port list, `(` to `)`, when present: the
-    # formatter keeps the comments on the opener's line and before the `)`
-    # inside their list.
+    # The generic param list, `<` to `>`, and the param and port lists, `(`
+    # to `)`, when present: the formatter keeps the comments on the opener's
+    # line and before the closer inside their list.
+    generics_span: Span | None = None
     params_span: Span | None = None
     ports_span: Span | None = None
 

@@ -87,12 +87,12 @@ class _Fmt:
                 return
             self.trailing_on(line)
 
-    def commented(self, span) -> bool:
-        """Whether a comment starts inside `span`."""
+    def comments_in(self, span) -> list:
+        """The comments that start inside `span`, if any."""
         if span is None:
-            return False
-        i = bisect_left(self.comment_starts, span.byte_start)
-        return i < len(self.comment_starts) and self.comment_starts[i] < span.byte_end
+            return []
+        starts = self.comment_starts
+        return self.comments[bisect_left(starts, span.byte_start) : bisect_left(starts, span.byte_end)]
 
     # -- top level --
 
@@ -113,16 +113,14 @@ class _Fmt:
         self.trailing(item.span)
 
     def emit_module(self, m: ast.ModuleDecl) -> None:
-        head = "pub module " if m.is_pub else "module "
-        head += m.name
-        if m.generic_params:
-            head += "::<" + ", ".join(m.generic_params) + ">"
-        line = m.name_span.line  # the first source line the next opener stands for
+        head = ("pub module " if m.is_pub else "module ") + m.name
+        # `line` is the first source line the next opener stands for.
+        head, line = self.emit_generics(head, m.name_span.line, m.generic_params, m.generics_span)
         # A list is written out, one entry per line, when it has entries or comments.
-        if m.params or self.commented(m.params_span):
+        if m.params or self.comments_in(m.params_span):
             self.emit_list(head + " #(", line, m.params, m.params_span, self.emit_param)
             head, line = ")", self.line_of(m.params_span.byte_end - 1)
-        if m.ports or self.commented(m.ports_span):
+        if m.ports or self.comments_in(m.ports_span):
             self.emit_list(head + " (", line, m.ports, m.ports_span, self.emit_port)
             head, line = ")", self.line_of(m.ports_span.byte_end - 1)
         else:
@@ -143,6 +141,26 @@ class _Fmt:
             emit(e)
         self.comments_before_close(span)
         self.indent -= 1
+
+    def emit_generics(self, head: str, line: int, generics: list[ast.PathExpr], span) -> tuple[str, int]:
+        """`head`, the line being written, with the `::<…>` list at `span`,
+        and the source line the next opener stands for.  The list stays on
+        that line unless an own-line comment stands inside it; then it is
+        written out like the other lists, and `>` heads the next line."""
+        if not any(c.own_line for c in self.comments_in(span)):
+            if generics:
+                head += "::<" + ", ".join(g.text for g in generics) + ">"
+            return head, line
+        close = self.line_of(span.byte_end - 1)
+
+        def emit(g: ast.PathExpr) -> None:
+            self.leading(g.span.byte_start)
+            self.put(g.text + ",")
+            if g.span.line != close:  # a comment there follows what follows the `>`
+                self.trailing(g.span)
+
+        self.emit_list(head + "::<", line, generics, span, emit)
+        return ">", close
 
     def emit_param(self, p: ast.ParamDecl) -> None:
         self.leading(p.span.byte_start)
@@ -195,19 +213,16 @@ class _Fmt:
         self.trailing(it.span)
 
     def emit_inst(self, it: ast.InstDecl) -> None:
-        head = f"inst {it.name}: {it.target.text}"
-        if it.generic_args:
-            head += "::<" + ", ".join(g.text for g in it.generic_args) + ">"
+        head, line = self.emit_generics(f"inst {it.name}: {it.target.text}", it.span.line, it.generic_args, it.generics_span)
+        last_line = self.line_of(it.span.byte_end - 1)
         if not it.param_conns and not it.port_conns:
             self.put(head + ";")  # the comment on the last line is the item's trailing one
-            self.trailing_lines(it.span.line, self.line_of(it.span.byte_end - 1))
+            self.trailing_lines(line, last_line)
             return
         # Comments inside the lists are rare: place them per connection only
         # when the next unplaced comment starts inside this instance.
         i = self.next_comment
         commented = i < len(self.comments) and self.comments[i].span.byte_start < it.span.byte_end
-        last_line = self.line_of(it.span.byte_end - 1)
-        line = it.span.line
         # Comments before a list's `)` stay in that list; the last list's
         # closer is the instance's `);`.
         params_close = it.params_span if it.port_conns else it.span

@@ -333,10 +333,7 @@ class _Parser:
     def parse_module(self, is_pub: bool, doc, start: Span) -> ModuleDecl:
         self.bump()  # module
         name = self.expect_ident("module name")
-        generic_params: list[str] = []
-        if self.at_punct("::"):
-            self.bump()
-            generic_params = self.delimited(">", self.expect_punct("<").span, lambda: self.expect_ident("generic parameter").text)
+        generic_params, generics_span = self.generics(self.parse_generic_param)
         params: list[ParamDecl] = []
         params_span = ports_span = None
         if self.at_punct("#"):
@@ -353,8 +350,22 @@ class _Parser:
         body = self.braced(self.parse_module_item)
         span = self.span_to_prev(start)
         return ModuleDecl(
-            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc, params_span, ports_span
+            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc,
+            generics_span, params_span, ports_span,
         )
+
+    def generics(self, item) -> tuple[list, Span | None]:
+        """An optional `::<…>` list of `item()`s, and its span, `<` to `>`."""
+        if not self.at_punct("::"):
+            return [], None
+        self.bump()
+        opener = self.expect_punct("<").span
+        items = self.delimited(">", opener, item)
+        return items, self.span_to_prev(opener)
+
+    def parse_generic_param(self) -> PathExpr:
+        name = self.expect_ident("generic parameter")
+        return PathExpr([name.text], name.span)
 
     def parse_param(self) -> ParamDecl:
         if not self.at_kw("param"):
@@ -411,10 +422,7 @@ class _Parser:
         start = self.bump().span
         name = self.expect_name("instance name")
         target = self.parse_path()
-        generic_args: list[PathExpr] = []
-        if self.at_punct("::"):
-            self.bump()
-            generic_args = self.delimited(">", self.expect_punct("<").span, self.parse_path)
+        generic_args, generics_span = self.generics(self.parse_path)
         param_conns: list[Connection] = []
         port_conns: list[Connection] = []
         params_span = None
@@ -426,7 +434,7 @@ class _Parser:
             port_conns = self.parse_connections()
         self.expect_punct(";")
         span = self.span_to_prev(start)
-        return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, span, params_span)
+        return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, span, generics_span, params_span)
 
     def parse_connections(self) -> list[Connection]:
         return self.delimited(")", self.expect_punct("(").span, self.parse_connection)

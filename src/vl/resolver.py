@@ -120,7 +120,7 @@ def _index_module(table, project, m: ast.ModuleDecl, unit, declare) -> None:
     scope = Scope(project)
     table.module_scopes[id(m)] = scope
     for gp in m.generic_params:
-        declare(scope, Symbol(gp, SymbolKind.GENERIC_PARAM, m.name_span, unit))
+        declare(scope, Symbol(gp.text, SymbolKind.GENERIC_PARAM, gp.span, unit))
     for p in m.params:
         declare(scope, Symbol(p.name, SymbolKind.PARAM, p.name_span, unit, decl=p, ty=p.ty))
     for p in m.ports:
@@ -409,7 +409,7 @@ class _Mono:
             )
             return mangled
         self.stack.append(key)
-        made = self.instantiate(decl, self.units[template.unit], dict(zip(decl.generic_params, args)), mangled)
+        made = self.instantiate(decl, self.units[template.unit], {gp.text: arg for gp, arg in zip(decl.generic_params, args)}, mangled)
         self.stack.pop()
         self.made.setdefault(id(decl), []).append(made)
         self.instances[key] = GenericInstance(decl, args_display, mangled, template.unit)

@@ -179,12 +179,27 @@ def test_every_comment_stays_where_it_stands():
         "module M () {\n    inst u: L ( // c\n        a: b,\n    );\n}\n",
         # a comment before the `)` of an instance's param list, ports after it
         "module M () {\n    inst u: L #(\n        W: 8,\n        // own\n    ) (\n        a: b,\n    );\n}\n",
+        # own-line comments inside a `::<…>` list, which is then written one entry per line
+        "module M::<\n    T,\n    // c\n    U, // t\n    // before the closer\n> () {\n}\n",
+        "pub module M::< // c\n    T,\n    /// stray\n    U,\n> (\n    p0: input logic,\n) {\n}\n",
+        "module M () {\n    inst u: G::<\n        A,\n        // c\n        B,\n    >;\n}\n",
+        "module M () {\n    inst u: G::<\n        // c\n        A,\n    > #(\n        W: 8,\n    ) (\n        a: b,\n    );\n}\n",
     ]
     for src in probes:
         assert roundtrip(src) == src
         assert_stable(src)
-    # A `::<…>` list is written on one line: a comment inside it ends that line.
+    # A `::<…>` list with no own-line comment is written on one line: a
+    # comment inside it ends that line.  One with an own-line comment is
+    # written out, one entry per line.
     moved = [
+        (
+            "pub module M::<T,\n/// d\nU> (\n    p0: input logic,\n) {\n}\n",
+            "pub module M::<\n    T,\n    /// d\n    U,\n> (\n    p0: input logic,\n) {\n}\n",
+        ),
+        (
+            "module M () {\n    inst u: G::<A,\n    // c\n    B>; // t\n}\n",
+            "module M () {\n    inst u: G::<\n        A,\n        // c\n        B,\n    >; // t\n}\n",
+        ),
         ("module M::<T, // c\n    U> () {\n}\n", "module M::<T, U> () { // c\n}\n"),
         ("module M::< // c\n    T> #(\n    param A: u32 = 1,\n) () {\n}\n", "module M::<T> #( // c\n    param A: u32 = 1,\n) () {\n}\n"),
         ("module M () {\n    inst u: G::<A, // c\n        B>;\n}\n", "module M () {\n    inst u: G::<A, B>; // c\n}\n"),
@@ -201,6 +216,10 @@ def test_every_comment_stays_where_it_stands():
     assert [(m.name, m.body_doc) for m in models] == [("A", ""), ("B", "")]
     (model,), _ = extract_docs([parse_ok(probes[6])])
     assert [(r.name, r.doc) for r in model.ports] == [("a", "")]
+    # a `///` inside a `::<…>` list documents nothing, before fmt and after
+    for src in (probes[-3], moved[0][0]):
+        (model,), _ = extract_docs([parse_ok(src)])
+        assert [(r.name, r.doc) for r in model.ports] == [("p0", "")]
 
 
 _ITEMS = [
@@ -220,8 +239,9 @@ _ITEMS = [
 def commented_module(draw):
     """A pub module, perhaps generic, one param, port, declaration or
     statement per line, with `//` comments and `///` blocks on their own
-    lines (a blank line before some, none inside a `::<…>` list) and at line
-    ends (`///` only after `,`, `;` and `}`), at random places."""
+    lines (a blank line before some) and at line ends (`///` only after `,`,
+    `;` and `}`), at random places.  A `::<…>` list that gets an own-line
+    comment ends in a comma, as fmt writes it then."""
     nparams = draw(st.integers(0, 3))
     nports = draw(st.integers(0, 3))
     *lines, name = ["pub module M::<T,", "    U>"] if draw(st.booleans()) else ["pub module M"]
@@ -237,14 +257,15 @@ def commented_module(draw):
     lines.append("}")
     out: list[str] = []
     for line in lines + [""]:
-        # no own-line comment inside a `::<…>` list, which fmt writes on one line
-        kind = draw(st.integers(0, 5)) if line.strip()[:2] not in ("U>", "B>") else None
+        kind = draw(st.integers(0, 5))
         if kind == 0:
             out.append(f"// own {len(out)}")
         elif kind == 1:
             if draw(st.booleans()):
                 out.append("")
             out += [f"/// doc {len(out)}", *(["/// more"] if draw(st.booleans()) else [])]
+        if kind in (0, 1) and line.strip()[:2] in ("U>", "B>"):
+            line = line.replace(">", ",>", 1)
         kind = draw(st.integers(0, 5))
         if line and kind == 0:
             line += f" // trailing {len(out)}"

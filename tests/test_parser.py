@@ -115,7 +115,7 @@ def test_generic_module_and_inst():
         "module Test { inst u0_queue: SramQueue::<SramVendorA>(); }\n"
     )
     q, t = sf.items
-    assert q.generic_params == ["T"]
+    assert [(g.text, g.span.column) for g in q.generic_params] == [("T", 20)]
     inst = t.body[0]
     assert inst.target.segments == ["SramQueue"]
     assert [g.text for g in inst.generic_args] == ["SramVendorA"]

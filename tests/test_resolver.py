@@ -62,6 +62,13 @@ def test_duplicate_inside_module_scope():
     assert [d.code for d in diags] == ["E0201"]
 
 
+def test_duplicate_generic_param_is_e0201_at_each_name():
+    _, _, diags = symbols("module M::<T, U, T> (T: input logic) {}")
+    spans = [(d.span.column, [r.span.column for r in d.related]) for d in diags]
+    assert [d.code for d in diags] == ["E0201", "E0201"]
+    assert spans == [(18, [12]), (22, [12])]
+
+
 def test_shadowing_across_scopes_is_allowed():
     # A module-scope name may shadow an item name.
     _, _, diags = symbols("module M () { var Other: logic; }\nmodule Other () {}\n")
