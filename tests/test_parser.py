@@ -75,6 +75,20 @@ def test_if_reset_outside_always_ff():
     assert [d.code for d in diags] == ["E0102"]
 
 
+def test_if_chain_is_one_node_with_its_arms_in_order():
+    src = "module M () {\n    always_ff {\n        if_reset { a = 0; } else if b { a = 1; } else if c { a = 2; } else { a = 3; }\n    }\n}\n"
+    (chain,) = parse_ok(src).items[0].body[0].body.stmts
+    assert [ast.expr_text(c) if c else None for c, _ in chain.arms] == [None, "b", "c"]
+    assert [ast.expr_text(b.stmts[0].rhs) for _, b in chain.arms] == ["0", "1", "2"]
+    assert ast.expr_text(chain.orelse.stmts[0].rhs) == "3"
+    assert (chain.span.byte_start, chain.span.byte_end) == (src.index("if_reset"), src.index(" }\n    }") + 2)
+
+
+def test_if_reset_only_heads_a_chain():
+    _, diags = parse_source("module M () { always_ff { if a {} else if_reset {} } }", "t.vl")
+    assert (diags[0].code, diags[0].span.column) == ("E0101", 40)
+
+
 def test_unexpected_token_recovers_and_continues():
     src = "module M () { var 5: logic; var ok: logic; }"
     sf, diags = parse_source(src, "t.vl")
