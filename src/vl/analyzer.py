@@ -93,24 +93,21 @@ class _ConstEval:
                 self.fail("negation of an unsigned value wraps", e.span)
             return 0
         if isinstance(e, ast.BinaryExpr):
-            return self.binop(e, scope)
+            # Fold the left spine in a loop: a long `a + b + ...` chain nests
+            # to the left and would otherwise recurse once per term.
+            spine = []
+            while isinstance(e, ast.BinaryExpr):
+                spine.append(e)
+                e = e.lhs
+            v = self.eval(e, scope)
+            for e in reversed(spine):
+                v = self.binop(e, v, self.eval(e.rhs, scope))
+            return v
         if isinstance(e, ast.PathExpr):
             return self.path(e, scope)
         self.fail("expression is not constant", e.span)
 
-    def binop(self, e: ast.BinaryExpr, scope: Scope) -> int:
-        # Fold the left spine in a loop: a long `a + b + ...` chain nests to
-        # the left and would otherwise recurse once per term.
-        spine = []
-        while isinstance(e, ast.BinaryExpr):
-            spine.append(e)
-            e = e.lhs
-        a = self.eval(e, scope)
-        for e in reversed(spine):
-            a = self.apply(e, a, self.eval(e.rhs, scope))
-        return a
-
-    def apply(self, e: ast.BinaryExpr, a: int, b: int) -> int:
+    def binop(self, e: ast.BinaryExpr, a: int, b: int) -> int:
         """`e`'s operator on its operands' values `a` and `b`."""
         op = e.op
         if op in _EXACT:
@@ -259,15 +256,14 @@ class _ModuleChecker:
         process, inst and function; then the whole-module rules, which read
         the sites."""
         for p in self.m.params:
-            self.dims(p.ty)
             self.const_init(p)
         for p in self.m.ports:
             self.dims(p.ty)
         for it, in_unsafe in ast.iter_module_items(self.m.body):
-            if isinstance(it, (ast.VarDecl, ast.ConstDecl)):
+            if isinstance(it, ast.VarDecl):
                 self.dims(it.ty)
-                if isinstance(it, ast.ConstDecl):
-                    self.const_init(it)
+            elif isinstance(it, ast.ConstDecl):
+                self.const_init(it)
             elif isinstance(it, ast.AssignItem):
                 site = self.site("assign", it)
                 self.drive(site, it.lvalue, it.span, self.scope)
@@ -357,7 +353,9 @@ class _ModuleChecker:
                 self.diags.append(err.diagnostic)
 
     def const_init(self, d: ast.ParamDecl | ast.ConstDecl) -> None:
-        """A parameter default or constant value: literal widths, then its value."""
+        """A parameter or constant: its type, then its default or value's
+        literal widths, then that value."""
+        self.dims(d.ty)
         self.diags += check_literal_widths(d.default if isinstance(d, ast.ParamDecl) else d.value)
         self.const_value(self.ev.decl, d, self.scope)
 

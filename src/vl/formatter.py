@@ -114,7 +114,6 @@ class _Fmt:
 
     def emit_module(self, m: ast.ModuleDecl) -> None:
         head = ("pub module " if m.is_pub else "module ") + m.name
-        # `line` is the first source line the next opener stands for.
         head, line = self.emit_generics(head, m.name_span.line, m.generic_params, m.generics_span)
         # A list is written out, one entry per line, when it has entries or comments.
         if m.params or self.comments_in(m.params_span):
@@ -130,15 +129,18 @@ class _Fmt:
 
     def emit_list(self, text: str, line: int, entries: list, span, emit) -> None:
         """Put `text`, the opener of a list or body that ends with `span`,
-        then `emit` each of its `entries` one level in, then the comments
-        before its closer.  The comments at the ends of the source lines
-        from `line` up to the first entry's stay on the opener's line: one
-        after the opener, or inside a `::<…>` list before it."""
+        then `emit` each of its `entries` one level in, after the comments
+        before it and followed by the one at the end of its line, then the
+        comments before its closer.  The comments at the ends of the source
+        lines from `line` up to the first entry's stay on the opener's line:
+        one after the opener, or inside a `::<…>` list before it."""
         self.put(text)
         self.trailing_lines(line, entries[0].span.line if entries else self.line_of(span.byte_end - 1))
         self.indent += 1
         for e in entries:
+            self.leading(e.span.byte_start)
             emit(e)
+            self.trailing(e.span)
         self.comments_before_close(span)
         self.indent -= 1
 
@@ -151,27 +153,15 @@ class _Fmt:
             if generics:
                 head += "::<" + ", ".join(g.text for g in generics) + ">"
             return head, line
-        close = self.line_of(span.byte_end - 1)
-
-        def emit(g: ast.PathExpr) -> None:
-            self.leading(g.span.byte_start)
-            self.put(g.text + ",")
-            if g.span.line != close:  # a comment there follows what follows the `>`
-                self.trailing(g.span)
-
-        self.emit_list(head + "::<", line, generics, span, emit)
-        return ">", close
+        self.emit_list(head + "::<", line, generics, span, lambda g: self.put(g.text + ","))
+        return ">", self.line_of(span.byte_end - 1)
 
     def emit_param(self, p: ast.ParamDecl) -> None:
-        self.leading(p.span.byte_start)
         self.put(f"param {p.name}: {type_text(p.ty)} = {expr_text(p.default)},")
-        self.trailing(p.span)
 
     def emit_port(self, p: ast.PortDecl) -> None:
-        self.leading(p.span.byte_start)
         dom = f"`{p.domain} " if p.domain else ""
         self.put(f"{p.name}: {p.direction} {dom}{type_text(p.ty)},")
-        self.trailing(p.span)
 
     def emit_package(self, pkg: ast.PackageDecl) -> None:
         head = "pub package " if pkg.is_pub else "package "
@@ -181,7 +171,6 @@ class _Fmt:
     # -- module items --
 
     def emit_module_item(self, it) -> None:
-        self.leading(it.span.byte_start)
         if isinstance(it, ast.VarDecl):
             dom = f"`{it.domain} " if it.domain else ""
             self.put(f"var {it.name}: {dom}{type_text(it.ty)};")
@@ -210,15 +199,10 @@ class _Fmt:
             self.put("}")
         else:
             raise TypeError(f"unexpected module item {it!r}")
-        self.trailing(it.span)
 
     def emit_inst(self, it: ast.InstDecl) -> None:
         head, line = self.emit_generics(f"inst {it.name}: {it.target.text}", it.span.line, it.generic_args, it.generics_span)
         last_line = self.line_of(it.span.byte_end - 1)
-        if not it.param_conns and not it.port_conns:
-            self.put(head + ";")  # the comment on the last line is the item's trailing one
-            self.trailing_lines(line, last_line)
-            return
         # Comments inside the lists are rare: place them per connection only
         # when the next unplaced comment starts inside this instance.
         i = self.next_comment
@@ -241,7 +225,8 @@ class _Fmt:
             self.comments_before_close(close)
             self.indent -= 1
             head, line = ")", self.line_of(conns[-1].expr.span.byte_end - 1)
-        self.put(");")
+        self.put(head + ";")  # the comment on the last line is the item's trailing one
+        self.trailing_lines(line, last_line)
 
     # -- statements --
 
@@ -254,7 +239,6 @@ class _Fmt:
         self.leading(span.byte_end - 1)
 
     def emit_stmt(self, s) -> None:
-        self.leading(s.span.byte_start)
         if isinstance(s, ast.AssignStmt):
             self.put(f"{expr_text(s.lvalue)} {s.op} {expr_text(s.rhs)};")
         elif isinstance(s, ast.IfStmt):
@@ -275,7 +259,6 @@ class _Fmt:
             self.put("}")
         else:
             raise TypeError(f"unexpected statement {s!r}")
-        self.trailing(s.span)
 
 
 def _lines(c) -> list[str]:

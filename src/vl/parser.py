@@ -350,8 +350,7 @@ class _Parser:
         body = self.braced(self.parse_module_item)
         span = self.span_to_prev(start)
         return ModuleDecl(
-            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc,
-            generics_span, params_span, ports_span,
+            name.text, name.span, generic_params, params, ports, body, self.recovered, span, is_pub, doc, generics_span, params_span, ports_span
         )
 
     def generics(self, item) -> tuple[list, Span | None]:

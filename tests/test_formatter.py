@@ -198,7 +198,7 @@ def test_every_comment_stays_where_it_stands():
         ),
         (
             "module M () {\n    inst u: G::<A,\n    // c\n    B>; // t\n}\n",
-            "module M () {\n    inst u: G::<\n        A,\n        // c\n        B,\n    >; // t\n}\n",
+            "module M () {\n    inst u: G::<\n        A,\n        // c\n        B, // t\n    >;\n}\n",
         ),
         ("module M::<T, // c\n    U> () {\n}\n", "module M::<T, U> () { // c\n}\n"),
         ("module M::< // c\n    T> #(\n    param A: u32 = 1,\n) () {\n}\n", "module M::<T> #( // c\n    param A: u32 = 1,\n) () {\n}\n"),
