@@ -414,8 +414,8 @@ def iter_module_items(body: list[ModuleItem], unsafe: bool = False):
 
 def iter_stmts(stmts: list[Stmt], unsafe: bool = False):
     """Yield (stmt, inside_unsafe_cdc) in pre-order, with blocks and unsafe(cdc)
-    wrappers flattened; a chain is yielded once, by its head, followed by the
-    statements of its arms in source order."""
+    wrappers flattened; an `if` chain is yielded, then the statements of its
+    arms and its `else` in source order."""
     for s in stmts:
         if isinstance(s, Block):
             yield from iter_stmts(s.stmts, unsafe)
