@@ -56,18 +56,80 @@ def eval_const(expr: ast.Expr, scope: Scope) -> int:
     return _ConstEval().eval(expr, scope)
 
 
+# Steps of `_ConstEval.run`'s work stack.
+_EXPR, _DECL, _DONE, _UNARY, _BINARY = range(5)
+
+
 class _ConstEval:
     """Evaluates constant expressions; each parameter's and constant's value,
-    or the diagnostic it failed with, is computed once."""
+    or the diagnostic it failed with, is computed once.
+
+    A work stack stands in for recursion, so neither a long operator chain
+    nor a constant defined through thousands of others nests Python frames.
+    It walks in a recursive walk's order (left operand, right operand,
+    operator; a name's declaration where the name stands), so the first
+    failure, and the reference that closes a cycle, are that walk's."""
 
     def __init__(self):
         self.memo: dict[int, int | Diagnostic] = {}
-        self.active: set[int] = set()
 
     def fail(self, message: str, span: Span, code: str = "E0301"):
         raise ConstError(Diagnostic(code, message, span))
 
     def eval(self, e: ast.Expr, scope: Scope) -> int:
+        return self.run(_EXPR, e, scope)
+
+    def decl(self, d: ast.ParamDecl | ast.ConstDecl, scope: Scope) -> int:
+        """The value of a parameter's default or a constant; raises its failure."""
+        return self.run(_DECL, d, scope)
+
+    def run(self, step: int, node, scope: Scope) -> int:
+        """The value of `node`, an expression (`_EXPR`) or a declaration
+        (`_DECL`).  A failure is memoized for each declaration it interrupts."""
+        work = [(step, node, scope)]
+        values: list[int] = []
+        pending: dict[int, None] = {}  # declarations under evaluation, innermost last
+        try:
+            while work:
+                step, x, scope = work.pop()
+                if step == _EXPR:
+                    if isinstance(x, ast.BinaryExpr):
+                        work += ((_BINARY, x, scope), (_EXPR, x.rhs, scope), (_EXPR, x.lhs, scope))
+                    elif isinstance(x, ast.PathExpr):
+                        sym = self.constant(x, scope)
+                        if id(sym.decl) in pending:
+                            self.fail(f"constant `{x.text}` is defined in terms of itself", x.span)
+                        work.append((_DECL, sym.decl, sym.scope))
+                    elif isinstance(x, ast.UnaryExpr):
+                        work += ((_UNARY, x, scope), (_EXPR, x.operand, scope))
+                    elif isinstance(x, ast.ParenExpr):
+                        work.append((_EXPR, x.inner, scope))
+                    else:
+                        values.append(self.literal(x))
+                elif step == _DECL:
+                    v = self.memo.get(id(x))
+                    if isinstance(v, Diagnostic):
+                        raise ConstError(v, repeat=True)
+                    if v is not None:
+                        values.append(v)
+                        continue
+                    pending[id(x)] = None
+                    work += ((_DONE, x, scope), (_EXPR, x.default if isinstance(x, ast.ParamDecl) else x.value, scope))
+                elif step == _DONE:
+                    self.memo[pending.popitem()[0]] = values[-1]
+                elif step == _UNARY:
+                    values.append(self.unop(x, values.pop()))
+                else:
+                    b = values.pop()
+                    values.append(self.binop(x, values.pop(), b))
+        except ConstError as err:
+            for key in pending:
+                self.memo[key] = err.diagnostic
+            raise
+        return values.pop()
+
+    def literal(self, e: ast.Expr) -> int:
+        """A literal's value; any other expression left here is not constant."""
         if isinstance(e, ast.DecLiteral):
             v = e.value
             if v > _U64_MASK:
@@ -81,31 +143,27 @@ class _ConstEval:
             if v > _U64_MASK:
                 self.fail(f"literal `{e.text}` exceeds 64 bits", e.span)
             return v
-        if isinstance(e, ast.ParenExpr):
-            return self.eval(e.inner, scope)
-        if isinstance(e, ast.UnaryExpr):
-            v = self.eval(e.operand, scope)
-            if e.op == "!":
-                return 0 if v else 1
-            if e.op == "~":
-                return v ^ _U64_MASK
-            if v != 0:
-                self.fail("negation of an unsigned value wraps", e.span)
-            return 0
-        if isinstance(e, ast.BinaryExpr):
-            # Fold the left spine in a loop: a long `a + b + ...` chain nests
-            # to the left and would otherwise recurse once per term.
-            spine = []
-            while isinstance(e, ast.BinaryExpr):
-                spine.append(e)
-                e = e.lhs
-            v = self.eval(e, scope)
-            for e in reversed(spine):
-                v = self.binop(e, v, self.eval(e.rhs, scope))
-            return v
-        if isinstance(e, ast.PathExpr):
-            return self.path(e, scope)
         self.fail("expression is not constant", e.span)
+
+    def constant(self, e: ast.PathExpr, scope: Scope) -> Symbol:
+        """The parameter or constant `e` names."""
+        quiet: list[Diagnostic] = []
+        sym = resolve(e, scope, quiet)
+        if sym is None:
+            raise ConstError(quiet[0])
+        if sym.kind not in (SymbolKind.PARAM, SymbolKind.CONST):
+            self.fail(f"`{e.text}` is a {sym.kind_name}, not a constant", e.span)
+        return sym
+
+    def unop(self, e: ast.UnaryExpr, v: int) -> int:
+        """`e`'s operator on its operand's value `v`."""
+        if e.op == "!":
+            return 0 if v else 1
+        if e.op == "~":
+            return v ^ _U64_MASK
+        if v != 0:
+            self.fail("negation of an unsigned value wraps", e.span)
+        return 0
 
     def binop(self, e: ast.BinaryExpr, a: int, b: int) -> int:
         """`e`'s operator on its operands' values `a` and `b`."""
@@ -130,36 +188,6 @@ class _ConstEval:
             v = a * b
         if v < 0 or v > _U64_MASK:
             self.fail(f"constant arithmetic wraps 64 bits (`{ast.expr_text(e)}`)", e.span)
-        return v
-
-    def path(self, e: ast.PathExpr, scope: Scope) -> int:
-        quiet: list[Diagnostic] = []
-        sym = resolve(e, scope, quiet)
-        if sym is None:
-            raise ConstError(quiet[0])
-        if sym.kind not in (SymbolKind.PARAM, SymbolKind.CONST):
-            self.fail(f"`{e.text}` is a {sym.kind_name}, not a constant", e.span)
-        if id(sym.decl) in self.active:
-            self.fail(f"constant `{e.text}` is defined in terms of itself", e.span)
-        return self.decl(sym.decl, sym.scope)
-
-    def decl(self, d: ast.ParamDecl | ast.ConstDecl, scope: Scope) -> int:
-        """The value of a parameter's default or a constant; raises its failure."""
-        key = id(d)
-        if key in self.memo:
-            v = self.memo[key]
-            if isinstance(v, Diagnostic):
-                raise ConstError(v, repeat=True)
-            return v
-        self.active.add(key)
-        try:
-            v = self.eval(d.default if isinstance(d, ast.ParamDecl) else d.value, scope)
-        except ConstError as err:
-            self.memo[key] = err.diagnostic
-            raise
-        finally:
-            self.active.discard(key)
-        self.memo[key] = v
         return v
 
 

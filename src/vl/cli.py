@@ -3,6 +3,9 @@
 Each command reports its diagnostics once, at its end: human-readable to
 stderr, or with `--format json` one JSON array to stdout.  Exit codes: 0 no
 errors, 1 error diagnostics, 2 usage, config or output (EIO01) failure.
+
+Each command imports only the modules it runs: `fmt` needs the lexer, parser
+and formatter, and never loads the driver and the layers under it.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json, write_outputs
-from .driver import check_program, doc_program, emit_program, load_program, read_sources
-from .formatter import format_source
-from .parser import parse_source
-from .project import _IDENT_RE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,6 +93,8 @@ def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
 
 
 def _pipeline(args):
+    from .driver import check_program, load_program
+
     loaded = load_program(args.manifest, offline=args.offline)
     return loaded, check_program(loaded)
 
@@ -111,6 +112,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .driver import emit_program
+
     loaded, result = _pipeline(args)
     diags = result.diagnostics
     if result.ok:  # a manifest that did not load is an error
@@ -119,6 +122,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_doc(args) -> int:
+    from .driver import doc_program
+
     loaded, result = _pipeline(args)
     diags = list(result.diagnostics)
     if loaded.manifest is not None:
@@ -130,6 +135,8 @@ def cmd_doc(args) -> int:
 
 
 def cmd_update(args) -> int:
+    from .driver import load_program
+
     loaded = load_program(args.manifest, offline=args.offline)
     diags = loaded.diagnostics
     if loaded.manifest is not None:
@@ -139,6 +146,10 @@ def cmd_update(args) -> int:
 
 
 def cmd_fmt(args) -> int:
+    from .formatter import format_source
+    from .lexer import read_sources
+    from .parser import parse_source
+
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     changed: list[Path] = []
@@ -165,6 +176,8 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_new(args) -> int:
+    from .lexer import _IDENT_RE
+
     name = args.name
     if not _IDENT_RE.match(name):
         print(f"error: `{name}` is not a valid project name", file=sys.stderr)

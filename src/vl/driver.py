@@ -11,7 +11,7 @@ from .analyzer import FfBinding, analyze_unit
 from .diagnostics import Diagnostic, has_errors, sorted_diagnostics, write_outputs
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
-from .lexer import decode_source
+from .lexer import decode_source, read_sources
 from .parser import parse_source
 from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
 from .resolver import MonoResult, Symbol, SymbolTable, build_symbols, monomorphize
@@ -39,17 +39,6 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
         diags += ldiags
     plan, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
     return LoadedProgram(manifest, plan, new_lock, diags + ddiags)
-
-
-def read_sources(root: Path, is_root: bool = True):
-    """(path, file_id, output stem, text, decode diagnostics) of each regular
-    .vl file under `root`/src, recursive, in path order.  The root project's
-    file ids are relative to its root; a dependency's are its cache paths."""
-    src = root / "src"
-    for path in sorted(p for p in src.rglob("*.vl") if p.is_file()) if src.is_dir() else []:
-        rel = path.relative_to(root)
-        file_id = str(rel) if is_root else str(path)
-        yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .diagnostics import Diagnostic
 from .tokens import Comment, DocComment, Span, Token, TokenKind
@@ -30,6 +31,8 @@ _PUNCTS = sorted(
     key=len,
     reverse=True,
 )
+
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _RADIX = {"b": 2, "d": 10, "h": 16}
 
@@ -78,16 +81,24 @@ def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:
         return data.decode("utf-8", "replace"), [Diagnostic("E0003", message, span)]
 
 
-def tokenize(source: str, file_id: str) -> tuple[list[Token], list[DocComment], list[Diagnostic]]:
-    """Lex `source`, separating `///` doc comments from regular trivia."""
-    r = scan(source, file_id)
-    return r.tokens, r.doc_comments, r.diagnostics
+def read_sources(root: Path, is_root: bool = True):
+    """(path, file_id, output stem, text, decode diagnostics) of each regular
+    .vl file under `root`/src, recursive, in path order.  The root project's
+    file ids are relative to its root; a dependency's are its cache paths."""
+    src = root / "src"
+    for path in sorted(p for p in src.rglob("*.vl") if p.is_file()) if src.is_dir() else []:
+        rel = path.relative_to(root)
+        file_id = str(rel) if is_root else str(path)
+        yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
 
 
 def scan(source: str, file_id: str) -> LexResult:
-    """Like `tokenize` but also returns regular comments (formatter input)."""
+    """Lex `source` into tokens, `///` doc comments, regular comments (the
+    formatter's input) and diagnostics.  A token is a tuple of str and int:
+    no `Span` is built for it here."""
     r = LexResult([], [], [])
     tokens, diags = r.tokens, r.diagnostics
+    new = tuple.__new__
     line, line_start, end = 1, 0, 0
     code_line = 0  # line of the latest token: a comment after it is not own-line
     run: list[tuple[str, Span]] = []  # open run of consecutive own-line `///` lines
@@ -101,8 +112,13 @@ def scan(source: str, file_id: str) -> LexResult:
         if not text:
             break  # only whitespace was left
         end = start + len(text)
-        span = Span(file_id, start, end, line, start - line_start + 1)
-        if comment:
+        column = start - line_start + 1
+        if punct:
+            kind = TokenKind.PUNCT
+        elif word:
+            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+        elif comment:
+            span = Span(file_id, start, end, line, column)
             if not text.startswith("///") or text.startswith("////"):
                 r.comments.append(Comment(text, span, code_line != line))
                 continue
@@ -115,27 +131,20 @@ def scan(source: str, file_id: str) -> LexResult:
                     _flush_docs(run, r.doc_comments)
                 run.append((body, span))
             continue
-        if bad:
-            if bad == "`":
-                diags.append(Diagnostic("E0001", "invalid character `` ` `` (domain annotations are `` `name ``)", span))
-            else:
-                diags.append(Diagnostic("E0001", f"invalid character `{bad}`", span))
+        elif bad:
+            message = "invalid character `` ` `` (domain annotations are `` `name ``)" if bad == "`" else f"invalid character `{bad}`"
+            diags.append(Diagnostic("E0001", message, Span(file_id, start, end, line, column)))
             continue
-        if punct:
-            kind = TokenKind.PUNCT
-        elif word:
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
         elif dec:
             kind = TokenKind.DEC_LITERAL
         elif tick:
             kind = TokenKind.DOMAIN_TICK
         else:
             kind = TokenKind.SIZED_LITERAL
-            if nobase:
-                diags.append(Diagnostic("E0002", f"sized literal `{text}` is missing its base (b, d, or h)", span))
-            elif text[-2] == "'":
-                diags.append(Diagnostic("E0002", f"sized literal `{text}` has no digits", span))
-        tokens.append(Token(kind, text, span))
+            if nobase or text[-2] == "'":
+                problem = "is missing its base (b, d, or h)" if nobase else "has no digits"
+                diags.append(Diagnostic("E0002", f"sized literal `{text}` {problem}", Span(file_id, start, end, line, column)))
+        tokens.append(new(Token, (kind, text, start, end, line, column, file_id)))
         code_line = line
     _flush_docs(run, r.doc_comments)
     return r

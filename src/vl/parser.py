@@ -113,9 +113,9 @@ class _Parser:
         self.ff_depth = 0
         self.depth = 0  # nesting levels open, see MAX_NESTING
         self.recovered = False  # `braced` dropped an item since the current module began
-        end = tokens[-1].span.byte_end if tokens else 0
-        endline = tokens[-1].span.line if tokens else 1
-        self.eof = Token(TokenKind.EOF, "", Span(file_id, end, end, endline, 1))
+        end = tokens[-1].byte_end if tokens else 0
+        endline = tokens[-1].line if tokens else 1
+        self.eof = Token(TokenKind.EOF, "", end, end, endline, 1, file_id)
 
     # -- token access --
 
@@ -145,9 +145,10 @@ class _Parser:
             return True
         return False
 
-    def span_to_prev(self, start: Span) -> Span:
-        """From `start` to the end of the last token read."""
-        return Span(self.file_id, start.byte_start, self.toks[self.pos - 1].span.byte_end, start.line, start.column)
+    def span_to_prev(self, start: Token | Span) -> Span:
+        """From the start of `start` (a token or a node's span) to the end of
+        the last token read."""
+        return Span(self.file_id, start.byte_start, self.toks[self.pos - 1].byte_end, start.line, start.column)
 
     def error(self, code: str, message: str, span: Span) -> Diagnostic:
         d = Diagnostic(code, message, span)
@@ -160,8 +161,8 @@ class _Parser:
         self.error("E0101", f"unexpected {shown}, expected {expected}", t.span)
         return _ParseError()
 
-    def too_deep(self, span: Span) -> _ParseError:
-        self.error("E0104", f"nesting deeper than {MAX_NESTING} levels", span)
+    def too_deep(self, at: Token) -> _ParseError:
+        self.error("E0104", f"nesting deeper than {MAX_NESTING} levels", at.span)
         return _ParseError()
 
     def expect_punct(self, text: str, context: str = "") -> Token:
@@ -170,21 +171,18 @@ class _Parser:
         what = f"`{text}`" + (f" {context}" if context else "")
         raise self.unexpected(what)
 
-    def expect_close(self, text: str, open_span: Span) -> None:
-        """Read the closer of the delimiter opened at `open_span`.  A closing
-        `>` may be the first character of `>>`, `>=` or `>>=`: the rest stays."""
+    def expect_close(self, text: str, opener: Token) -> None:
+        """Read the closer of the delimiter `opener` opened.  A closing `>`
+        may be the first character of `>>`, `>=` or `>>=`: the rest stays."""
         t = self.cur()
         if t.kind == TokenKind.PUNCT and t.text.startswith(text):
             if t.text == text:
                 self.bump()
             else:
-                s = t.span
-                self.toks[self.pos] = Token(
-                    TokenKind.PUNCT, t.text[1:], Span(s.file_id, s.byte_start + 1, s.byte_end, s.line, s.column + 1)
-                )
+                self.toks[self.pos] = t._replace(text=t.text[1:], byte_start=t.byte_start + 1, column=t.column + 1)
             return
         if t.kind == TokenKind.EOF:
-            self.error("E0103", f"unclosed delimiter, expected `{text}`", open_span)
+            self.error("E0103", f"unclosed delimiter, expected `{text}`", opener.span)
             raise _ParseError()
         raise self.unexpected(f"`{text}`")
 
@@ -202,24 +200,24 @@ class _Parser:
 
     # -- shapes --
 
-    def delimited(self, close: str, open_span: Span, item) -> list:
+    def delimited(self, close: str, opener: Token, item) -> list:
         """Comma-separated `item()`s, trailing comma allowed, up to and including
-        `close`; the opener at `open_span` is already read."""
+        `close`; `opener` is already read."""
         items = []
         while not self.at_punct(close) and self.cur().kind != TokenKind.EOF:
             items.append(item())
             if not self.eat_punct(","):
                 break
-        self.expect_close(close, open_span)
+        self.expect_close(close, opener)
         return items
 
     def braced(self, item) -> list:
         """`{ item()* }`; after an error, recover at the next `;` and go on.
         A body past MAX_NESTING is E0104 and skipped whole, so its closers
         are not left to the levels above.  Either loss sets `recovered`."""
-        open_span = self.expect_punct("{").span
+        opener = self.expect_punct("{")
         if self.depth == MAX_NESTING:
-            self.too_deep(open_span)
+            self.too_deep(opener)
             self.recovered = True
             level = 1
             while level and self.cur().kind != TokenKind.EOF:
@@ -236,24 +234,24 @@ class _Parser:
                 except _ParseError:
                     self.recovered = True
                     self.recover()
-            self.expect_close("}", open_span)
+            self.expect_close("}", opener)
             return items
         finally:
             self.depth -= 1
 
-    def nested(self, span: Span, parse, *args):
-        """`parse(*args)` one nesting level down; past MAX_NESTING, E0104 at `span`."""
+    def nested(self, at: Token, parse, *args):
+        """`parse(*args)` one nesting level down; past MAX_NESTING, E0104 at `at`."""
         if self.depth == MAX_NESTING:
-            raise self.too_deep(span)
+            raise self.too_deep(at)
         self.depth += 1
         try:
             return parse(*args)
         finally:
             self.depth -= 1
 
-    def unsafe_cdc(self) -> Span:
-        """Read `unsafe (cdc)`; returns the span of `unsafe`."""
-        start = self.bump().span
+    def unsafe_cdc(self) -> Token:
+        """Read `unsafe (cdc)`; returns the `unsafe` token."""
+        start = self.bump()
         self.expect_punct("(")
         if not self.at_kw("cdc"):
             raise self.unexpected("`cdc`")
@@ -267,8 +265,8 @@ class _Parser:
         """The `///` blocks between the last token read and the current one,
         as one doc with a blank line between blocks.  Docs before the last
         token document nothing."""
-        after = self.toks[self.pos - 1].span.byte_end if self.pos else 0
-        before = self.cur().span.byte_start
+        after = self.toks[self.pos - 1].byte_end if self.pos else 0
+        before = self.cur().byte_start
         got: list[DocComment] = []
         while self.lead_next < len(self.lead_docs) and self.lead_docs[self.lead_next].span.byte_start < before:
             d = self.lead_docs[self.lead_next]
@@ -284,7 +282,7 @@ class _Parser:
         on the line where it ends.  That one is taken either way."""
         doc = self.leading_doc()
         decl = parse()
-        trailing = self.trail_docs.pop(self.toks[self.pos - 1].span.line, None)
+        trailing = self.trail_docs.pop(self.toks[self.pos - 1].line, None)
         decl.doc = doc or trailing
         return decl
 
@@ -317,7 +315,7 @@ class _Parser:
         return SourceFile(self.file_id, self.text, items)
 
     def parse_item(self):
-        start = self.cur().span
+        start = self.cur()
         doc = self.leading_doc()
         is_pub = self.at_kw("pub")
         if is_pub:
@@ -330,7 +328,7 @@ class _Parser:
 
     # -- items --
 
-    def parse_module(self, is_pub: bool, doc, start: Span) -> ModuleDecl:
+    def parse_module(self, is_pub: bool, doc, start: Token) -> ModuleDecl:
         self.bump()  # module
         name = self.expect_ident("module name")
         generic_params, generics_span = self.generics(self.parse_generic_param)
@@ -338,12 +336,12 @@ class _Parser:
         params_span = ports_span = None
         if self.at_punct("#"):
             self.bump()
-            opener = self.expect_punct("(").span
+            opener = self.expect_punct("(")
             params = self.delimited(")", opener, lambda: self.documented(self.parse_param))
             params_span = self.span_to_prev(opener)
         ports: list[PortDecl] = []
         if self.at_punct("("):
-            opener = self.bump().span
+            opener = self.bump()
             ports = self.delimited(")", opener, lambda: self.documented(self.parse_port))
             ports_span = self.span_to_prev(opener)
         self.recovered = False
@@ -358,7 +356,7 @@ class _Parser:
         if not self.at_punct("::"):
             return [], None
         self.bump()
-        opener = self.expect_punct("<").span
+        opener = self.expect_punct("<")
         items = self.delimited(">", opener, item)
         return items, self.span_to_prev(opener)
 
@@ -369,7 +367,7 @@ class _Parser:
     def parse_param(self) -> ParamDecl:
         if not self.at_kw("param"):
             raise self.unexpected("`param`")
-        start = self.bump().span
+        start = self.bump()
         name = self.expect_name("parameter name")
         ty = self.parse_type()
         self.expect_punct("=")
@@ -386,7 +384,7 @@ class _Parser:
         if self.cur().kind == TokenKind.DOMAIN_TICK:
             domain = self.bump().text[1:]
         ty = self.parse_type()
-        return PortDecl(name.text, name.span, direction, domain, ty, self.span_to_prev(name.span))
+        return PortDecl(name.text, name.span, direction, domain, ty, self.span_to_prev(name))
 
     def parse_module_item(self):
         return self.keyword_item(_Parser._MODULE_ITEMS, "a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)")
@@ -399,7 +397,7 @@ class _Parser:
         return parsers[t.text](self)
 
     def parse_var(self) -> VarDecl:
-        start = self.bump().span
+        start = self.bump()
         name = self.expect_name("variable name")
         domain = None
         if self.cur().kind == TokenKind.DOMAIN_TICK:
@@ -409,7 +407,7 @@ class _Parser:
         return VarDecl(name.text, name.span, domain, ty, self.span_to_prev(start))
 
     def parse_const(self) -> ConstDecl:
-        start = self.bump().span
+        start = self.bump()
         name = self.expect_name("constant name")
         ty = self.parse_type()
         self.expect_punct("=")
@@ -418,7 +416,7 @@ class _Parser:
         return ConstDecl(name.text, name.span, ty, value, self.span_to_prev(start))
 
     def parse_inst(self) -> InstDecl:
-        start = self.bump().span
+        start = self.bump()
         name = self.expect_name("instance name")
         target = self.parse_path()
         generic_args, generics_span = self.generics(self.parse_path)
@@ -426,7 +424,7 @@ class _Parser:
         port_conns: list[Connection] = []
         params_span = None
         if self.at_punct("#"):
-            opener = self.bump().span
+            opener = self.bump()
             param_conns = self.parse_connections()
             params_span = self.span_to_prev(opener)
         if self.at_punct("("):
@@ -436,14 +434,14 @@ class _Parser:
         return InstDecl(name.text, name.span, target, generic_args, param_conns, port_conns, span, generics_span, params_span)
 
     def parse_connections(self) -> list[Connection]:
-        return self.delimited(")", self.expect_punct("(").span, self.parse_connection)
+        return self.delimited(")", self.expect_punct("("), self.parse_connection)
 
     def parse_connection(self) -> Connection:
         name = self.expect_name("connection name")
         return Connection(name.text, name.span, self.parse_expr())
 
     def parse_assign_item(self) -> AssignItem:
-        start = self.bump().span
+        start = self.bump()
         lvalue = self.parse_lvalue()
         self.expect_punct("=")
         rhs = self.parse_expr()
@@ -451,7 +449,7 @@ class _Parser:
         return AssignItem(lvalue, rhs, self.span_to_prev(start))
 
     def parse_always_comb(self) -> AlwaysComb:
-        start = self.bump().span
+        start = self.bump()
         body = self.parse_block()
         return AlwaysComb(body, self.span_to_prev(start))
 
@@ -461,7 +459,7 @@ class _Parser:
         return UnsafeCdcItem(items, self.span_to_prev(start))
 
     def parse_always_ff(self) -> AlwaysFf:
-        start = self.bump().span
+        start = self.bump()
         clock = reset = None
         if self.at_punct("("):
             self.bump()
@@ -486,9 +484,9 @@ class _Parser:
         )
 
     def parse_function(self) -> FunctionDecl:
-        start = self.bump().span
+        start = self.bump()
         name = self.expect_ident("function name")
-        args = self.delimited(")", self.expect_punct("(").span, self.parse_arg)
+        args = self.delimited(")", self.expect_punct("("), self.parse_arg)
         self.expect_punct("->")
         ret = self.parse_type()
         body = self.parse_block()
@@ -512,7 +510,7 @@ class _Parser:
 
     # -- package --
 
-    def parse_package(self, is_pub: bool, start: Span) -> PackageDecl:
+    def parse_package(self, is_pub: bool, start: Token) -> PackageDecl:
         self.bump()
         name = self.expect_ident("package name")
         items = self.braced(self.parse_package_item)
@@ -531,15 +529,15 @@ class _Parser:
         ty = TypeSpec(t.text, span=t.span)
         if t.text in ("logic", "bit"):
             if self.at_punct("<"):
-                ty.packed_dims = self.delimited(">", self.bump().span, lambda: self.parse_expr(no_angle=True))
+                ty.packed_dims = self.delimited(">", self.bump(), lambda: self.parse_expr(no_angle=True))
             if self.at_punct("["):
-                ty.unpacked_dims = self.delimited("]", self.bump().span, self.parse_expr)
+                ty.unpacked_dims = self.delimited("]", self.bump(), self.parse_expr)
         return ty
 
     # -- statements --
 
     def parse_block(self) -> Block:
-        start = self.cur().span
+        start = self.cur()
         stmts = self.braced(self.parse_stmt)
         return Block(stmts, self.span_to_prev(start))
 
@@ -550,7 +548,7 @@ class _Parser:
         if self.at_kw("if") or self.at_kw("if_reset"):
             return self.parse_if()
         if self.at_kw("return"):
-            start = self.bump().span
+            start = self.bump()
             value = self.parse_expr()
             self.expect_punct(";")
             return ReturnStmt(value, self.span_to_prev(start))
@@ -572,7 +570,7 @@ class _Parser:
 
     def parse_if(self) -> IfStmt:
         """An `if` or `if_reset` head, its `else if` arms and final `else`."""
-        start = self.cur().span
+        start = self.cur()
         arms = []
         orelse = None
         while True:
@@ -601,7 +599,7 @@ class _Parser:
         while self.at_punct("::") and self.next_tok().kind == TokenKind.IDENT:
             self.bump()
             segments.append(self.bump().text)
-        return PathExpr(segments, self.span_to_prev(first.span))
+        return PathExpr(segments, self.span_to_prev(first))
 
     def parse_expr(self, min_prec: int = 1, no_angle: bool = False) -> Expr:
         lhs = self.parse_unary(no_angle)
@@ -623,28 +621,28 @@ class _Parser:
         t = self.cur()
         if t.kind == TokenKind.PUNCT and t.text in ("!", "~", "-"):
             self.bump()
-            operand = self.nested(t.span, self.parse_unary, no_angle)
-            return UnaryExpr(t.text, operand, self.span_to_prev(t.span))
+            operand = self.nested(t, self.parse_unary, no_angle)
+            return UnaryExpr(t.text, operand, self.span_to_prev(t))
         return self.parse_postfix(no_angle)
 
     def parse_postfix(self, no_angle: bool) -> Expr:
         e = self.parse_primary(no_angle)
         if isinstance(e, PathExpr) and self.at_punct("("):
-            open_span = self.bump().span
-            args = self.nested(open_span, self.delimited, ")", open_span, self.parse_expr)
+            opener = self.bump()
+            args = self.nested(opener, self.delimited, ")", opener, self.parse_expr)
             e = CallExpr(e, args, self.span_to_prev(e.span))
         return self.parse_selects(e)
 
     def parse_selects(self, e: Expr) -> Expr:
         while self.at_punct("["):
-            open_span = self.bump().span
-            first = self.nested(open_span, self.parse_expr)
+            opener = self.bump()
+            first = self.nested(opener, self.parse_expr)
             if self.eat_punct(":"):
-                lo = self.nested(open_span, self.parse_expr)
-                self.expect_close("]", open_span)
+                lo = self.nested(opener, self.parse_expr)
+                self.expect_close("]", opener)
                 e = RangeExpr(e, first, lo, self.span_to_prev(e.span))
             else:
-                self.expect_close("]", open_span)
+                self.expect_close("]", opener)
                 e = IndexExpr(e, first, self.span_to_prev(e.span))
         return e
 
@@ -660,7 +658,7 @@ class _Parser:
             return DecLiteral(t.text, t.span)
         if self.at_punct("("):
             self.bump()
-            inner = self.nested(t.span, self.parse_expr)
-            self.expect_close(")", t.span)
-            return ParenExpr(inner, self.span_to_prev(t.span))
+            inner = self.nested(t, self.parse_expr)
+            self.expect_close(")", t)
+            return ParenExpr(inner, self.span_to_prev(t))
         raise self.unexpected("an expression")

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic
-from .lexer import decode_source
+from .lexer import _IDENT_RE, decode_source
 from .tokens import Span
 
 CLOCK_TYPES = ("posedge", "negedge")
 RESET_TYPES = ("async_low", "async_high", "sync_low", "sync_high")
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
 _TABLE_RE = re.compile(r"^\[([^\]]+)\]\s*(?:#.*)?$")
 _PAIR_RE = re.compile(r'^(?:"([^"]*)"|([A-Za-z0-9_-]+))\s*=\s*"([^"]*)"\s*(?:#.*)?$')

@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, auto
+from typing import NamedTuple
 
 
-class TokenKind(Enum):
-    KEYWORD = auto()
-    IDENT = auto()
-    SIZED_LITERAL = auto()  # 8'hff, 4'b1010, 32'd10
-    DEC_LITERAL = auto()  # plain decimal, underscores allowed
-    PUNCT = auto()
-    DOMAIN_TICK = auto()  # `a  (clock-domain annotation)
-    EOF = auto()  # synthetic, never produced by the lexer
+class TokenKind:
+    """Token kinds, as plain strings: a token is a tuple of str and int only."""
+
+    KEYWORD = "keyword"
+    IDENT = "ident"
+    SIZED_LITERAL = "sized_literal"  # 8'hff, 4'b1010, 32'd10
+    DEC_LITERAL = "dec_literal"  # plain decimal, underscores allowed
+    PUNCT = "punct"
+    DOMAIN_TICK = "domain_tick"  # `a  (clock-domain annotation)
+    EOF = "eof"  # synthetic, never produced by the lexer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     """Half-open byte range in one source file.
 
     `line`/`column` locate the start and are 1-based; byte offsets are 0-based.
+    Spans are values: equal fields compare and hash equal.
     """
 
     file_id: str
@@ -30,11 +33,20 @@ class Span:
     column: int
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
+class Token(NamedTuple):
+    """One lexeme and where it starts; its `Span` is built only when asked for."""
+
+    kind: str
     text: str
-    span: Span
+    byte_start: int
+    byte_end: int
+    line: int
+    column: int
+    file_id: str
+
+    @property
+    def span(self) -> Span:
+        return Span(self.file_id, self.byte_start, self.byte_end, self.line, self.column)
 
 
 @dataclass(slots=True)
@@ -51,7 +63,7 @@ class DocComment:
     own_line: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Comment:
     """Regular `//` comment, kept verbatim (marker included) for the formatter."""
 

@@ -84,6 +84,35 @@ def test_eval_const_cycle_detection():
     assert e.value.diagnostic.code == "E0301"
 
 
+def const_chain(n, reverse=False, cycle=False):
+    """A package of `n` constants, each the next one plus 1; the last is 0,
+    or `C0 + 1` for a cycle.  `reverse` writes them last to first."""
+    links = [f"    const C{k}: u32 = C{k + 1} + 1;\n" for k in range(n - 1)]
+    links.append(f"    const C{n - 1}: u32 = {'C0 + 1' if cycle else '0'};\n")
+    if reverse:
+        links.reverse()
+    return "package K {\n" + "".join(links) + "}\nmodule M (o: output u32) {\n    assign o = K::C0;\n}\n"
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_3000_link_constant_chain_checks_clean(reverse):
+    # Each link is a reference to the next constant: evaluation keeps no
+    # Python frame per link, in either order.
+    src = const_chain(3000, reverse)
+    assert codes(src) == []
+    sf, _ = parse_source(src, "m.vl")
+    table, _ = build_symbols([sf], {})
+    assert eval_const(parse_expression("K::C0"), table.module_scopes[id(sf.items[1])]) == 2999
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_3000_link_constant_cycle_is_one_e0301(reverse):
+    # The first constant declared is evaluated first; the reference back to it closes the cycle.
+    first = "C2999" if reverse else "C0"
+    diags, *_ = check(const_chain(3000, reverse, cycle=True))
+    assert [(d.code, d.message) for d in diags] == [("E0301", f"constant `{first}` is defined in terms of itself")]
+
+
 def test_dependency_constant_is_evaluated_in_its_own_package():
     # `P::A` in the dependency's `B` names the dependency's `P`, not a root one.
     dep, _ = parse_source("pub package P {\n    const A: u32 = 2;\n    const B: u32 = P::A;\n}\n", "dep.vl")

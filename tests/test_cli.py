@@ -285,6 +285,21 @@ def test_unicode_digit_is_e0001_not_a_hang(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# The modules behind `check`, `build` and `doc`, which `fmt` and `new` never run.
+_PIPELINE_MODULES = {"vl.driver", "vl.analyzer", "vl.resolver", "vl.emitter", "vl.docgen", "vl.project"}
+
+
+@pytest.mark.parametrize("command", [["fmt", "--check", "--manifest", "counter/vl.toml"], ["new", "blinky"]])
+def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
+    make_project(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent))
+    code = "import sys; from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    rc, *modules = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    assert "vl.cli" in modules and not _PIPELINE_MODULES & set(modules)
+
+
 def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):
     root = make_project(tmp_path)
     (root / "src" / "bad.vl").write_bytes(b"module B () {\n}\n// \xff\xfe\n")

@@ -45,17 +45,24 @@ _CONST_SITES = {
     "width": "pub module P (o: output logic<{}>) {{\n    assign o = 0;\n}}\n",
     "bound": "pub module P (i: input logic<2000>, o: output logic<4>) {{\n    assign o = i[{} - 1:0];\n}}\n",
 }
-_STRESS_KINDS = [*_CONST_SITES, "if_chain", "generics"]
+_STRESS_KINDS = [*_CONST_SITES, "const_chain", "if_chain", "generics"]
 
 
 @st.composite
 def _stress(draw, kind=None):
     """A deep input of `kind`, or of any kind: a 600-1,500-term constant
-    chain, a long `if_reset`/`else if` chain, or `::<…>` lists holding
+    chain, 300-3,000 constants each defined by the next one (in either
+    order), a long `if_reset`/`else if` chain, or `::<…>` lists holding
     comments."""
     kind = kind or draw(st.sampled_from(_STRESS_KINDS))
     if kind in _CONST_SITES:
         return _CONST_SITES[kind].format(" + ".join(["1"] * draw(st.integers(600, 1500))))
+    if kind == "const_chain":
+        n = draw(st.integers(300, 3000))
+        links = [f"    const C{k}: u32 = C{k + 1} + 1;\n" for k in range(n)] + [f"    const C{n}: u32 = 0;\n"]
+        if draw(st.booleans()):
+            links.reverse()
+        return "pub package K {\n" + "".join(links) + "}\npub module P (o: output u32) {\n    assign o = K::C0;\n}\n"
     if kind == "if_chain":
         arms = "".join(f" else if i == {k} {{ r = {k}; }}" for k in range(1, draw(st.integers(100, 1000))))
         return (

@@ -1,14 +1,15 @@
 from bisect import bisect_right
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from vl.lexer import scan, sized_literal_parts, sized_literal_value, tokenize
-from vl.tokens import TokenKind
+from vl.lexer import scan, sized_literal_parts, sized_literal_value
+from vl.tokens import Span, TokenKind
+
+import test_cli_fuzz as fuzz
 
 
 def kinds_and_texts(src):
-    tokens, _, _ = tokenize(src, "t.vl")
-    return [(t.kind, t.text) for t in tokens]
+    return [(t.kind, t.text) for t in scan(src, "t.vl").tokens]
 
 
 def test_fig1_var_decl():
@@ -32,40 +33,40 @@ def test_domain_tick_is_one_token():
 
 
 def test_empty_input():
-    tokens, docs, diags = tokenize("", "t.vl")
-    assert tokens == [] and docs == [] and diags == []
+    r = scan("", "t.vl")
+    assert r.tokens == [] and r.doc_comments == [] and r.comments == [] and r.diagnostics == []
 
 
 def test_sized_literals():
     for text in ["8'hff", "4'b10_10", "32'd10", "8'hDE"]:
-        (tok,), _, diags = (lambda r: (r[0], r[1], r[2]))(tokenize(text, "t.vl"))
-        assert diags == []
+        r = scan(text, "t.vl")
+        (tok,) = r.tokens
+        assert r.diagnostics == []
         assert tok.kind == TokenKind.SIZED_LITERAL and tok.text == text
 
 
 def test_sized_literal_without_digits_is_e0002():
-    tokens, _, diags = tokenize("8'hzz", "t.vl")
-    assert [d.code for d in diags] == ["E0002"]
-    assert diags[0].span.byte_start == 0
+    r = scan("8'hzz", "t.vl")
+    assert [d.code for d in r.diagnostics] == ["E0002"]
+    assert r.diagnostics[0].span.byte_start == 0
     # Lexing continues: the zz tail becomes an identifier.
-    assert [t.text for t in tokens] == ["8'h", "zz"]
+    assert [t.text for t in r.tokens] == ["8'h", "zz"]
 
 
 def test_xz_digits_rejected_per_base():
     # Base-digit membership: x/z are in no alphabet, so a literal starting with
     # one has zero digits (E0002), and one mid-literal ends the lexeme early.
     for src in ["10'dz9", "8'hxz", "4'bx0"]:
-        _, _, diags = tokenize(src, "t.vl")
-        assert [d.code for d in diags] == ["E0002"]
-    tokens, _, diags = tokenize("4'b1x", "t.vl")
-    assert diags == []
-    assert [t.text for t in tokens] == ["4'b1", "x"]
+        assert [d.code for d in scan(src, "t.vl").diagnostics] == ["E0002"]
+    r = scan("4'b1x", "t.vl")
+    assert r.diagnostics == []
+    assert [t.text for t in r.tokens] == ["4'b1", "x"]
 
 
 def test_invalid_character_recovers():
-    tokens, _, diags = tokenize("var @ x", "t.vl")
-    assert [d.code for d in diags] == ["E0001"]
-    assert [t.text for t in tokens] == ["var", "x"]
+    r = scan("var @ x", "t.vl")
+    assert [d.code for d in r.diagnostics] == ["E0001"]
+    assert [t.text for t in r.tokens] == ["var", "x"]
 
 
 def test_doc_comment_block_and_trailing():
@@ -93,20 +94,19 @@ def test_regular_comment_is_trivia_not_doc():
 
 def test_spans_are_increasing_and_exact():
     src = "module M () {\n    var r: logic<8>;\n}\n"
-    tokens, _, diags = tokenize(src, "t.vl")
-    assert diags == []
+    r = scan(src, "t.vl")
+    assert r.diagnostics == []
     prev_end = 0
-    for t in tokens:
-        assert t.span.byte_start >= prev_end
-        assert src[t.span.byte_start : t.span.byte_end] == t.text
-        prev_end = t.span.byte_end
+    for t in r.tokens:
+        assert t.byte_start >= prev_end
+        assert src[t.byte_start : t.byte_end] == t.text
+        prev_end = t.byte_end
 
 
 def test_line_and_column_positions():
     src = "var a: logic;\n  inst b: M;\n"
-    tokens, _, _ = tokenize(src, "t.vl")
-    inst = next(t for t in tokens if t.text == "inst")
-    assert (inst.span.line, inst.span.column) == (2, 3)
+    inst = next(t for t in scan(src, "t.vl").tokens if t.text == "inst")
+    assert (inst.line, inst.column, inst.file_id) == (2, 3, "t.vl")
 
 
 def test_three_char_operators():
@@ -115,16 +115,17 @@ def test_three_char_operators():
     assert "<<=" in texts and ">>=" in texts
 
 
-def _covered(span, regions):
-    regions.append((span.byte_start, span.byte_end))
+def _covered(lexeme, regions):
+    """`lexeme` is a token or a span."""
+    regions.append((lexeme.byte_start, lexeme.byte_end))
 
 
 def assert_round_trip(src):
     r = scan(src, "t.vl")
     regions = []
     for t in r.tokens:
-        assert src[t.span.byte_start : t.span.byte_end] == t.text
-        _covered(t.span, regions)
+        assert src[t.byte_start : t.byte_end] == t.text
+        _covered(t, regions)
     for c in r.comments:
         _covered(c.span, regions)
     for d in r.doc_comments:
@@ -196,11 +197,11 @@ def test_scan_spans_property(src):
         assert (span.line, span.column) == (line, span.byte_start - line_start + 1)
 
     for t in r.tokens:
-        assert src[t.span.byte_start : t.span.byte_end] == t.text
+        assert src[t.byte_start : t.byte_end] == t.text
     for c in r.comments:
         assert src[c.span.byte_start : c.span.byte_end] == c.text
-    lexemes = [t.span for t in r.tokens] + [c.span for c in r.comments] + [d.span for d in r.doc_comments]
-    for kind in ([t.span for t in r.tokens], [c.span for c in r.comments]):
+    lexemes = list(r.tokens) + [c.span for c in r.comments] + [d.span for d in r.doc_comments]
+    for kind in (r.tokens, [c.span for c in r.comments]):
         assert all(a.byte_end <= b.byte_start for a, b in zip(kind, kind[1:]))
     lexemes.sort(key=lambda s: s.byte_start)
     assert all(a.byte_end <= b.byte_start for a, b in zip(lexemes, lexemes[1:]))
@@ -212,6 +213,30 @@ def test_scan_spans_property(src):
     assert {d.code for d in r.diagnostics} <= {"E0001", "E0002"}
     for i, ch in enumerate(src):
         assert covered[i] or ch in " \t\r\n", (i, ch)
+
+
+def _recount(source, at):
+    """(line, column) of byte `at`, counted afresh from the text."""
+    return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fuzz._soup(fuzz._TOKENS), fuzz._stress(), st.binary(max_size=120).map(lambda b: b.decode("utf-8", "replace"))))
+def test_every_lexeme_is_where_its_position_says(src):
+    # The fuzz sources: a token is its text at its offsets, with the line
+    # and column of its start, and its span is built from those fields.
+    r = scan(src, "t.vl")
+    for t in r.tokens:
+        assert src[t.byte_start : t.byte_end] == t.text
+        assert (t.line, t.column) == _recount(src, t.byte_start)
+        assert t.span == Span("t.vl", t.byte_start, t.byte_end, t.line, t.column)
+    for c in r.comments:
+        assert src[c.span.byte_start : c.span.byte_end] == c.text
+        assert (c.span.line, c.span.column) == _recount(src, c.span.byte_start)
+    for d in r.doc_comments:
+        s = d.span
+        assert src[s.byte_start : s.byte_end].startswith("///") and src[s.byte_end : s.byte_end + 1] in ("", "\n")
+        assert (s.line, s.column) == _recount(src, s.byte_start)
 
 
 def test_sized_literal_helpers():
