@@ -4,11 +4,11 @@ consistency, literal widths, clock/reset binding, and CDC detection."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from . import ast
 from .diagnostics import Diagnostic, Related
 from .lexer import sized_literal_parts, sized_literal_value
+from .record import field, record
 from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_inst, clock_or_reset, resolve
 from .tokens import Span
 
@@ -35,7 +35,7 @@ class ConstError(Exception):
         self.repeat = repeat  # a memoized failure, raised again
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FfBinding:
     clock: str | None
     clock_kind: str | None
@@ -233,7 +233,7 @@ def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
     return diags
 
 
-@dataclass
+@record
 class _Signal:
     """A port or var of the module's own scope."""
 
@@ -246,7 +246,7 @@ class _Signal:
         return clock_or_reset(self.sym.ty)
 
 
-@dataclass
+@record
 class _Site:
     """What one assign, always_ff, always_comb, inst or function drives and
     reads of the module's own signals."""

@@ -8,9 +8,9 @@ comparisons the formatter tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
+from .record import field, fields, record
 from .tokens import Comment, DocComment, Span
 
 CLOCK_KINDS = frozenset({"clock", "clock_posedge", "clock_negedge"})
@@ -20,7 +20,7 @@ RESET_KINDS = frozenset({"reset", "reset_async_high", "reset_async_low", "reset_
 # --- types ---------------------------------------------------------------
 
 
-@dataclass
+@record
 class TypeSpec:
     kind: str  # clock*, reset*, logic, bit, u32, u64
     packed_dims: list["Expr"] = field(default_factory=list)
@@ -31,7 +31,7 @@ class TypeSpec:
 # --- expressions ----------------------------------------------------------
 
 
-@dataclass
+@record
 class PathExpr:
     segments: list[str]
     span: Span
@@ -41,13 +41,13 @@ class PathExpr:
         return "::".join(self.segments)
 
 
-@dataclass
+@record
 class SizedLiteral:
     text: str  # verbatim lexeme, e.g. 8'hff
     span: Span
 
 
-@dataclass
+@record
 class DecLiteral:
     text: str
     span: Span
@@ -57,14 +57,14 @@ class DecLiteral:
         return int(self.text.replace("_", ""))
 
 
-@dataclass
+@record
 class UnaryExpr:
     op: str
     operand: "Expr"
     span: Span
 
 
-@dataclass
+@record
 class BinaryExpr:
     op: str
     lhs: "Expr"
@@ -72,14 +72,14 @@ class BinaryExpr:
     span: Span
 
 
-@dataclass
+@record
 class IndexExpr:
     base: "Expr"
     index: "Expr"
     span: Span
 
 
-@dataclass
+@record
 class RangeExpr:
     base: "Expr"
     hi: "Expr"
@@ -87,14 +87,14 @@ class RangeExpr:
     span: Span
 
 
-@dataclass
+@record
 class CallExpr:
     path: PathExpr
     args: list["Expr"]
     span: Span
 
 
-@dataclass
+@record
 class ParenExpr:
     inner: "Expr"
     span: Span
@@ -106,13 +106,13 @@ Expr = PathExpr | SizedLiteral | DecLiteral | UnaryExpr | BinaryExpr | IndexExpr
 # --- statements -----------------------------------------------------------
 
 
-@dataclass
+@record
 class Block:
     stmts: list["Stmt"]
     span: Span
 
 
-@dataclass
+@record
 class AssignStmt:
     lvalue: Expr
     op: str  # =, +=, -=, *=, &=, |=, ^=, <<=, >>=
@@ -120,7 +120,7 @@ class AssignStmt:
     span: Span
 
 
-@dataclass
+@record
 class IfStmt:
     """An `if`/`else if` or `if_reset`/`else if` chain: its (condition,
     block) arms in source order, then its final `else` block.  Only the head
@@ -131,13 +131,13 @@ class IfStmt:
     span: Span
 
 
-@dataclass
+@record
 class ReturnStmt:
     value: Expr
     span: Span
 
 
-@dataclass
+@record
 class UnsafeCdcStmt:
     body: Block
     span: Span
@@ -149,7 +149,7 @@ Stmt = AssignStmt | IfStmt | ReturnStmt | UnsafeCdcStmt | Block
 # --- declarations ---------------------------------------------------------
 
 
-@dataclass
+@record
 class ParamDecl:
     name: str
     name_span: Span
@@ -159,7 +159,7 @@ class ParamDecl:
     doc: DocComment | None = None
 
 
-@dataclass
+@record
 class PortDecl:
     name: str
     name_span: Span
@@ -170,7 +170,7 @@ class PortDecl:
     doc: DocComment | None = None
 
 
-@dataclass
+@record
 class VarDecl:
     name: str
     name_span: Span
@@ -179,7 +179,7 @@ class VarDecl:
     span: Span
 
 
-@dataclass
+@record
 class ConstDecl:
     name: str
     name_span: Span
@@ -188,14 +188,14 @@ class ConstDecl:
     span: Span
 
 
-@dataclass
+@record
 class Connection:
     name: str
     name_span: Span
     expr: Expr
 
 
-@dataclass
+@record
 class InstDecl:
     name: str
     name_span: Span
@@ -208,14 +208,14 @@ class InstDecl:
     params_span: Span | None = None  # `#` to the `)` of the param list
 
 
-@dataclass
+@record
 class AssignItem:
     lvalue: Expr
     rhs: Expr
     span: Span
 
 
-@dataclass
+@record
 class AlwaysFf:
     clock_name: str | None
     clock_span: Span | None
@@ -225,20 +225,20 @@ class AlwaysFf:
     span: Span
 
 
-@dataclass
+@record
 class AlwaysComb:
     body: Block
     span: Span
 
 
-@dataclass
+@record
 class ArgDecl:
     name: str
     name_span: Span
     ty: TypeSpec
 
 
-@dataclass
+@record
 class FunctionDecl:
     name: str
     name_span: Span
@@ -248,7 +248,7 @@ class FunctionDecl:
     span: Span
 
 
-@dataclass
+@record
 class UnsafeCdcItem:
     items: list["ModuleItem"]
     span: Span
@@ -257,7 +257,7 @@ class UnsafeCdcItem:
 ModuleItem = VarDecl | ConstDecl | InstDecl | AssignItem | AlwaysFf | AlwaysComb | FunctionDecl | UnsafeCdcItem
 
 
-@dataclass
+@record
 class ModuleDecl:
     name: str
     name_span: Span
@@ -277,7 +277,7 @@ class ModuleDecl:
     ports_span: Span | None = None
 
 
-@dataclass
+@record
 class PackageDecl:
     name: str
     name_span: Span
@@ -289,7 +289,7 @@ class PackageDecl:
 Item = ModuleDecl | PackageDecl
 
 
-@dataclass
+@record
 class SourceFile:
     file_id: str
     text: str
@@ -323,12 +323,13 @@ def structure(node):
         return node.name
     if isinstance(node, (list, tuple)):
         return tuple(structure(x) for x in node)
-    if is_dataclass(node):
+    names = fields(node)
+    if names:
         parts = [type(node).__name__]
-        for f in fields(node):
-            if f.name in _SKIP_FIELDS:
+        for name in names:
+            if name in _SKIP_FIELDS:
                 continue
-            parts.append(structure(getattr(node, f.name)))
+            parts.append(structure(getattr(node, name)))
         return tuple(parts)
     raise TypeError(f"unexpected node {node!r}")
 

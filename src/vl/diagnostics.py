@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from .record import field, record
 from .tokens import Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Related:
     message: str
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Diagnostic:
     code: str  # Eddnn / Wddnn
     message: str
@@ -89,7 +89,7 @@ def _excerpt(span: Span, sources: dict[str, str]) -> list[str]:
     line_end = src.find("\n", span.byte_start)
     if line_end < 0:
         line_end = len(src)
-    text = src[line_start:line_end]
+    text = src[line_start:line_end].removesuffix("\r")
     width = max(1, min(span.byte_end, line_end) - span.byte_start)
     gutter = str(span.line)
     pad = " " * len(gutter)
@@ -102,6 +102,18 @@ def _excerpt(span: Span, sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _visible(line: str) -> str:
+    """`line` with each control, format or line-separator character (Unicode
+    Cc/Cf/Zl/Zp) but a tab shown as one U+FFFD: no raw ESC, NUL, line break or
+    invisible character reaches the terminal, and the carets under an excerpt
+    stay aligned."""
+    if line.isprintable():
+        return line
+    from unicodedata import category
+
+    return "".join("\ufffd" if c != "\t" and category(c) in ("Cc", "Cf", "Zl", "Zp") else c for c in line)
+
+
 def render_human(d: Diagnostic, sources: dict[str, str]) -> str:
     """One block per finding: severity[code], location, source line, carets."""
     lines = [f"{d.severity}[{d.code}]: {d.message}"]
@@ -109,4 +121,4 @@ def render_human(d: Diagnostic, sources: dict[str, str]) -> str:
     for r in d.related:
         lines.append(f"note: {r.message}")
         lines += _excerpt(r.span, sources)
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(_visible, lines)) + "\n"

@@ -6,16 +6,16 @@ from __future__ import annotations
 import html
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ast
 from .ast import expr_text, type_text
 from .diagnostics import Diagnostic, write_outputs
 from .emitter import lower_type, unpacked_suffix
+from .record import field, record
 
 
-@dataclass
+@record
 class DocRow:
     name: str
     type_text: str
@@ -23,7 +23,7 @@ class DocRow:
     doc: str
 
 
-@dataclass
+@record
 class DocModel:
     name: str
     visibility: str = "pub"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ast
@@ -14,10 +13,11 @@ from .emitter import EmitConfig, emit_project
 from .lexer import decode_source, read_sources
 from .parser import parse_source
 from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
+from .record import field, record
 from .resolver import MonoResult, Symbol, SymbolTable, build_symbols, monomorphize
 
 
-@dataclass
+@record
 class LoadedProgram:
     manifest: Manifest | None
     plan: list[PlanUnit] = field(default_factory=list)
@@ -41,7 +41,7 @@ def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
     return LoadedProgram(manifest, plan, new_lock, diags + ddiags)
 
 
-@dataclass
+@record
 class UnitResult:
     plan: PlanUnit
     files: list[ast.SourceFile] = field(default_factory=list)
@@ -56,7 +56,7 @@ class UnitResult:
         return self.plan.name
 
 
-@dataclass
+@record
 class ProgramResult:
     units: list[UnitResult] = field(default_factory=list)
     mono: MonoResult | None = None

@@ -4,19 +4,19 @@ every branch, one statement per line."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import ast
 from .analyzer import FfBinding
 from .ast import expr_text
 from .diagnostics import Diagnostic, write_outputs
+from .record import record
 from .resolver import clock_or_reset
 
 _SCALARS = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmitConfig:
     clock_type: str = "posedge"
     reset_type: str = "async_low"

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic
+from .record import field, record
 from .tokens import Comment, DocComment, Span, Token, TokenKind
 
 KEYWORDS = frozenset(
@@ -57,7 +57,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class LexResult:
     tokens: list[Token]
     doc_comments: list[DocComment]
@@ -132,7 +132,9 @@ def scan(source: str, file_id: str) -> LexResult:
                 run.append((body, span))
             continue
         elif bad:
-            message = "invalid character `` ` `` (domain annotations are `` `name ``)" if bad == "`" else f"invalid character `{bad}`"
+            # A non-printable character is named by code point, never written raw.
+            shown = f"`{bad}`" if bad.isprintable() else f"U+{ord(bad):04X}"
+            message = "invalid character `` ` `` (domain annotations are `` `name ``)" if bad == "`" else f"invalid character {shown}"
             diags.append(Diagnostic("E0001", message, Span(file_id, start, end, line, column)))
             continue
         elif dec:

@@ -9,16 +9,14 @@ and an exact version; version `X.Y.Z` resolves to tag `vX.Y.Z` (fallback
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import shutil
-import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic
 from .lexer import _IDENT_RE, decode_source
+from .record import field, record
 from .tokens import Span
 
 CLOCK_TYPES = ("posedge", "negedge")
@@ -29,14 +27,14 @@ _TABLE_RE = re.compile(r"^\[([^\]]+)\]\s*(?:#.*)?$")
 _PAIR_RE = re.compile(r'^(?:"([^"]*)"|([A-Za-z0-9_-]+))\s*=\s*"([^"]*)"\s*(?:#.*)?$')
 
 
-@dataclass
+@record
 class DepRequest:
     url: str
     version: str
     span: Span
 
 
-@dataclass
+@record
 class Manifest:
     name: str
     version: str
@@ -52,7 +50,7 @@ class Manifest:
         return self.path.parent if self.path is not None else Path(".")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LockEntry:
     url: str
     version: str
@@ -60,7 +58,7 @@ class LockEntry:
     name: str
 
 
-@dataclass
+@record
 class Lockfile:
     entries: list[LockEntry] = field(default_factory=list)
 
@@ -185,8 +183,12 @@ def cache_root() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "vl"
 
 
-def _git(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """All git invocations funnel through here (tests count and stub it)."""
+def _git(args: list[str], cwd: Path | None = None):
+    """All git invocations funnel through here (tests count and stub it).
+    Returns the `subprocess.CompletedProcess`; `subprocess` loads on the first
+    call, so a project without dependencies never pays for it."""
+    import subprocess
+
     return subprocess.run(
         ["git", *args],
         cwd=cwd,
@@ -217,6 +219,8 @@ def _resolve_version(dep: DepRequest) -> tuple[str | None, Diagnostic | None]:
 
 def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path | None, Diagnostic | None]:
     """Fetch (url, revision) into the immutable cache; atomic write-then-rename."""
+    import hashlib
+
     url_hash = hashlib.sha256(dep.url.encode()).hexdigest()[:16]
     dest = cache_root() / url_hash / revision
     if dest.is_dir():
@@ -246,7 +250,7 @@ def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path 
     return dest, None
 
 
-@dataclass
+@record
 class PlanUnit:
     name: str
     root: Path

@@ -3,11 +3,11 @@ and monomorphization of generic modules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum, auto
 
 from . import ast
 from .diagnostics import Diagnostic, Related
+from .record import field, record, replace
 from .tokens import Span
 
 
@@ -24,7 +24,7 @@ class SymbolKind(Enum):
     NAMESPACE = auto()
 
 
-@dataclass
+@record
 class Symbol:
     name: str
     kind: SymbolKind
@@ -33,9 +33,9 @@ class Symbol:
     decl: object = None
     ty: ast.TypeSpec | None = None
     is_pub: bool = True
-    scope: "Scope | None" = field(default=None, repr=False, compare=False)  # set by Scope.declare
+    scope: "Scope | None" = field(default=None, compare=False)  # set by Scope.declare
     # What `Sym::member` looks up: a package's items, a dependency's project scope.
-    members: "Scope | None" = field(default=None, repr=False, compare=False)
+    members: "Scope | None" = field(default=None, compare=False)
 
     @property
     def kind_name(self) -> str:
@@ -65,7 +65,7 @@ class Scope:
         return None
 
 
-@dataclass
+@record
 class SymbolTable:
     unit: str
     project: Scope
@@ -266,7 +266,7 @@ def check_inst(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[D
 # -- monomorphization --------------------------------------------------------
 
 
-@dataclass
+@record
 class GenericInstance:
     template: ast.ModuleDecl
     args: tuple[str, ...]  # display paths of the argument modules
@@ -274,7 +274,7 @@ class GenericInstance:
     unit: str
 
 
-@dataclass
+@record
 class MonoResult:
     # Emission-ready items per (unit, file): concrete modules and packages in
     # source order, with monomorphized instances in place of their templates.

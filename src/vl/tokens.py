@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .record import record
 
 
 class TokenKind:
@@ -18,7 +19,7 @@ class TokenKind:
     EOF = "eof"  # synthetic, never produced by the lexer
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(slots=True, unsafe_hash=True)
 class Span:
     """Half-open byte range in one source file.
 
@@ -49,7 +50,7 @@ class Token(NamedTuple):
         return Span(self.file_id, self.byte_start, self.byte_end, self.line, self.column)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DocComment:
     """One block of consecutive own-line `///` lines, or a single `///` after
     code on its line.
@@ -63,7 +64,7 @@ class DocComment:
     own_line: bool
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Comment:
     """Regular `//` comment, kept verbatim (marker included) for the formatter."""
 

@@ -289,15 +289,32 @@ def test_unicode_digit_is_e0001_not_a_hang(tmp_path):
 _PIPELINE_MODULES = {"vl.driver", "vl.analyzer", "vl.resolver", "vl.emitter", "vl.docgen", "vl.project"}
 
 
-@pytest.mark.parametrize("command", [["fmt", "--check", "--manifest", "counter/vl.toml"], ["new", "blinky"]])
-def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
+def modules_after(tmp_path, command: list[str]) -> set[str]:
+    """The modules one command loads in a fresh interpreter, run in `tmp_path`
+    on a project `counter` without dependencies: those in `sys.modules` after
+    it and not before `vl.cli` was imported (a site hook may load others)."""
     make_project(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent))
-    code = "import sys; from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(sys.modules))"
+    code = "import sys; pre = set(sys.modules); from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(set(sys.modules) - pre))"
     proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     rc, *modules = proc.stdout.split()
     assert rc == "0", proc.stderr
-    assert "vl.cli" in modules and not _PIPELINE_MODULES & set(modules)
+    assert "vl.cli" in modules
+    return set(modules)
+
+
+@pytest.mark.parametrize("command", [["fmt", "--check", "--manifest", "counter/vl.toml"], ["new", "blinky"]])
+def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
+    assert not _PIPELINE_MODULES & modules_after(tmp_path, command)
+
+
+# Records replace `dataclasses` (and the `inspect` it loads) in every command;
+# git (`subprocess`) and the cache's URL hash (`hashlib`) load only for a
+# project with dependencies.
+@pytest.mark.parametrize("command", [["check"], ["build"], ["doc"], ["fmt", "--check"]])
+def test_commands_load_no_dataclasses_and_no_git_without_dependencies(tmp_path, command):
+    modules = modules_after(tmp_path, [*command, "--manifest", "counter/vl.toml"])
+    assert not {"dataclasses", "inspect", "subprocess", "hashlib"} & modules
 
 
 def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):

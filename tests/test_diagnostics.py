@@ -2,8 +2,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import vl
 from vl.diagnostics import Diagnostic, Related, render_human, sorted_diagnostics, to_json
+from vl.lexer import scan
 from vl.tokens import Span
 
 
@@ -50,6 +53,26 @@ def test_missing_source_falls_back_to_location():
     out = render_human(d, {})
     assert "--> vl.toml:1:1" in out
     assert "^" not in out
+
+
+@pytest.mark.parametrize("ch, code_point", [("\x1b", "U+001B"), ("\x00", "U+0000"), ("\ufeff", "U+FEFF"), ("\u200b", "U+200B"), ("\u2028", "U+2028")])
+def test_non_printable_character_is_named_and_never_written_raw(ch, code_point):
+    src = f"module M () {{\n    x{ch}[31m y\n}}\n"
+    (d,) = [d for d in scan(src, "src/main.vl").diagnostics if d.code == "E0001"]
+    assert d.message == f"invalid character {code_point}"
+    out = render_human(d, {"src/main.vl": src})
+    assert ch not in out and all(line.isprintable() for line in out.splitlines())
+    _, _, _, excerpt, carets = out.splitlines()
+    # One visible character stands for it, so the caret still points at it.
+    assert excerpt == "2 |     x\ufffd[31m y"
+    assert carets.index("^") == excerpt.index("\ufffd")
+
+
+def test_excerpt_keeps_tabs_and_drops_the_crlf_carriage_return():
+    src = "module M () {\r\n\tx @\r\n}\r\n"
+    (d,) = scan(src, "src/main.vl").diagnostics
+    out = render_human(d, {"src/main.vl": src})
+    assert "\r" not in out and out.splitlines()[3] == "2 | \tx @"
 
 
 def test_json_is_one_array_with_stable_fields():
