@@ -1,5 +1,8 @@
 """Documentation generation: per-module Markdown and HTML pages built from
-doc comments, with WaveDrom timing diagrams passed through to the browser."""
+doc comments, with WaveDrom timing diagrams passed through to the browser.
+
+Each page is written once, in Markdown; its HTML page is that Markdown
+converted by `markdown_to_html`."""
 
 from __future__ import annotations
 
@@ -14,6 +17,14 @@ from .diagnostics import Diagnostic, write_outputs
 from .emitter import lower_type, unpacked_suffix
 from .record import field, record
 
+# A fence: its opening line of three or more backticks and an info string
+# without one, then every line up to a line of at least as many backticks
+# and nothing else, and that line unless the text ends first (an open fence
+# ends with its container, CommonMark 0.31 §4.5).  Fence lines are compared
+# after stripping, so a CRLF `\r` still matches.  Groups: the opening
+# backticks, info, the body lines each after its "\n", the closing line.
+_FENCE = re.compile(r"^[^\S\n]*(```+)([^`\n]*)$((?:\n(?![^\S\n]*\1`*[^\S\n]*$).*)*)(\n[^\S\n]*\1`*[^\S\n]*$)?", re.M)
+
 
 @record
 class DocRow:
@@ -26,19 +37,14 @@ class DocRow:
 @record
 class DocModel:
     name: str
-    visibility: str = "pub"
-    # Body in order: ("text", markdown) and ("wave", raw wavedrom json) segments.
-    segments: list[tuple[str, str]] = field(default_factory=list)
+    doc: str | None = None  # the module's doc comment, as written
     params: list[DocRow] = field(default_factory=list)
     ports: list[DocRow] = field(default_factory=list)
 
     @property
-    def body_doc(self) -> str:
-        return "\n".join(c for k, c in self.segments if k == "text")
-
-    @property
     def wave_blocks(self) -> list[str]:
-        return [c for k, c in self.segments if k == "wave"]
+        """The bodies of the doc's ```wavedrom fences, an open one included."""
+        return [m[3][1:] for m in _FENCE.finditer(self.doc or "") if m[2].strip() == "wavedrom"]
 
 
 def extract_docs(files: list[ast.SourceFile]) -> tuple[list[DocModel], list[Diagnostic]]:
@@ -49,18 +55,16 @@ def extract_docs(files: list[ast.SourceFile]) -> tuple[list[DocModel], list[Diag
         for item in sf.items:
             if not isinstance(item, ast.ModuleDecl) or not item.is_pub:
                 continue
-            model = DocModel(item.name)
-            if item.doc is not None:
-                model.segments = _split_waves(item.doc.text)
-                for kind, content in model.segments:
-                    if kind == "wave" and not _wave_json_ok(content):
-                        diags.append(
-                            Diagnostic(
-                                "W0501",
-                                f"wavedrom block in `{item.name}` docs is not parseable JSON (kept verbatim)",
-                                item.doc.span,
-                            )
+            model = DocModel(item.name, None if item.doc is None else item.doc.text)
+            for wave in model.wave_blocks:
+                if not _wave_json_ok(wave):
+                    diags.append(
+                        Diagnostic(
+                            "W0501",
+                            f"wavedrom block in `{item.name}` docs is not parseable JSON (kept verbatim)",
+                            item.doc.span,
                         )
+                    )
             for p in item.params:
                 model.params.append(
                     DocRow(p.name, type_text(p.ty), expr_text(p.default), _doc_text(p.doc))
@@ -74,33 +78,6 @@ def extract_docs(files: list[ast.SourceFile]) -> tuple[list[DocModel], list[Diag
 
 def _doc_text(doc) -> str:
     return doc.text.strip() if doc is not None else ""
-
-
-def _split_waves(text: str) -> list[tuple[str, str]]:
-    segments: list[tuple[str, str]] = []
-    text_lines: list[str] = []
-    wave_lines: list[str] | None = None
-
-    def flush_text():
-        if text_lines:
-            segments.append(("text", "\n".join(text_lines)))
-            text_lines.clear()
-
-    for line in text.split("\n"):
-        if wave_lines is None and line.strip() == "```wavedrom":
-            flush_text()
-            wave_lines = []
-        elif wave_lines is not None and line.strip() == "```":
-            segments.append(("wave", "\n".join(wave_lines)))
-            wave_lines = None
-        elif wave_lines is not None:
-            wave_lines.append(line)
-        else:
-            text_lines.append(line)
-    if wave_lines is not None:  # unterminated fence: keep as text
-        text_lines.extend(["```wavedrom", *wave_lines])
-    flush_text()
-    return segments
 
 
 def _wave_json_ok(text: str) -> bool:
@@ -124,17 +101,17 @@ def _wave_json_ok(text: str) -> bool:
 
 
 def _cell(text: str) -> str:
-    return text.replace("|", "\\|")
+    """A GFM table cell is one line: join the text's lines, escape `|`."""
+    return " ".join(map(str.strip, text.splitlines())).replace("|", "\\|")
 
 
 def render_markdown(model: DocModel) -> str:
     out = [f"# {model.name}", ""]
-    for kind, content in model.segments:
-        if kind == "text":
-            out.append(content)
-        else:
-            out += ["```wavedrom", content, "```"]
-    if model.segments:
+    if model.doc is not None:
+        out.append(model.doc)
+        for m in _FENCE.finditer(model.doc):
+            if m[4] is None:
+                out.append(m[1])  # close the fence the doc leaves open, before the tables
         out.append("")
     out += ["## Parameters", "", "| Name | Type | Default | Description |", "| --- | --- | --- | --- |"]
     for r in model.params:
@@ -145,22 +122,32 @@ def render_markdown(model: DocModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_index_markdown(models: list[DocModel]) -> str:
+def render_index_markdown(models: list[DocModel], ext: str = "md") -> str:
+    """The module list, linking each module's `.md` page (or `.html` page)."""
     out = ["# Modules", ""]
     for m in sorted(models, key=lambda m: m.name):
-        out.append(f"- [{m.name}]({m.name}.md)")
+        out.append(f"- [{m.name}]({m.name}.{ext})")
     return "\n".join(out) + "\n"
 
 
 # -- HTML ----------------------------------------------------------------------
 
 
+# Emphasis opens before and closes after non-space (CommonMark's flanking
+# rule), so `A * B * C` in a param's default stays text.  Each replacement
+# is a function: given a template string, `sub` calls back into Python to
+# prepare it on every call, match or not.
 _INLINE_RULES = [
-    (re.compile(r"\*\*([^*]+)\*\*"), r"<strong>\1</strong>"),
-    (re.compile(r"\*([^*]+)\*"), r"<em>\1</em>"),
-    (re.compile(r"`([^`]+)`"), r"<code>\1</code>"),
-    (re.compile(r"\[([^\]]+)\]\(([^)]+)\)"), r'<a href="\2">\1</a>'),
+    (re.compile(r"\*\*(?!\s)([^*]+)(?<!\s)\*\*"), lambda m: f"<strong>{m[1]}</strong>"),
+    (re.compile(r"\*(?!\s)([^*]+)(?<!\s)\*"), lambda m: f"<em>{m[1]}</em>"),
+    (re.compile(r"`([^`]+)`"), lambda m: f"<code>{m[1]}</code>"),
+    # The target sits in an attribute, which a `"` would end.
+    (re.compile(r"\[([^\]]+)\]\(([^)]+)\)"), lambda m: '<a href="{}">{}</a>'.format(m[2].replace('"', "&quot;"), m[1])),
 ]
+_HEADING = re.compile(r"(#{1,6})\s+(.*)")
+_LIST_ITEM = re.compile(r"(?:([-*])|\d+\.)\s+(.*)")
+_DELIMITER_ROW = re.compile(r"\|(?:[ \t]*:?-+:?[ \t]*\|)+")
+_CELL_BAR = re.compile(r"(?<!\\)\|")
 
 
 def _inline(text: str) -> str:
@@ -170,83 +157,75 @@ def _inline(text: str) -> str:
     return out
 
 
+def _row(tag: str, line: str) -> str:
+    cells = (c.strip().replace("\\|", "|") for c in _CELL_BAR.split(line.strip("|")))
+    return "<tr>" + "".join(f"<{tag}>{_inline(c)}</{tag}>" for c in cells) + "</tr>"
+
+
 def markdown_to_html(text: str) -> str:
-    """Block/inline subset: headings, paragraphs, fences, lists, emphasis, links."""
+    """Block/inline subset: headings, paragraphs, lists, `|` tables, fences
+    (a ```wavedrom one becomes a WaveDrom script), emphasis, code, links."""
     out: list[str] = []
-    paragraph: list[str] = []
-    in_list: str | None = None
-    fence: list[str] | None = None
-
-    def close_paragraph():
-        if paragraph:
-            out.append("<p>" + " ".join(_inline(l) for l in paragraph) + "</p>")
-            paragraph.clear()
-
-    def close_list():
-        nonlocal in_list
-        if in_list:
-            out.append(f"</{in_list}>")
-            in_list = None
-
-    for line in text.split("\n"):
-        stripped = line.strip()
-        if fence is not None:
-            if stripped.startswith("```"):
-                out.append("<pre><code>" + html.escape("\n".join(fence)) + "</code></pre>")
-                fence = None
-            else:
-                fence.append(line)
-            continue
-        if stripped.startswith("```"):
-            close_paragraph()
-            close_list()
-            fence = []
-            continue
-        m = re.match(r"(#{1,6})\s+(.*)$", stripped)
-        if m:
-            close_paragraph()
-            close_list()
-            out.append(f"<h{len(m.group(1))}>{_inline(m.group(2))}</h{len(m.group(1))}>")
-            continue
-        m = re.match(r"[-*]\s+(.*)$", stripped)
-        if m:
-            close_paragraph()
-            if in_list != "ul":
-                close_list()
-                out.append("<ul>")
-                in_list = "ul"
-            out.append(f"<li>{_inline(m.group(1))}</li>")
-            continue
-        m = re.match(r"\d+\.\s+(.*)$", stripped)
-        if m:
-            close_paragraph()
-            if in_list != "ol":
-                close_list()
-                out.append("<ol>")
-                in_list = "ol"
-            out.append(f"<li>{_inline(m.group(1))}</li>")
-            continue
-        if not stripped:
-            close_paragraph()
-            close_list()
-            continue
-        paragraph.append(stripped)
-    if fence is not None:
-        out.append("<pre><code>" + html.escape("\n".join(fence)) + "</code></pre>")
-    close_paragraph()
-    close_list()
+    start = 0
+    for m in _FENCE.finditer(text):
+        _blocks(text[start : m.start()], out)
+        body = m[3][1:]
+        if m[2].strip() == "wavedrom":
+            # `</` would end the script early; `<\/` means the same in JavaScript.
+            out += ['<script type="WaveDrom">', body.replace("</", "<\\/"), "</script>"]
+        else:
+            out.append("<pre><code>" + html.escape(body) + "</code></pre>")
+        start = m.end()
+    _blocks(text[start:], out)
     return "\n".join(out)
 
 
-def _html_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    out = ["<table>", "<tr>" + "".join(f"<th>{html.escape(h)}</th>" for h in headers) + "</tr>"]
-    for row in rows:
-        out.append("<tr>" + "".join(f"<td>{html.escape(c, quote=False)}</td>" for c in row) + "</tr>")
-    out.append("</table>")
-    return out
+def _blocks(text: str, out: list[str]) -> None:
+    """Convert text without fences, block by block, onto `out`."""
+    paragraph: list[str] = []  # never open inside a block
+    block: str | None = None  # the open "ul", "ol" or "table"
+
+    def close():
+        nonlocal block
+        if paragraph:
+            out.append("<p>" + " ".join(_inline(l) for l in paragraph) + "</p>")
+            paragraph.clear()
+        if block:
+            out.append(f"</{block}>")
+            block = None
+
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if block == "table" and stripped.startswith("|"):
+            out.append(_row("td", stripped))
+        elif m := _HEADING.fullmatch(stripped):
+            close()
+            out.append(f"<h{len(m[1])}>{_inline(m[2])}</h{len(m[1])}>")
+        elif m := _LIST_ITEM.fullmatch(stripped):
+            tag = "ul" if m[1] else "ol"
+            if block != tag:
+                close()
+                out.append(f"<{tag}>")
+                block = tag
+            out.append(f"<li>{_inline(m[2])}</li>")
+        elif paragraph and paragraph[-1].startswith("|") and _DELIMITER_ROW.fullmatch(stripped):
+            # A GFM table: the `|` line before the delimiter row is its header.
+            header = paragraph.pop()
+            close()
+            out += ["<table>", _row("th", header)]
+            block = "table"
+        elif not stripped:
+            close()
+        else:
+            if block:
+                close()  # a paragraph line ends a list or a table
+            paragraph.append(stripped)
+    close()
 
 
-def _page(title: str, body: list[str], wavedrom_url: str, with_wavedrom: bool) -> str:
+def _page(title: str, markdown: str, wavedrom_url: str) -> str:
+    """The HTML page of `markdown`; it loads the WaveDrom renderer when it has a diagram."""
+    body = markdown_to_html(markdown)
     head = [
         "<!DOCTYPE html>",
         "<html>",
@@ -254,46 +233,15 @@ def _page(title: str, body: list[str], wavedrom_url: str, with_wavedrom: bool) -
         '<meta charset="utf-8">',
         f"<title>{html.escape(title)}</title>",
     ]
-    if with_wavedrom:
+    body_tag = "<body>"
+    if '<script type="WaveDrom">' in body:
         head.append(f'<script src="{html.escape(wavedrom_url)}"></script>')
-        head.append('</head>')
-        head.append('<body onload="WaveDrom.ProcessAll()">')
-    else:
-        head.append("</head>")
-        head.append("<body>")
-    return "\n".join(head + body + ["</body>", "</html>"]) + "\n"
+        body_tag = '<body onload="WaveDrom.ProcessAll()">'
+    return "\n".join(head + ["</head>", body_tag, body, "</body>", "</html>"]) + "\n"
 
 
 def render_html(model: DocModel, wavedrom_url: str = "wavedrom.min.js") -> str:
-    body = [f"<h1>{html.escape(model.name)}</h1>"]
-    for kind, content in model.segments:
-        if kind == "text":
-            converted = markdown_to_html(content)
-            if converted:
-                body.append(converted)
-        else:
-            body.append('<script type="WaveDrom">')
-            body.append(content)
-            body.append("</script>")
-    body.append("<h2>Parameters</h2>")
-    body += _html_table(
-        ["Name", "Type", "Default", "Description"],
-        [[r.name, r.type_text, r.extra, r.doc] for r in model.params],
-    )
-    body.append("<h2>Ports</h2>")
-    body += _html_table(
-        ["Name", "Direction", "Type", "Description"],
-        [[r.name, r.extra, r.type_text, r.doc] for r in model.ports],
-    )
-    return _page(model.name, body, wavedrom_url, with_wavedrom=bool(model.wave_blocks))
-
-
-def render_index_html(models: list[DocModel], wavedrom_url: str = "wavedrom.min.js") -> str:
-    body = ["<h1>Modules</h1>", "<ul>"]
-    for m in sorted(models, key=lambda m: m.name):
-        body.append(f'<li><a href="{m.name}.html">{html.escape(m.name)}</a></li>')
-    body.append("</ul>")
-    return _page("Modules", body, wavedrom_url, with_wavedrom=False)
+    return _page(model.name, render_markdown(model), wavedrom_url)
 
 
 def write_docs(models: list[DocModel], out_dir: Path, wavedrom_url: str = "wavedrom.min.js") -> tuple[list[Path], list[Diagnostic]]:
@@ -301,9 +249,10 @@ def write_docs(models: list[DocModel], out_dir: Path, wavedrom_url: str = "waved
 
     def pages():
         for m in models:
-            yield out_dir / f"{m.name}.md", render_markdown(m)
-            yield out_dir / f"{m.name}.html", render_html(m, wavedrom_url)
+            markdown = render_markdown(m)
+            yield out_dir / f"{m.name}.md", markdown
+            yield out_dir / f"{m.name}.html", _page(m.name, markdown, wavedrom_url)
         yield out_dir / "index.md", render_index_markdown(models)
-        yield out_dir / "index.html", render_index_html(models, wavedrom_url)
+        yield out_dir / "index.html", _page("Modules", render_index_markdown(models, "html"), wavedrom_url)
 
     return write_outputs(pages())

@@ -203,10 +203,6 @@ class _Fmt:
     def emit_inst(self, it: ast.InstDecl) -> None:
         head, line = self.emit_generics(f"inst {it.name}: {it.target.text}", it.span.line, it.generic_args, it.generics_span)
         last_line = self.line_of(it.span.byte_end - 1)
-        # Comments inside the lists are rare: place them per connection only
-        # when the next unplaced comment starts inside this instance.
-        i = self.next_comment
-        commented = i < len(self.comments) and self.comments[i].span.byte_start < it.span.byte_end
         # Comments before a list's `)` stay in that list; the last list's
         # closer is the instance's `);`.
         params_close = it.params_span if it.port_conns else it.span
@@ -217,11 +213,11 @@ class _Fmt:
             self.trailing_lines(line, conns[0].name_span.line)
             self.indent += 1
             for c in conns:
-                if commented:
-                    self.leading(c.name_span.byte_start)
+                self.leading(c.name_span.byte_start)
                 self.put(f"{c.name}: {expr_text(c.expr)},")
-                if commented and self.line_of(c.expr.span.byte_end - 1) != last_line:  # a comment there follows `);`
-                    self.trailing(c.expr.span)
+                end = self.line_of(c.expr.span.byte_end - 1)
+                if end != last_line:  # a comment there follows `);`
+                    self.trailing_on(end)
             self.comments_before_close(close)
             self.indent -= 1
             head, line = ")", self.line_of(conns[-1].expr.span.byte_end - 1)

@@ -21,6 +21,8 @@ from .tokens import Span
 
 CLOCK_TYPES = ("posedge", "negedge")
 RESET_TYPES = ("async_low", "async_high", "sync_low", "sync_high")
+# Each `[build]` key with its allowed values, or None for a free string.
+_BUILD_KEYS = {"clock_type": CLOCK_TYPES, "reset_type": RESET_TYPES, "target_dir": None, "wavedrom_url": None}
 
 _VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
 _TABLE_RE = re.compile(r"^\[([^\]]+)\]\s*(?:#.*)?$")
@@ -148,24 +150,13 @@ def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
             diags.append(Diagnostic("W0401", f"unknown key `{key}` in [project]", span))
 
     manifest = Manifest(name, version, path=path)
-    build = tables.get("build", {})
-    for key, (value, span) in build.items():
-        if key == "clock_type":
-            if value not in CLOCK_TYPES:
-                diags.append(Diagnostic("E0402", f"clock_type must be one of {'/'.join(CLOCK_TYPES)}, got `{value}`", span))
-            else:
-                manifest.clock_type = value
-        elif key == "reset_type":
-            if value not in RESET_TYPES:
-                diags.append(Diagnostic("E0402", f"reset_type must be one of {'/'.join(RESET_TYPES)}, got `{value}`", span))
-            else:
-                manifest.reset_type = value
-        elif key == "target_dir":
-            manifest.target_dir = value
-        elif key == "wavedrom_url":
-            manifest.wavedrom_url = value
-        else:
+    for key, (value, span) in tables.get("build", {}).items():
+        if key not in _BUILD_KEYS:
             diags.append(Diagnostic("W0401", f"unknown key `{key}` in [build]", span))
+        elif _BUILD_KEYS[key] is not None and value not in _BUILD_KEYS[key]:
+            diags.append(Diagnostic("E0402", f"{key} must be one of {'/'.join(_BUILD_KEYS[key])}, got `{value}`", span))
+        else:
+            setattr(manifest, key, value)
 
     for url, (version, span) in tables.get("dependencies", {}).items():
         if not _VERSION_RE.match(version):

@@ -112,7 +112,7 @@ def build_symbols(
             if isinstance(item, ast.ModuleDecl):
                 _index_module(table, project, item, unit, declare)
             else:
-                _index_package(table, item, unit, declare)
+                _index_items(table, table.package_scopes[id(item)], item.items, unit, declare)
     return table, diags
 
 
@@ -125,7 +125,12 @@ def _index_module(table, project, m: ast.ModuleDecl, unit, declare) -> None:
         declare(scope, Symbol(p.name, SymbolKind.PARAM, p.name_span, unit, decl=p, ty=p.ty))
     for p in m.ports:
         declare(scope, Symbol(p.name, SymbolKind.PORT, p.name_span, unit, decl=p, ty=p.ty))
-    for it, _ in ast.iter_module_items(m.body):
+    _index_items(table, scope, (it for it, _ in ast.iter_module_items(m.body)), unit, declare)
+
+
+def _index_items(table, scope: Scope, items, unit, declare) -> None:
+    """Declare a module's or a package's items in `scope`, each function's args in its own scope."""
+    for it in items:
         if isinstance(it, ast.VarDecl):
             declare(scope, Symbol(it.name, SymbolKind.VAR, it.name_span, unit, decl=it, ty=it.ty))
         elif isinstance(it, ast.ConstDecl):
@@ -133,19 +138,6 @@ def _index_module(table, project, m: ast.ModuleDecl, unit, declare) -> None:
         elif isinstance(it, ast.InstDecl):
             declare(scope, Symbol(it.name, SymbolKind.INST, it.name_span, unit, decl=it))
         elif isinstance(it, ast.FunctionDecl):
-            declare(scope, Symbol(it.name, SymbolKind.FUNCTION, it.name_span, unit, decl=it))
-            fscope = Scope(scope)
-            table.function_scopes[id(it)] = fscope
-            for a in it.args:
-                declare(fscope, Symbol(a.name, SymbolKind.VAR, a.name_span, unit, decl=a, ty=a.ty))
-
-
-def _index_package(table, pkg: ast.PackageDecl, unit, declare) -> None:
-    scope = table.package_scopes[id(pkg)]
-    for it in pkg.items:
-        if isinstance(it, ast.ConstDecl):
-            declare(scope, Symbol(it.name, SymbolKind.CONST, it.name_span, unit, decl=it, ty=it.ty))
-        else:
             declare(scope, Symbol(it.name, SymbolKind.FUNCTION, it.name_span, unit, decl=it))
             fscope = Scope(scope)
             table.function_scopes[id(it)] = fscope

@@ -213,7 +213,7 @@ def test_every_comment_stays_where_it_stands():
         assert roundtrip(canonical) == canonical
         assert_stable(src)
     models, _ = extract_docs([parse_ok(probes[4])])
-    assert [(m.name, m.body_doc) for m in models] == [("A", ""), ("B", "")]
+    assert [(m.name, m.doc) for m in models] == [("A", None), ("B", None)]
     (model,), _ = extract_docs([parse_ok(probes[6])])
     assert [(r.name, r.doc) for r in model.ports] == [("a", "")]
     # a `///` inside a `::<…>` list documents nothing, before fmt and after

@@ -49,6 +49,20 @@ def test_invalid_reset_type_is_e0402(tmp_path):
     assert m.reset_type == "async_low"  # falls back to the default
 
 
+def test_build_keys_messages_and_spans(tmp_path):
+    text = (
+        '[project]\nname = "x"\nversion = "0.1.0"\n\n[build]\nclock_type = "rising"\nreset_type = "async_lo"\n'
+        'target_dir = "out"\nwavedrom_url = "w.js"\nopt = "2"\n'
+    )
+    m, diags = load_manifest(write_manifest(tmp_path, text))
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E0402", 6, "clock_type must be one of posedge/negedge, got `rising`"),
+        ("E0402", 7, "reset_type must be one of async_low/async_high/sync_low/sync_high, got `async_lo`"),
+        ("W0401", 10, "unknown key `opt` in [build]"),
+    ]
+    assert (m.clock_type, m.reset_type, m.target_dir, m.wavedrom_url) == ("posedge", "async_low", "out", "w.js")
+
+
 def test_missing_project_is_e0401(tmp_path):
     m, diags = load_manifest(write_manifest(tmp_path, '[build]\nclock_type = "posedge"\n'))
     assert m is None

@@ -131,6 +131,25 @@ def test_resolve_package_const():
     assert out == [] and sym.kind == SymbolKind.CONST
 
 
+def test_package_items_declare_like_module_items():
+    src = (
+        "package p {\n    const C: u32 = 1;\n    function f (a: logic, a: logic) -> logic { return a; }\n"
+        "    const C: u32 = 2;\n}\n"
+    )
+    sf, table, diags = symbols(src)
+    pkg = sf.items[0]
+    scope = table.package_scopes[id(pkg)]
+    assert [(s.name, s.kind) for s in scope.entries.values()] == [("C", SymbolKind.CONST), ("f", SymbolKind.FUNCTION)]
+    f = pkg.items[1]
+    fscope = table.function_scopes[id(f)]
+    assert fscope.parent is scope and [(s.name, s.kind) for s in fscope.entries.values()] == [("a", SymbolKind.VAR)]
+    # the duplicate arg, then the duplicate const: source order
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E0201", 3, "duplicate identifier `a`"),
+        ("E0201", 4, "duplicate identifier `C`"),
+    ]
+
+
 def test_member_of_non_container_is_e0203():
     sf, table, _ = symbols(FIG1)
     m = sf.items[0]
