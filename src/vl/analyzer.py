@@ -47,15 +47,6 @@ class FfBinding:
 # -- constant evaluation ------------------------------------------------------
 
 
-def eval_const(expr: ast.Expr, scope: Scope) -> int:
-    """Evaluate a params/consts/literals expression to a 64-bit unsigned value.
-
-    Raises ConstError (E0301, or E0202 for unknown names).  Wrap-around and
-    division by zero are errors, not silent.
-    """
-    return _ConstEval().eval(expr, scope)
-
-
 # Steps of `_ConstEval.run`'s work stack.
 _EXPR, _DECL, _DONE, _UNARY, _BINARY = range(5)
 

@@ -2,15 +2,12 @@
 
 Nodes keep their spans so the formatter can weave the file's comments back
 in at declaration granularity; modules, params and ports also keep the doc
-comments `vl doc` reads.  `structure()` strips positions for the structural
-comparisons the formatter tests rely on.
+comments `vl doc` reads.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .record import field, fields, record
+from .record import field, record
 from .tokens import Comment, DocComment, Span
 
 CLOCK_KINDS = frozenset({"clock", "clock_posedge", "clock_negedge"})
@@ -297,41 +294,6 @@ class SourceFile:
     # Every `//` and `///` comment, in source order; the formatter prints
     # each where it stands.
     comments: list[Comment | DocComment] = field(default_factory=list)
-
-
-# --- structural comparison -------------------------------------------------
-
-_SKIP_FIELDS = frozenset({"span", "name_span", "clock_span", "reset_span", "text", "comments"})
-
-
-def structure(node):
-    """Positions-stripped nested-tuple form of a node, for structural equality.
-
-    Doc comments participate (their text is content); spans and regular
-    comments do not.  `SourceFile.text` is excluded; literal lexemes keep
-    their `text` via the literal node types' explicit handling below.
-    """
-    if isinstance(node, (SizedLiteral, DecLiteral)):
-        return (type(node).__name__, node.text)
-    if isinstance(node, DocComment):
-        return ("doc", node.text, node.own_line)
-    if isinstance(node, Span) or node is None:
-        return None
-    if isinstance(node, (str, int, bool)):
-        return node
-    if isinstance(node, Enum):
-        return node.name
-    if isinstance(node, (list, tuple)):
-        return tuple(structure(x) for x in node)
-    names = fields(node)
-    if names:
-        parts = [type(node).__name__]
-        for name in names:
-            if name in _SKIP_FIELDS:
-                continue
-            parts.append(structure(getattr(node, name)))
-        return tuple(parts)
-    raise TypeError(f"unexpected node {node!r}")
 
 
 # --- canonical expression text ---------------------------------------------

@@ -176,10 +176,10 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_new(args) -> int:
-    from .lexer import _IDENT_RE
+    from .lexer import is_identifier
 
     name = args.name
-    if not _IDENT_RE.match(name):
+    if not is_identifier(name):
         print(f"error: `{name}` is not a valid project name", file=sys.stderr)
         return 2
     target = Path(name)

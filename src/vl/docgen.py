@@ -82,19 +82,16 @@ def _doc_text(doc) -> str:
 
 def _wave_json_ok(text: str) -> bool:
     """Accept strict JSON or WaveDrom's relaxed JS-object-literal style."""
-    try:
-        json.loads(text)
-        return True
-    except ValueError:
-        pass
     relaxed = text.replace("'", '"')
     relaxed = re.sub(r"([{\[,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', relaxed)
     relaxed = re.sub(r",(\s*[}\]])", r"\1", relaxed)
-    try:
-        json.loads(relaxed)
-        return True
-    except ValueError:
-        return False
+    for candidate in (text, relaxed):
+        try:
+            json.loads(candidate)
+            return True
+        except ValueError:
+            pass
+    return False
 
 
 # -- Markdown ------------------------------------------------------------------
@@ -133,17 +130,15 @@ def render_index_markdown(models: list[DocModel], ext: str = "md") -> str:
 # -- HTML ----------------------------------------------------------------------
 
 
-# Emphasis opens before and closes after non-space (CommonMark's flanking
-# rule), so `A * B * C` in a param's default stays text.  Each replacement
-# is a function: given a template string, `sub` calls back into Python to
-# prepare it on every call, match or not.
-_INLINE_RULES = [
-    (re.compile(r"\*\*(?!\s)([^*]+)(?<!\s)\*\*"), lambda m: f"<strong>{m[1]}</strong>"),
-    (re.compile(r"\*(?!\s)([^*]+)(?<!\s)\*"), lambda m: f"<em>{m[1]}</em>"),
-    (re.compile(r"`([^`]+)`"), lambda m: f"<code>{m[1]}</code>"),
-    # The target sits in an attribute, which a `"` would end.
-    (re.compile(r"\[([^\]]+)\]\(([^)]+)\)"), lambda m: '<a href="{}">{}</a>'.format(m[2].replace('"', "&quot;"), m[1])),
-]
+# Inline markup.  Code spans bind first (CommonMark 0.31 §6.1): a whole backtick
+# run up to the next run of exactly its length.  Escaped text holds no `<`, so
+# `<>` stands for each code span in one `_MARKUP` pass over the rest, whose
+# alternatives all start with `[` or `*` for `re` to skip to: a link with a
+# literal target, strong, and emphasis, which may hold strong and closes on no
+# `*` that opens strong.  A `*` next to a space is text, so `A * B * C` stays.
+_CODE_SPAN = re.compile(r"(`(?<!``)`*)(?!`)(.+?)(?<!`)\1(?!`)")
+_STRONG = r"\*\*(?!\s)[^*]+(?<!\s)\*\*"
+_MARKUP = re.compile(rf"\[([^\]]+)\]\(([^)<]+)\)|\*(?:\*((?!\s)[^*]+(?<!\s))\*|(?!\s)((?:[^*]|{_STRONG})+)(?<!\s)(?!{_STRONG}))\*")
 _HEADING = re.compile(r"(#{1,6})\s+(.*)")
 _LIST_ITEM = re.compile(r"(?:([-*])|\d+\.)\s+(.*)")
 _DELIMITER_ROW = re.compile(r"\|(?:[ \t]*:?-+:?[ \t]*\|)+")
@@ -151,10 +146,19 @@ _CELL_BAR = re.compile(r"(?<!\\)\|")
 
 
 def _inline(text: str) -> str:
-    out = html.escape(text, quote=False)
-    for rx, repl in _INLINE_RULES:
-        out = rx.sub(repl, out)
+    pieces = _CODE_SPAN.split(html.escape(text, quote=False))  # text, run, code, text, ...
+    out = _MARKUP.sub(_markup, "<>".join(pieces[::3]))
+    for code in pieces[2::3]:
+        out = out.replace("<>", f"<code>{code}</code>", 1)
     return out
+
+
+def _markup(m: re.Match) -> str:
+    text, target, strong, em = m.groups()
+    if target:  # it sits in an attribute, which a `"` would end
+        return '<a href="{}">{}</a>'.format(target.replace('"', "&quot;"), _MARKUP.sub(_markup, text))
+    tag, inner = ("strong", strong) if strong else ("em", em)
+    return f"<{tag}>{_MARKUP.sub(_markup, inner)}</{tag}>"
 
 
 def _row(tag: str, line: str) -> str:
@@ -188,7 +192,7 @@ def _blocks(text: str, out: list[str]) -> None:
     def close():
         nonlocal block
         if paragraph:
-            out.append("<p>" + " ".join(_inline(l) for l in paragraph) + "</p>")
+            out.append("<p>" + _inline(" ".join(paragraph)) + "</p>")
             paragraph.clear()
         if block:
             out.append(f"</{block}>")
@@ -238,10 +242,6 @@ def _page(title: str, markdown: str, wavedrom_url: str) -> str:
         head.append(f'<script src="{html.escape(wavedrom_url)}"></script>')
         body_tag = '<body onload="WaveDrom.ProcessAll()">'
     return "\n".join(head + ["</head>", body_tag, body, "</body>", "</html>"]) + "\n"
-
-
-def render_html(model: DocModel, wavedrom_url: str = "wavedrom.min.js") -> str:
-    return _page(model.name, render_markdown(model), wavedrom_url)
 
 
 def write_docs(models: list[DocModel], out_dir: Path, wavedrom_url: str = "wavedrom.min.js") -> tuple[list[Path], list[Diagnostic]]:

@@ -86,15 +86,6 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
     return _monomorphize(result)
 
 
-def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> ProgramResult:
-    """Single-unit pipeline over in-memory sources (test convenience)."""
-    result = ProgramResult()
-    unit = UnitResult(PlanUnit(name, Path("."), Manifest(name, "0.0.0"), is_root=True))
-    sources = [(Path(file_id), file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
-    _check_unit(result, unit, sources, {})
-    return _monomorphize(result)
-
-
 def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str, SymbolTable]) -> None:
     """Parse `unit`'s sources (as `read_sources` yields them), index and analyze
     them, and add it to `result`.  A file that did not decode is skipped."""

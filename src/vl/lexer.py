@@ -32,7 +32,7 @@ _PUNCTS = sorted(
     reverse=True,
 )
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _RADIX = {"b": 2, "d": 10, "h": 16}
 
@@ -63,6 +63,11 @@ class LexResult:
     doc_comments: list[DocComment]
     comments: list[Comment]
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+
+def is_identifier(text: str) -> bool:
+    """Whether `text` can name a project: an identifier that is not a keyword."""
+    return _IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
 def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:

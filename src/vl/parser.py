@@ -83,19 +83,6 @@ def parse_source(text: str, file_id: str) -> tuple[SourceFile, list[Diagnostic]]
     return sf, r.diagnostics + diags
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse a single free-standing expression; raises ValueError on failure."""
-    r = scan(text, "<expr>")
-    p = _Parser(r.tokens, [], "<expr>", text)
-    try:
-        e = p.parse_expr()
-    except _ParseError:
-        e = None
-    if e is None or p.diags or r.diagnostics or p.pos != len(p.toks):
-        raise ValueError("E0101: malformed expression: " + text)
-    return e
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], docs: list[DocComment], file_id: str, text: str):
         self.toks = list(tokens)

@@ -15,7 +15,7 @@ import shutil
 from pathlib import Path
 
 from .diagnostics import Diagnostic
-from .lexer import _IDENT_RE, decode_source
+from .lexer import decode_source, is_identifier
 from .record import field, record
 from .tokens import Span
 
@@ -76,19 +76,26 @@ class Lockfile:
         """Entries of a lockfile; a line without four tab-separated fields is E0407 and skipped."""
         entries = []
         diags = []
-        offset = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            span = Span(file_id, offset, offset + len(line), lineno, 1)
-            offset += len(line) + 1
+        for line, span in _lines(text, file_id):
             if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                msg = f"malformed lockfile line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                msg = f"malformed lockfile line {span.line}: expected 4 tab-separated fields, got {len(fields)}"
                 diags.append(Diagnostic("E0407", msg, span))
                 continue
             entries.append(LockEntry(*fields))
         return cls(entries), diags
+
+
+def _lines(text: str, file_id: str):
+    """Each line of `text` with its span.  Only LF ends a line (TOML allows a
+    U+2028 in a comment), and a CR before the LF is dropped."""
+    start = 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r")
+        yield line, Span(file_id, start, start + len(line), lineno, 1)
+        start += len(raw) + 1
 
 
 def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
@@ -101,11 +108,8 @@ def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
     tables: dict[str, dict[str, tuple[str, Span]]] = {}
     table_spans: dict[str, Span] = {}
     current: str | None = None
-    offset = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw, span in _lines(text, file_id):
         line = raw.strip()
-        span = Span(file_id, offset, offset + len(raw), lineno, 1)
-        offset += len(raw) + 1
         if not line or line.startswith("#"):
             continue
         m = _TABLE_RE.match(line)
@@ -138,7 +142,7 @@ def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
         diags.append(Diagnostic("E0401", f"[project] is missing required key(s): {', '.join(missing)}", whole))
         return None, diags
     name, name_span = project["name"]
-    if not _IDENT_RE.match(name):
+    if not is_identifier(name):
         diags.append(Diagnostic("E0401", f"project name `{name}` is not a valid identifier", name_span))
         return None, diags
     version, version_span = project["version"]

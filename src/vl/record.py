@@ -55,11 +55,6 @@ def record(cls=None, /, *, frozen=False, slots=False, unsafe_hash=False):
     return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
-def fields(obj) -> tuple[str, ...]:
-    """Field names of a record class or instance, in declaration order; () for anything else."""
-    return getattr(obj, "__record_fields__", ())
-
-
 def replace(obj, **changes):
     """A copy of record `obj` with `changes`; every other field is the same object."""
     return obj.__class__(**{**{n: getattr(obj, n) for n in obj.__record_fields__}, **changes})

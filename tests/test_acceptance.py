@@ -17,12 +17,11 @@ import pytest
 import svread
 import vl.project as project_mod
 from vl.cli import main
-from vl.driver import check_strings
 from vl.emitter import EmitConfig, emit_items, emit_module
 from vl.formatter import format_source
-from vl.ast import structure
 from vl.parser import parse_source
 
+from helpers import check_strings, parse_expression, render_html, structure
 from test_docgen import FIG6
 from test_emitter import ALL_CONFIGS, FIG2, ff_bindings
 from test_parser import FIG1, parse_ok
@@ -285,7 +284,6 @@ def _digits(value, radix):
 
 def test_criterion_6_literal_width_oracle():
     from vl.analyzer import check_literal_widths
-    from vl.parser import parse_expression
 
     cases = 0
     for width in range(1, 17):
@@ -458,7 +456,7 @@ def test_criterion_9_dependencies(tmp_path, monkeypatch, capsys):
 
 
 def test_criterion_10_docgen_fig6():
-    from vl.docgen import extract_docs, render_html, render_markdown
+    from vl.docgen import extract_docs, render_markdown
 
     models, diags = extract_docs([parse_ok(FIG6)])
     assert diags == []

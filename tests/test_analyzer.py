@@ -2,11 +2,11 @@ import pathlib
 
 import pytest
 
-from vl.analyzer import ConstError, analyze_unit, check_literal_widths, eval_const
-from vl.driver import check_strings
-from vl.parser import MAX_NESTING, parse_expression, parse_source
+from vl.analyzer import ConstError, analyze_unit, check_literal_widths
+from vl.parser import MAX_NESTING, parse_source
 from vl.resolver import build_symbols
 
+from helpers import check_strings, eval_const, parse_expression
 from test_docgen import FIG6
 from test_emitter import FIG2
 from test_parser import FIG1

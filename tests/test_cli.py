@@ -49,9 +49,12 @@ def test_new_twice_is_exit_2(tmp_path, monkeypatch, capsys):
     assert "already exists" in capsys.readouterr().err
 
 
-def test_new_bad_name_is_exit_2(tmp_path, monkeypatch):
+def test_new_bad_name_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["new", "not-an-ident"]) == 2
+    for name in ("not-an-ident", "module", "logic", "x\n"):  # a keyword cannot start a path
+        assert main(["new", name]) == 2
+    assert capsys.readouterr().err.count("is not a valid project name") == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_fig1_project(tmp_path):

@@ -1,4 +1,5 @@
 import re
+from html.parser import HTMLParser
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 from vl.docgen import (
     extract_docs,
     markdown_to_html,
-    render_html,
     render_index_markdown,
     render_markdown,
     write_docs,
 )
+from helpers import render_html
 from test_parser import parse_ok
 
 FIG6 = """\
@@ -130,6 +131,8 @@ def test_configurable_renderer_url():
 
 def test_markdown_to_html_subset():
     assert markdown_to_html("**bold**") == "<p><strong>bold</strong></p>"
+    assert markdown_to_html("*a **b** c*") == "<p><em>a <strong>b</strong> c</em></p>"
+    assert markdown_to_html("*a**b**") == "<p>*a<strong>b</strong></p>"  # no `*` of a strong span closes emphasis
     assert markdown_to_html("# Title") == "<h1>Title</h1>"
     assert "<li>one</li>" in markdown_to_html("- one\n- two")
     assert "<ol>" in markdown_to_html("1. a\n2. b")
@@ -265,6 +268,9 @@ def test_index_without_modules_has_no_list(tmp_path):
 def test_link_target_cannot_leave_its_attribute():
     got = markdown_to_html('[x](a" onmouseover="alert(1))')
     assert got == '<p><a href="a&quot; onmouseover=&quot;alert(1">x</a>)</p>'
+    # The target is literal; the link text, and emphasis around it, may hold markup.
+    assert markdown_to_html("[x](http://a/*b*/c)") == '<p><a href="http://a/*b*/c">x</a></p>'
+    assert markdown_to_html("*see [**x**](u)*") == '<p><em>see <a href="u"><strong>x</strong></a></em></p>'
 
 
 def test_wavedrom_body_cannot_end_its_script():
@@ -275,13 +281,34 @@ def test_wavedrom_body_cannot_end_its_script():
     assert page.count("</script>") == 2  # the loader's and the diagram's own
 
 
+def test_code_spans_bind_first():
+    # CommonMark 0.31 §6.1: a code span takes precedence over emphasis and
+    # links, and it closes only at a backtick run of its opener's length.
+    assert markdown_to_html("`a*b*c`") == "<p><code>a*b*c</code></p>"
+    assert markdown_to_html("*foo`*`") == "<p>*foo<code>*</code></p>"
+    assert markdown_to_html("``a ` b``") == "<p><code>a ` b</code></p>"
+    assert markdown_to_html("[not a `link](/foo`)") == "<p>[not a <code>link](/foo</code>)</p>"
+    assert markdown_to_html("*a `b` c*") == "<p><em>a <code>b</code> c</em></p>"
+    assert markdown_to_html("``` `a` ``") == "<p>``` <code>a</code> ``</p>"  # unclosed runs are text
+    src = "pub module M (\n    i: input logic, /// `a*b*c` or `[x](u)`\n) {}\n"
+    (model,), _ = extract_docs([parse_ok(src)])
+    assert "<td><code>a*b*c</code> or <code>[x](u)</code></td>" in render_html(model)
+
+
+def test_emphasis_spans_the_lines_of_a_paragraph():
+    (model,), _ = extract_docs([parse_ok("/// *one\n/// two* and `a\n/// b`\npub module M () {}\n")])
+    assert "<p><em>one two</em> and <code>a b</code></p>" in render_html(model)
+
+
 # Doc lines of every kind the converter knows, but no delimiter row such as
 # `| --- |`: after a `|` line that makes a table of the doc's own, by design.
 _DOC_LINES = st.sampled_from(
     [
         "", "Plain words.", "more words", "- item", "* star item", "1. first", "# Heading", "## Ports",
         "| a | b |", "a | b", "|", "x \\| y", "`code`", "``", "**bold** and *em*", '"quoted"', "'single'",
-        "<b>&amp;", "[link](u)", "```", "```wavedrom", " ```wavedrom ", "```sv", "  ```  ", "````", "````wavedrom", "```x```", "{signal: [", "{name: 'a', wave: 'p.'}",
+        "<b>&amp;", "[link](u)",
+        "`*a*` `[x](u)`", "*foo`*`", "``a ` b``", "[x](a*b*c)", "[x](`u`)", "[not a `link](/foo`)", "*a", "b*",
+        "```", "```wavedrom", " ```wavedrom ", "```sv", "  ```  ", "````", "````wavedrom", "```x```", "{signal: [", "{name: 'a', wave: 'p.'}",
         "]}", "</script>",
     ]
 )
@@ -302,11 +329,30 @@ def _open_fence(markdown: str) -> str:
     return opener
 
 
+class _Tags(HTMLParser):
+    """Fails on a tag that closes out of order or opens inside `<code>`."""
+
+    def __init__(self, body: str):
+        super().__init__()
+        self.open: list[str] = []
+        self.feed(body)
+        self.close()
+        assert self.open == []
+
+    def handle_starttag(self, tag, attrs):
+        assert "code" not in self.open, f"<{tag}> inside <code>"
+        self.open.append(tag)
+
+    def handle_endtag(self, tag):
+        assert self.open.pop() == tag
+
+
 @settings(max_examples=150, deadline=None)
 @given(module_doc=st.one_of(st.none(), _DOCS), params=st.lists(_DOCS, max_size=3), ports=st.lists(_DOCS, max_size=3))
 def test_pages_from_random_docs(module_doc, params, ports):
     """A Markdown reader sees the page's signature tables outside any fence.
-    The HTML body is the converted Markdown page; it has the two signature
+    The HTML body is the converted Markdown page; its tags nest, none opens
+    inside `<code>`, and no link target holds a tag.  It has the two signature
     tables, a row per param or port, and a WaveDrom script per wave block."""
     src = [f"/// {l}" for l in module_doc or []] + ["pub module M"]
     if params:
@@ -325,6 +371,8 @@ def test_pages_from_random_docs(module_doc, params, ports):
     page = render_html(model)
     body = _body(page)
     assert body == markdown_to_html(render_markdown(model))
+    _Tags(body)
+    assert not any("<" in target for target in re.findall(r'href="([^"]*)"', body))
     tables = re.findall(r"<table>\n(.*?)\n</table>", body, re.S)
     assert [len(t.split("\n")) for t in tables] == [1 + len(params), 1 + len(ports)]
     assert body.count('<script type="WaveDrom">') == len(model.wave_blocks)

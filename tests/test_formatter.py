@@ -1,12 +1,12 @@
 from hypothesis import given, strategies as st
 
-from vl.ast import structure
 from vl.docgen import extract_docs
 from vl.formatter import format_source
 from vl.lexer import scan
 from vl.parser import parse_source
 from vl.tokens import Comment
 
+from helpers import structure
 from test_parser import FIG1, parse_ok
 
 

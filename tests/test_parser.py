@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vl import ast
-from vl.parser import parse_expression, parse_source
+from vl.parser import parse_source
+
+from helpers import parse_expression, structure
 
 FIG1 = """\
 /// Counter
@@ -67,7 +69,7 @@ def test_minimal_module():
 def test_trailing_comma_is_structural_noop():
     with_comma = parse_ok("module M (o_c: output logic<W>,) {}")
     without = parse_ok("module M (o_c: output logic<W>) {}")
-    assert ast.structure(with_comma) == ast.structure(without)
+    assert structure(with_comma) == structure(without)
 
 
 def test_if_reset_outside_always_ff():

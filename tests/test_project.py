@@ -3,6 +3,7 @@ import subprocess
 import pytest
 
 import vl.project as project
+from vl.diagnostics import render_human
 from vl.driver import load_program
 from vl.project import Lockfile, load_manifest, resolve_dependencies
 
@@ -79,6 +80,37 @@ def test_unknown_keys_are_w0401(tmp_path):
 def test_bad_project_name_is_e0401(tmp_path):
     m, diags = load_manifest(write_manifest(tmp_path, '[project]\nname = "has space"\nversion = "0.1.0"\n'))
     assert m is None and [d.code for d in diags] == ["E0401"]
+    # A keyword cannot start a path such as `module::Main`.
+    m, diags = load_manifest(write_manifest(tmp_path, '[project]\nname = "module"\nversion = "0.1.0"\n'))
+    assert m is None
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("E0401", 2, "project name `module` is not a valid identifier")
+    ]
+
+
+def test_crlf_manifest_excerpt_shows_its_own_line(tmp_path):
+    text = '[project]\r\nname = "x"\r\nversion = "0.1.0"\r\n\r\n[build]\r\nclock_type = "rising"\r\n'
+    path = tmp_path / "vl.toml"
+    path.write_bytes(text.encode())
+    m, (d,) = load_manifest(path)
+    assert (d.code, d.span.line, text[d.span.byte_start : d.span.byte_end]) == ("E0402", 6, 'clock_type = "rising"')
+    assert render_human(d, {str(path): text}).splitlines()[3:] == ['6 | clock_type = "rising"', "  | " + "^" * 21]
+
+
+def test_line_separator_in_a_manifest_comment_is_not_a_line_break(tmp_path):
+    text = '[project]\n# a\u2028e\nname = "x"\nversion = "0.1.0"\n[build]\nreset_type = "async_lo"\n'
+    path = tmp_path / "vl.toml"
+    path.write_bytes(text.encode())
+    m, diags = load_manifest(path)
+    assert m is not None and [(d.code, d.span.line) for d in diags] == [("E0402", 6)]
+
+
+def test_crlf_lockfile_excerpt_shows_its_own_line():
+    text = "u1\t0.1.0\t" + "a" * 40 + "\talpha\r\nnot a lock line\r\n"
+    lock, (d,) = Lockfile.parse(text, "vl.lock")
+    assert [e.name for e in lock.entries] == ["alpha"]
+    assert (d.code, d.span.line, text[d.span.byte_start : d.span.byte_end]) == ("E0407", 2, "not a lock line")
+    assert render_human(d, {"vl.lock": text}).splitlines()[3:] == ["2 | not a lock line", "  | " + "^" * 15]
 
 
 def test_lockfile_round_trip():

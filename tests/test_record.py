@@ -2,6 +2,7 @@
 behaviour they replace."""
 
 import pytest
+from helpers import fields, structure
 from test_parser import FIG1, parse_ok
 
 from vl import ast
@@ -10,7 +11,7 @@ from vl.diagnostics import Diagnostic, Related
 from vl.emitter import EmitConfig
 from vl.lexer import LexResult
 from vl.project import LockEntry
-from vl.record import fields, replace
+from vl.record import replace
 from vl.resolver import Scope, Symbol, SymbolKind
 from vl.tokens import Comment, DocComment, Span
 
@@ -87,7 +88,7 @@ def test_fields_follow_declaration_order_and_structure_is_unchanged():
             ),
         ),
     )
-    assert ast.structure(parse_ok(FIG1)) == fig1
+    assert structure(parse_ok(FIG1)) == fig1
 
 
 def test_replace_shares_every_unchanged_field():

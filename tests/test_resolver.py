@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 from vl import ast
 from vl.analyzer import analyze_unit
-from vl.driver import check_strings
 from vl.parser import parse_source
 from vl.resolver import (
     SymbolKind,
@@ -12,6 +11,7 @@ from vl.resolver import (
     resolve,
 )
 
+from helpers import check_strings, structure
 from test_parser import FIG1
 
 
@@ -353,10 +353,10 @@ module Test (i_clk: input clock, i_rst: input reset, o_full: output logic) {
 def test_mono_shares_unchanged_subtrees_and_mutates_nothing():
     view = unit_view(FIG3_FF)
     (sf,) = view.files
-    before = ast.structure(sf)
+    before = structure(sf)
     res = monomorphize([view])
     assert res.diagnostics == []
-    assert ast.structure(sf) == before
+    assert structure(sf) == before
     src = {item.name: item for item in sf.items}
     out = {item.name: item for item in res.items[("local", "main.vl")]}
     # A module with no generic inst, and a package, pass through as themselves.
