@@ -4,8 +4,9 @@ Each command reports its diagnostics once, at its end: human-readable to
 stderr, or with `--format json` one JSON array to stdout.  Exit codes: 0 no
 errors, 1 error diagnostics, 2 usage, config or output (EIO01) failure.
 
-Each command imports only the modules it runs: `fmt` needs the lexer, parser
-and formatter, and never loads the driver and the layers under it.
+Each command imports only the modules it runs: `update` needs only the
+package layer (`project`) and never loads the compiler; `fmt` needs the lexer,
+parser and formatter, and never loads the driver and the layers under it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, has_errors, render_human, sorted_diagnostics, to_json, write_outputs
+from .diagnostics import Diagnostic, _visible, has_errors, render_human, sorted_diagnostics, to_json, write_outputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,7 +94,8 @@ def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
 
 
 def _pipeline(args):
-    from .driver import check_program, load_program
+    from .driver import check_program
+    from .project import load_program
 
     loaded = load_program(args.manifest, offline=args.offline)
     return loaded, check_program(loaded)
@@ -135,7 +137,7 @@ def cmd_doc(args) -> int:
 
 
 def cmd_update(args) -> int:
-    from .driver import load_program
+    from .project import load_program
 
     loaded = load_program(args.manifest, offline=args.offline)
     diags = loaded.diagnostics
@@ -176,11 +178,11 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_new(args) -> int:
-    from .lexer import is_identifier
+    from .tokens import is_identifier
 
     name = args.name
     if not is_identifier(name):
-        print(f"error: `{name}` is not a valid project name", file=sys.stderr)
+        print(_visible(f"error: `{name}` is not a valid project name"), file=sys.stderr)
         return 2
     target = Path(name)
     if target.exists():

@@ -1,8 +1,9 @@
-"""Coded findings (errors and warnings) and their human/JSON renderers."""
+"""Coded findings (errors and warnings), their human/JSON renderers, and the
+UTF-8 decoding and the output writer that every input and output file goes
+through."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -26,6 +27,22 @@ class Diagnostic:
     @property
     def severity(self) -> str:
         return "error" if self.code.startswith("E") else "warning"
+
+
+def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:
+    """Decode a source file's bytes as UTF-8.
+
+    Invalid UTF-8 is E0003 at the first bad byte; the text returned then has
+    U+FFFD for each bad sequence, for excerpts only: the caller skips the file.
+    """
+    try:
+        return data.decode("utf-8"), []
+    except UnicodeDecodeError as err:
+        good = data[: err.start].decode("utf-8")
+        at = len(good)
+        span = Span(file_id, at, at + 1, good.count("\n") + 1, at - good.rfind("\n"))
+        message = f"invalid UTF-8 (byte 0x{data[err.start]:02x}); the file is skipped"
+        return data.decode("utf-8", "replace"), [Diagnostic("E0003", message, span)]
 
 
 def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list[Diagnostic]]:
@@ -57,6 +74,8 @@ def has_errors(diags: list[Diagnostic]) -> bool:
 
 def to_json(diags: list[Diagnostic]) -> str:
     """Encode diagnostics as one JSON array with stable field names."""
+    import json
+
     out = []
     for d in sorted_diagnostics(diags):
         out.append(

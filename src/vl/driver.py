@@ -10,35 +10,11 @@ from .analyzer import FfBinding, analyze_unit
 from .diagnostics import Diagnostic, has_errors, sorted_diagnostics, write_outputs
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
-from .lexer import decode_source, read_sources
+from .lexer import read_sources
 from .parser import parse_source
-from .project import Lockfile, Manifest, PlanUnit, load_manifest, resolve_dependencies
+from .project import LoadedProgram, PlanUnit, load_program  # the pipeline's first step, also reached from here
 from .record import field, record
 from .resolver import MonoResult, Symbol, SymbolTable, build_symbols, monomorphize
-
-
-@record
-class LoadedProgram:
-    manifest: Manifest | None
-    plan: list[PlanUnit] = field(default_factory=list)
-    lock: Lockfile = field(default_factory=Lockfile)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-
-def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
-    """Manifest + lockfile + dependency resolution + compile order."""
-    manifest, diags = load_manifest(manifest_path)
-    if manifest is None:
-        return LoadedProgram(None, diagnostics=diags)
-    lock_path = manifest.root_dir / "vl.lock"
-    lock = None
-    if lock_path.is_file():
-        text, ldiags = decode_source(lock_path.read_bytes(), str(lock_path))
-        if not ldiags:  # a lockfile that is not UTF-8 counts as absent
-            lock, ldiags = Lockfile.parse(text, str(lock_path))
-        diags += ldiags
-    plan, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
-    return LoadedProgram(manifest, plan, new_lock, diags + ddiags)
 
 
 @record

@@ -5,19 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, decode_source
 from .record import field, record
-from .tokens import Comment, DocComment, Span, Token, TokenKind
-
-KEYWORDS = frozenset(
-    """
-    module package param const var inst input output always_ff always_comb
-    assign if else if_reset unsafe cdc function return pub
-    clock clock_posedge clock_negedge
-    reset reset_async_high reset_async_low reset_sync_high reset_sync_low
-    logic bit u32 u64
-    """.split()
-)
+from .tokens import KEYWORDS, Comment, DocComment, Span, Token, TokenKind
 
 # Longest match first.
 _PUNCTS = sorted(
@@ -31,8 +21,6 @@ _PUNCTS = sorted(
     key=len,
     reverse=True,
 )
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _RADIX = {"b": 2, "d": 10, "h": 16}
 
@@ -63,27 +51,6 @@ class LexResult:
     doc_comments: list[DocComment]
     comments: list[Comment]
     diagnostics: list[Diagnostic] = field(default_factory=list)
-
-
-def is_identifier(text: str) -> bool:
-    """Whether `text` can name a project: an identifier that is not a keyword."""
-    return _IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
-
-
-def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:
-    """Decode a source file's bytes as UTF-8.
-
-    Invalid UTF-8 is E0003 at the first bad byte; the text returned then has
-    U+FFFD for each bad sequence, for excerpts only: the caller skips the file.
-    """
-    try:
-        return data.decode("utf-8"), []
-    except UnicodeDecodeError as err:
-        good = data[: err.start].decode("utf-8")
-        at = len(good)
-        span = Span(file_id, at, at + 1, good.count("\n") + 1, at - good.rfind("\n"))
-        message = f"invalid UTF-8 (byte 0x{data[err.start]:02x}); the file is skipped"
-        return data.decode("utf-8", "replace"), [Diagnostic("E0003", message, span)]
 
 
 def read_sources(root: Path, is_root: bool = True):

@@ -85,7 +85,12 @@ def parse_source(text: str, file_id: str) -> tuple[SourceFile, list[Diagnostic]]
 
 class _Parser:
     def __init__(self, tokens: list[Token], docs: list[DocComment], file_id: str, text: str):
-        self.toks = list(tokens)
+        # The EOF token is a sentinel after the last token: `pos` never passes
+        # it, so reading the current token needs no bounds check.
+        end = tokens[-1].byte_end if tokens else 0
+        endline = tokens[-1].line if tokens else 1
+        self.toks = [*tokens, Token(TokenKind.EOF, "", end, end, endline, 1, file_id)]
+        self.end = len(tokens)  # the sentinel's index
         # `docs` are in source order and leading-doc queries come in source
         # order too, so the docs not yet passed are a suffix: a cursor that
         # only moves forward.
@@ -100,31 +105,29 @@ class _Parser:
         self.ff_depth = 0
         self.depth = 0  # nesting levels open, see MAX_NESTING
         self.recovered = False  # `braced` dropped an item since the current module began
-        end = tokens[-1].byte_end if tokens else 0
-        endline = tokens[-1].line if tokens else 1
-        self.eof = Token(TokenKind.EOF, "", end, end, endline, 1, file_id)
 
     # -- token access --
 
     def cur(self) -> Token:
-        return self.toks[self.pos] if self.pos < len(self.toks) else self.eof
+        return self.toks[self.pos]
 
     def next_tok(self) -> Token:
-        return self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else self.eof
+        return self.toks[min(self.pos + 1, self.end)]
 
     def bump(self) -> Token:
-        t = self.cur()
-        if self.pos < len(self.toks):
+        t = self.toks[self.pos]
+        if self.pos < self.end:
             self.pos += 1
         return t
 
+    # Text first: it rarely matches, and then the kind is not read.
     def at_punct(self, text: str) -> bool:
-        t = self.cur()
-        return t.kind == TokenKind.PUNCT and t.text == text
+        t = self.toks[self.pos]
+        return t.text == text and t.kind == TokenKind.PUNCT
 
     def at_kw(self, word: str) -> bool:
-        t = self.cur()
-        return t.kind == TokenKind.KEYWORD and t.text == word
+        t = self.toks[self.pos]
+        return t.text == word and t.kind == TokenKind.KEYWORD
 
     def eat_punct(self, text: str) -> bool:
         if self.at_punct(text):
@@ -278,7 +281,7 @@ class _Parser:
     def recover(self) -> None:
         """Skip to just past the next `;`, or up to a closing brace / EOF."""
         start = self.pos
-        while self.pos < len(self.toks):
+        while self.pos < self.end:
             t = self.cur()
             if t.kind == TokenKind.PUNCT:
                 if t.text == ";":
@@ -287,7 +290,7 @@ class _Parser:
                 if t.text == "}":
                     break
             self.bump()
-        if self.pos == start and self.pos < len(self.toks):
+        if self.pos == start and self.pos < self.end:
             self.bump()
 
     # -- entry --

@@ -1,10 +1,14 @@
 """Project definition files, dependency fetching into a cache, lockfiles, and
-the compile plan.
+the compile plan: `load_program` is everything `vl update` runs, and the
+first step of every command that compiles.
 
 The manifest `vl.toml` is a TOML subset: `[project]`, `[build]`, and
 `[dependencies]` tables with string values only.  Dependencies name a git URL
 and an exact version; version `X.Y.Z` resolves to tag `vX.Y.Z` (fallback
 `X.Y.Z`).  Fetching shells out to the system `git`.
+
+This layer imports no part of the compiler (lexer, parser and later stages),
+so `vl update` loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import re
 import shutil
 from pathlib import Path
 
-from .diagnostics import Diagnostic
-from .lexer import decode_source, is_identifier
+from .diagnostics import Diagnostic, decode_source
 from .record import field, record
-from .tokens import Span
+from .tokens import Span, is_identifier
 
 CLOCK_TYPES = ("posedge", "negedge")
 RESET_TYPES = ("async_low", "async_high", "sync_low", "sync_high")
@@ -333,3 +336,27 @@ def resolve_dependencies(
 
     place(manifest, manifest.root_dir, None)
     return plan, new_lock, diags
+
+
+@record
+class LoadedProgram:
+    manifest: Manifest | None
+    plan: list[PlanUnit] = field(default_factory=list)
+    lock: Lockfile = field(default_factory=Lockfile)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+
+def load_program(manifest_path: Path, offline: bool = False) -> LoadedProgram:
+    """Manifest + lockfile + dependency resolution + compile order."""
+    manifest, diags = load_manifest(manifest_path)
+    if manifest is None:
+        return LoadedProgram(None, diagnostics=diags)
+    lock_path = manifest.root_dir / "vl.lock"
+    lock = None
+    if lock_path.is_file():
+        text, ldiags = decode_source(lock_path.read_bytes(), str(lock_path))
+        if not ldiags:  # a lockfile that is not UTF-8 counts as absent
+            lock, ldiags = Lockfile.parse(text, str(lock_path))
+        diags += ldiags
+    plan, new_lock, ddiags = resolve_dependencies(manifest, lock, offline)
+    return LoadedProgram(manifest, plan, new_lock, diags + ddiags)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .record import record
@@ -17,6 +18,24 @@ class TokenKind:
     PUNCT = "punct"
     DOMAIN_TICK = "domain_tick"  # `a  (clock-domain annotation)
     EOF = "eof"  # synthetic, never produced by the lexer
+
+
+KEYWORDS = frozenset(
+    """
+    module package param const var inst input output always_ff always_comb
+    assign if else if_reset unsafe cdc function return pub
+    clock clock_posedge clock_negedge
+    reset reset_async_high reset_async_low reset_sync_high reset_sync_low
+    logic bit u32 u64
+    """.split()
+)
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def is_identifier(text: str) -> bool:
+    """Whether `text` can name a project: an identifier that is not a keyword."""
+    return _IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
 @record(slots=True, unsafe_hash=True)

@@ -26,7 +26,7 @@ def parse_expression(text: str) -> ast.Expr:
         e = p.parse_expr()
     except parser._ParseError:
         e = None
-    if e is None or p.diags or r.diagnostics or p.pos != len(p.toks):
+    if e is None or p.diags or r.diagnostics or p.pos != p.end:
         raise ValueError("E0101: malformed expression: " + text)
     return e
 

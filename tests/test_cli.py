@@ -51,9 +51,12 @@ def test_new_twice_is_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_new_bad_name_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name in ("not-an-ident", "module", "logic", "x\n"):  # a keyword cannot start a path
+    # A keyword cannot start a path; a control character in the name is shown
+    # as U+FFFD, so the message stays one printable line.
+    for name in ("not-an-ident", "module", "logic", "x\n", "a\x1b[31mb", "x\u2028y\x00"):
         assert main(["new", name]) == 2
-    assert capsys.readouterr().err.count("is not a valid project name") == 4
+        err = capsys.readouterr().err
+        assert err.endswith("is not a valid project name\n") and err[:-1].isprintable()
     assert list(tmp_path.iterdir()) == []
 
 
@@ -292,12 +295,23 @@ def test_unicode_digit_is_e0001_not_a_hang(tmp_path):
 _PIPELINE_MODULES = {"vl.driver", "vl.analyzer", "vl.resolver", "vl.emitter", "vl.docgen", "vl.project"}
 
 
-def modules_after(tmp_path, command: list[str]) -> set[str]:
+# The compiler behind `check`, `build`, `fmt` and `doc`, which `update` and `new` never run.
+_COMPILER_MODULES = {
+    "vl.driver", "vl.analyzer", "vl.resolver", "vl.parser", "vl.lexer", "vl.ast", "vl.emitter", "vl.docgen", "vl.formatter"
+}
+
+
+def modules_after(tmp_path, command: list[str], dependency: bool = False) -> set[str]:
     """The modules one command loads in a fresh interpreter, run in `tmp_path`
-    on a project `counter` without dependencies: those in `sys.modules` after
-    it and not before `vl.cli` was imported (a site hook may load others)."""
-    make_project(tmp_path)
-    env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent))
+    on a project `counter`, without dependencies or with one `file://` git
+    dependency: those in `sys.modules` after it and not before `vl.cli` was
+    imported (a site hook may load others)."""
+    root = make_project(tmp_path)
+    if dependency:
+        url = make_repo(tmp_path, "sample")
+        with (root / "vl.toml").open("a") as f:
+            f.write(f'\n[dependencies]\n"{url}" = "0.1.0"\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent), VL_CACHE_DIR=str(tmp_path / "cache"))
     code = "import sys; pre = set(sys.modules); from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(set(sys.modules) - pre))"
     proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     rc, *modules = proc.stdout.split()
@@ -309,6 +323,22 @@ def modules_after(tmp_path, command: list[str]) -> set[str]:
 @pytest.mark.parametrize("command", [["fmt", "--check", "--manifest", "counter/vl.toml"], ["new", "blinky"]])
 def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
     assert not _PIPELINE_MODULES & modules_after(tmp_path, command)
+
+
+# `update` runs only the package layer, and `new` only the identifier check:
+# neither loads the compiler, nor `json` outside `--format json`.  Git
+# (`subprocess`) and the cache's URL hash (`hashlib`) load only to fetch.
+@pytest.mark.parametrize(
+    "command, dependency",
+    [(["update", "--manifest", "counter/vl.toml"], False), (["update", "--manifest", "counter/vl.toml"], True), (["new", "blinky"], False)],
+)
+def test_update_and_new_load_no_compiler_module(tmp_path, command, dependency):
+    modules = modules_after(tmp_path, command, dependency)
+    assert not (_COMPILER_MODULES | {"json"}) & modules
+    assert {"subprocess", "hashlib"} & modules == ({"subprocess", "hashlib"} if dependency else set())
+    if command[0] == "update":
+        assert "vl.project" in modules
+        assert len((tmp_path / "counter" / "vl.lock").read_text().splitlines()) == int(dependency)
 
 
 # Records replace `dataclasses` (and the `inspect` it loads) in every command;

@@ -4,8 +4,7 @@ import pytest
 
 import vl.project as project
 from vl.diagnostics import render_human
-from vl.driver import load_program
-from vl.project import Lockfile, load_manifest, resolve_dependencies
+from vl.project import Lockfile, load_manifest, load_program, resolve_dependencies
 
 FIG5_MANIFEST = """\
 [project]
