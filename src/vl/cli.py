@@ -7,15 +7,20 @@ errors, 1 error diagnostics, 2 usage, config or output (EIO01) failure.
 Each command imports only the modules it runs: `update` needs only the
 package layer (`project`) and never loads the compiler; `fmt` needs the lexer,
 parser and formatter, and never loads the driver and the layers under it.
+
+`fmt` skips the texts it has already found canonical (see `fmtcache`): when
+every file has a marker, it loads neither the lexer, the parser nor the
+formatter.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, _visible, has_errors, render_human, sorted_diagnostics, to_json, write_outputs
+from .diagnostics import Diagnostic, _visible, has_errors, read_sources, render_human, sorted_diagnostics, to_json, write_outputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,18 +153,25 @@ def cmd_update(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    from .formatter import format_source
-    from .lexer import read_sources
-    from .parser import parse_source
+    from . import fmtcache
 
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     changed: list[Path] = []
+    marks = fmtcache.marks_dir()
+    todo = []  # (path, file_id, text, marker) of each file not known to be canonical
     for path, file_id, _, text, ddiags in read_sources(args.manifest.parent):
         sources[file_id] = text
         if ddiags:
             diags += ddiags
             continue
+        marker = marks and marks / fmtcache.sha256(text.encode("utf-8"))
+        if not (marker and os.path.exists(marker)):
+            todo.append((path, file_id, text, marker))
+    if todo:
+        from .formatter import format_source
+        from .parser import parse_source
+    for path, file_id, text, marker in todo:
         sf, pdiags = parse_source(text, file_id)
         if pdiags:
             diags += pdiags
@@ -169,6 +181,8 @@ def cmd_fmt(args) -> int:
             changed.append(path)
             if not args.check:
                 diags += write_outputs([(path, formatted)])[1]
+        elif marker:
+            fmtcache.mark(marker)
     rc = report(diags, sources, args.format)
     if args.check and changed:
         for path in changed:

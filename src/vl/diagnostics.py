@@ -1,9 +1,10 @@
-"""Coded findings (errors and warnings), their human/JSON renderers, and the
+"""Coded findings (errors and warnings), their human/JSON renderers, the
 UTF-8 decoding and the output writer that every input and output file goes
-through."""
+through, and the root of vl's cache."""
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -43,6 +44,23 @@ def decode_source(data: bytes, file_id: str) -> tuple[str, list[Diagnostic]]:
         span = Span(file_id, at, at + 1, good.count("\n") + 1, at - good.rfind("\n"))
         message = f"invalid UTF-8 (byte 0x{data[err.start]:02x}); the file is skipped"
         return data.decode("utf-8", "replace"), [Diagnostic("E0003", message, span)]
+
+
+def read_sources(root: Path, is_root: bool = True):
+    """(path, file_id, output stem, text, decode diagnostics) of each regular
+    .vl file under `root`/src, recursive, in path order.  The root project's
+    file ids are relative to its root; a dependency's are its cache paths."""
+    src = root / "src"
+    for path in sorted(p for p in src.rglob("*.vl") if p.is_file()) if src.is_dir() else []:
+        rel = path.relative_to(root)
+        file_id = str(rel) if is_root else str(path)
+        yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
+
+
+def cache_root() -> Path:
+    """The root of vl's cache: fetched dependencies and `vl fmt`'s markers."""
+    env = os.environ.get("VL_CACHE_DIR")
+    return Path(env) if env else Path.home() / ".cache" / "vl"
 
 
 def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list[Diagnostic]]:

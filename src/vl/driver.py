@@ -7,10 +7,9 @@ from pathlib import Path
 
 from . import ast
 from .analyzer import FfBinding, analyze_unit
-from .diagnostics import Diagnostic, has_errors, sorted_diagnostics, write_outputs
+from .diagnostics import Diagnostic, has_errors, read_sources, sorted_diagnostics, write_outputs
 from .docgen import DocModel, extract_docs, write_docs
 from .emitter import EmitConfig, emit_project
-from .lexer import read_sources
 from .parser import parse_source
 from .project import LoadedProgram, PlanUnit, load_program  # the pipeline's first step, also reached from here
 from .record import field, record

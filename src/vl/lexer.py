@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
-from .diagnostics import Diagnostic, decode_source
+from .diagnostics import Diagnostic
 from .record import field, record
 from .tokens import KEYWORDS, Comment, DocComment, Span, Token, TokenKind
 
@@ -51,17 +50,6 @@ class LexResult:
     doc_comments: list[DocComment]
     comments: list[Comment]
     diagnostics: list[Diagnostic] = field(default_factory=list)
-
-
-def read_sources(root: Path, is_root: bool = True):
-    """(path, file_id, output stem, text, decode diagnostics) of each regular
-    .vl file under `root`/src, recursive, in path order.  The root project's
-    file ids are relative to its root; a dependency's are its cache paths."""
-    src = root / "src"
-    for path in sorted(p for p in src.rglob("*.vl") if p.is_file()) if src.is_dir() else []:
-        rel = path.relative_to(root)
-        file_id = str(rel) if is_root else str(path)
-        yield path, file_id, str(rel.relative_to("src").with_suffix("")), *decode_source(path.read_bytes(), file_id)
 
 
 def scan(source: str, file_id: str) -> LexResult:

@@ -18,7 +18,7 @@ import re
 import shutil
 from pathlib import Path
 
-from .diagnostics import Diagnostic, decode_source
+from .diagnostics import Diagnostic, cache_root, decode_source
 from .record import field, record
 from .tokens import Span, is_identifier
 
@@ -176,11 +176,6 @@ def load_manifest(path: Path) -> tuple[Manifest | None, list[Diagnostic]]:
 # -- cache and git -------------------------------------------------------------
 
 
-def cache_root() -> Path:
-    env = os.environ.get("VL_CACHE_DIR")
-    return Path(env) if env else Path.home() / ".cache" / "vl"
-
-
 def _git(args: list[str], cwd: Path | None = None):
     """All git invocations funnel through here (tests count and stub it).
     Returns the `subprocess.CompletedProcess`; `subprocess` loads on the first
@@ -301,6 +296,10 @@ def resolve_dependencies(
         entry = locked.get(dep.url)
         if entry is not None and entry.version == dep.version:
             revision = entry.revision
+        elif offline:  # resolving a version lists the remote's tags
+            msg = f"offline mode: version {dep.version} of {dep.url} is not in vl.lock"
+            diags.append(Diagnostic("E0404", msg, dep.span))
+            return None
         else:
             revision, err = _resolve_version(dep)
             if err is not None:

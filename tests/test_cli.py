@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import svread
 import vl
-from vl import driver
+from vl import driver, fmtcache, parser
 from vl.cli import main
 from vl.parser import MAX_NESTING
 
@@ -117,6 +118,75 @@ def test_fmt_check_dry_run_writes_nothing(tmp_path, capsys):
     assert main(["fmt", "--check", "--manifest", str(root / "vl.toml")]) == 1
     assert (root / "src" / "main.vl").read_text() == messy
     assert "main.vl" in capsys.readouterr().out
+
+
+def fmt_mix(tmp_path):
+    """A project of one canonical file, one drifted, one that does not parse
+    (E0103) and one that is not UTF-8 (E0003)."""
+    root = make_project(tmp_path, FIG1, name="mix", stem="canonical")
+    (root / "src" / "drift.vl").write_text("module   D(){}")
+    (root / "src" / "broken.vl").write_text("module B (\n")
+    (root / "src" / "bad.vl").write_bytes(b"module X () {\n}\n// \xff\n")
+    return root
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+def test_fmt_markers_change_no_output(tmp_path, monkeypatch, capsys, mode):
+    root = fmt_mix(tmp_path)
+    (tmp_path / "file").write_text("a file, not a directory")
+    results = []
+    for cache in ("cache", "cache", "file"):  # cold, warm, and a cache root that cannot hold markers
+        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
+        rc = main(["fmt", "--check", "--manifest", str(root / "vl.toml"), "--format", mode])
+        results.append((rc, *capsys.readouterr()))
+    assert results == [results[0]] * 3
+    rc, out, err = results[0]
+    assert rc == 1 and out.endswith(f"{root / 'src' / 'drift.vl'}\n")
+    assert "E0003" in out + err and "E0103" in out + err and "internal error" not in err
+    (marks,) = (tmp_path / "cache" / "fmt").iterdir()
+    assert [p.name for p in marks.iterdir()] == [sha256(FIG1)]
+
+
+def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / "cache"))
+    root = fmt_mix(tmp_path)
+    src = root / "src"
+    parsed = []
+    real_parse = parser.parse_source
+    monkeypatch.setattr(parser, "parse_source", lambda text, file_id: parsed.append(file_id) or real_parse(text, file_id))
+
+    def run(*args):
+        """(exit code, files parsed, stdout) of one `vl fmt`."""
+        parsed.clear()
+        rc = main(["fmt", *args, "--manifest", str(root / "vl.toml")])
+        return rc, sorted(parsed), capsys.readouterr().out
+
+    every = ["src/broken.vl", "src/canonical.vl", "src/drift.vl"]
+    assert run("--check")[:2] == (1, every)
+    assert run("--check")[:2] == (1, ["src/broken.vl", "src/drift.vl"])
+    # Another vl (here a changed fingerprint) trusts no marker of this one.
+    real_marks = fmtcache.marks_dir
+    with monkeypatch.context() as mp:
+        mp.setattr(fmtcache, "marks_dir", lambda: real_marks().with_name("0" * 64))
+        assert run("--check")[:2] == (1, every)
+    # A marked file edited into drift is parsed and reported again.
+    (src / "canonical.vl").write_text("  " + FIG1)
+    rc, files, out = run("--check")
+    assert (rc, files) == (1, every) and f"{src / 'canonical.vl'}\n" in out
+    # `vl fmt` rewrites; the next `fmt --check` verifies and marks the rewritten
+    # texts (canonical.vl's is FIG1 again, which is marked already).
+    (src / "broken.vl").unlink()
+    (src / "bad.vl").unlink()
+    assert run()[:2] == (0, ["src/canonical.vl", "src/drift.vl"])
+    assert (src / "canonical.vl").read_text() == FIG1
+    assert run("--check")[:2] == (0, ["src/drift.vl"])
+    marked = {sha256((src / name).read_text()) for name in ("canonical.vl", "drift.vl")}
+    assert {p.name for p in real_marks().iterdir()} == marked
+    assert run("--check")[:2] == (0, [])
 
 
 def test_exit_code_contract_on_diag_corpus(tmp_path, capsys):
@@ -301,11 +371,12 @@ _COMPILER_MODULES = {
 }
 
 
-def modules_after(tmp_path, command: list[str], dependency: bool = False) -> set[str]:
+def modules_after(tmp_path, command: list[str], dependency: bool = False, warm: bool = False) -> set[str]:
     """The modules one command loads in a fresh interpreter, run in `tmp_path`
     on a project `counter`, without dependencies or with one `file://` git
     dependency: those in `sys.modules` after it and not before `vl.cli` was
-    imported (a site hook may load others)."""
+    imported (a site hook may load others).  With `warm`, the command runs
+    once before, in another interpreter, and its second run is measured."""
     root = make_project(tmp_path)
     if dependency:
         url = make_repo(tmp_path, "sample")
@@ -313,7 +384,8 @@ def modules_after(tmp_path, command: list[str], dependency: bool = False) -> set
             f.write(f'\n[dependencies]\n"{url}" = "0.1.0"\n')
     env = dict(os.environ, PYTHONPATH=str(Path(vl.__file__).parent.parent), VL_CACHE_DIR=str(tmp_path / "cache"))
     code = "import sys; pre = set(sys.modules); from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(set(sys.modules) - pre))"
-    proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    for _ in range(1 + warm):
+        proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     rc, *modules = proc.stdout.split()
     assert rc == "0", proc.stderr
     assert "vl.cli" in modules
@@ -323,6 +395,13 @@ def modules_after(tmp_path, command: list[str], dependency: bool = False) -> set
 @pytest.mark.parametrize("command", [["fmt", "--check", "--manifest", "counter/vl.toml"], ["new", "blinky"]])
 def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
     assert not _PIPELINE_MODULES & modules_after(tmp_path, command)
+
+
+# A second `fmt --check` on unchanged, canonical sources finds a marker for
+# each text, so it loads none of the modules that format one.
+def test_warm_fmt_check_loads_no_formatting_module(tmp_path):
+    modules = modules_after(tmp_path, ["fmt", "--check", "--manifest", "counter/vl.toml"], warm=True)
+    assert not (_PIPELINE_MODULES | {"vl.lexer", "vl.parser", "vl.ast", "vl.formatter"}) & modules
 
 
 # `update` runs only the package layer, and `new` only the identifier check:

@@ -199,11 +199,23 @@ def test_warm_cache_offline_zero_fetches(tmp_path, cache, monkeypatch):
     assert calls == []
 
 
-def test_offline_cold_cache_is_e0404(tmp_path, cache):
+def test_offline_cold_cache_is_e0404(tmp_path, cache, monkeypatch):
     url = make_repo(tmp_path, "sample")
     m = root_manifest(tmp_path, [(url, "0.1.0")])
-    _, _, diags = resolve_dependencies(m, offline=True)
-    assert [d.code for d in diags] == ["E0404"]
+    _, lock, diags = resolve_dependencies(m)
+    assert diags == []
+    monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / "cold"))
+    calls = []
+    real = project._git
+    monkeypatch.setattr(project, "_git", lambda *a, **k: calls.append(a) or real(*a, **k))
+    # Without a lock entry for the request the version cannot be resolved
+    # without listing the remote's tags; with one, the revision is not cached.
+    stale = Lockfile([project.LockEntry(url, "0.0.9", lock.entries[0].revision, "sample")])
+    for lockfile, why in ((None, "is not in vl.lock"), (stale, "is not in vl.lock"), (lock, "is not in the cache")):
+        _, _, diags = resolve_dependencies(m, lock=lockfile, offline=True)
+        assert [d.code for d in diags] == ["E0404"]
+        assert diags[0].message.endswith(why)
+    assert calls == []
 
 
 def test_missing_tag_is_e0403(tmp_path, cache):
