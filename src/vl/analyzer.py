@@ -32,7 +32,7 @@ class ConstError(Exception):
     def __init__(self, diagnostic: Diagnostic, repeat: bool = False):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
-        self.repeat = repeat  # a memoized failure, raised again
+        self.repeat = repeat  # reported already: a memoized failure, or the lexer's E0002
 
 
 @record(frozen=True)
@@ -128,8 +128,8 @@ class _ConstEval:
             return v
         if isinstance(e, ast.SizedLiteral):
             parts = sized_literal_parts(e.text)
-            if parts is None:
-                self.fail(f"malformed literal `{e.text}`", e.span)
+            if parts is None:  # the lexer reported E0002 here
+                raise ConstError(Diagnostic("E0002", f"sized literal `{e.text}`", e.span), repeat=True)
             v = sized_literal_value(parts[1], parts[2])
             if v > _U64_MASK:
                 self.fail(f"literal `{e.text}` exceeds 64 bits", e.span)
@@ -465,10 +465,7 @@ class _ModuleChecker:
         return True
 
     def drive(self, site: _Site, lvalue: ast.Expr, span: Span, scope) -> None:
-        base = ast.lvalue_base(lvalue)
-        if base is None:
-            self.diags.append(Diagnostic("E0306", "assignment target is not an lvalue", span))
-            return
+        base = ast.lvalue_base(lvalue)  # a path: `parse_lvalue` reads one, `connect` checks one
         sym = resolve(base, scope, self.diags)
         if sym is None:
             return
@@ -479,7 +476,7 @@ class _ModuleChecker:
             return
         if not self.dataflow(sym, base):
             return
-        if sym.kind == SymbolKind.PORT and isinstance(sym.decl, ast.PortDecl) and sym.decl.direction == "input":
+        if sym.kind == SymbolKind.PORT and sym.decl.direction == "input":
             self.diags.append(
                 Diagnostic("E0306", f"input port `{base.text}` cannot be assigned", base.span)
             )
@@ -610,7 +607,7 @@ class _ModuleChecker:
             for s in stmts:
                 if isinstance(s, ast.AssignStmt):
                     base = ast.lvalue_base(s.lvalue)
-                    if base is None or len(base.segments) != 1:
+                    if len(base.segments) != 1:
                         continue
                     name = base.segments[0]
                     sig = self.signals.get(name)
@@ -638,7 +635,7 @@ class _ModuleChecker:
                     "W0305",
                     f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
                     first_span[name],
-                    [Related("declared here", self.signals[name].sym.span)] if name in self.signals else [],
+                    [Related("declared here", self.signals[name].sym.span)],
                 )
             )
 

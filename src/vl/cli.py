@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, _visible, has_errors, read_sources, render_human, sorted_diagnostics, to_json, write_outputs
+from .diagnostics import Diagnostic, _visible, has_errors, read_sources, render_human, sha256, sorted_diagnostics, to_json, write_outputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -165,7 +165,7 @@ def cmd_fmt(args) -> int:
         if ddiags:
             diags += ddiags
             continue
-        marker = marks and marks / fmtcache.sha256(text.encode("utf-8"))
+        marker = marks and marks / sha256(text.encode("utf-8"))
         if not (marker and os.path.exists(marker)):
             todo.append((path, file_id, text, marker))
     if todo:

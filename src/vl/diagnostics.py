@@ -1,6 +1,6 @@
 """Coded findings (errors and warnings), their human/JSON renderers, the
 UTF-8 decoding and the output writer that every input and output file goes
-through, and the root of vl's cache."""
+through, and the root of vl's cache with the sha256 that names its entries."""
 
 from __future__ import annotations
 
@@ -61,6 +61,23 @@ def cache_root() -> Path:
     """The root of vl's cache: fetched dependencies and `vl fmt`'s markers."""
     env = os.environ.get("VL_CACHE_DIR")
     return Path(env) if env else Path.home() / ".cache" / "vl"
+
+
+# CPython's built-in sha256 where there is one (`_sha2` from 3.12, `_sha256`
+# before): `hashlib` also loads OpenSSL, which costs 3.6 MB and 2 ms.
+try:
+    from _sha2 import sha256 as _new
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new
+    except ImportError:
+        from hashlib import sha256 as _new
+
+
+def sha256(data: bytes) -> str:
+    """Hex sha256 of `data`: the names of dependency cache entries and of
+    `vl fmt`'s markers."""
+    return _new(data).hexdigest()
 
 
 def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list[Diagnostic]]:

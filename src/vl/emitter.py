@@ -48,21 +48,6 @@ def unpacked_suffix(ty: ast.TypeSpec) -> str:
     return out
 
 
-def effective_reset(kind: str | None, cfg: EmitConfig) -> str:
-    """async_low/async_high/sync_low/sync_high after applying the config."""
-    if kind is None or kind == "reset":
-        return cfg.reset_type
-    return kind.removeprefix("reset_")
-
-
-def effective_clock_edge(kind: str | None, cfg: EmitConfig) -> str:
-    if kind == "clock_posedge":
-        return "posedge"
-    if kind == "clock_negedge":
-        return "negedge"
-    return cfg.clock_type
-
-
 class _Writer:
     def __init__(self):
         self.lines: list[str] = []
@@ -72,12 +57,18 @@ class _Writer:
         self.lines.append("  " * self.depth + text if text else "")
 
 
+def _kind(type_kind: str, configured: str) -> str:
+    """The edge or reset kind after the `_` of a type like `clock_negedge` or
+    `reset_sync_high`; for a plain `clock` or `reset`, the `configured` one."""
+    return type_kind.partition("_")[2] or configured
+
+
 def lower_always_ff(ff: ast.AlwaysFf, binding: FfBinding, cfg: EmitConfig, w: _Writer) -> None:
-    """One SystemVerilog always_ff per source always_ff, edges from config."""
-    edge = effective_clock_edge(binding.clock_kind, cfg)
-    sens = f"{edge} {binding.clock}"
-    reset_kind = effective_reset(binding.reset_kind, cfg) if binding.reset else None
-    if binding.reset and binding.uses_if_reset and reset_kind.startswith("async"):
+    """One SystemVerilog always_ff per source always_ff.  Emit runs only without
+    errors, where the clock is bound, and so is the reset of an `if_reset`."""
+    sens = f"{_kind(binding.clock_kind, cfg.clock_type)} {binding.clock}"
+    reset_kind = _kind(binding.reset_kind, cfg.reset_type) if binding.reset else None
+    if binding.uses_if_reset and reset_kind.startswith("async"):
         reset_edge = "posedge" if reset_kind.endswith("high") else "negedge"
         sens += f" or {reset_edge} {binding.reset}"
     w.put(f"always_ff @ ({sens}) begin")
@@ -85,11 +76,9 @@ def lower_always_ff(ff: ast.AlwaysFf, binding: FfBinding, cfg: EmitConfig, w: _W
     w.put("end")
 
 
-def _reset_condition(binding: FfBinding, reset_kind: str | None) -> str:
-    if binding.reset is None:
-        return "1'b0"  # unreachable on analyzed input (E0313)
-    active_high = reset_kind is not None and reset_kind.endswith("high")
-    return binding.reset if active_high else f"!{binding.reset}"
+def _reset_condition(binding: FfBinding, reset_kind: str) -> str:
+    """The test of an `if_reset` arm."""
+    return binding.reset if reset_kind.endswith("high") else f"!{binding.reset}"
 
 
 def _lower_block(block: ast.Block, w: _Writer, nb: bool, binding: FfBinding | None = None, reset_kind: str | None = None) -> None:

@@ -3,29 +3,18 @@ marker file per text, `fmt/<fingerprint>/<digest>` under the cache root.  The
 digest is the sha256 of the text as UTF-8, the fingerprint a sha256 over the
 bytes of this package's modules, so any change to vl starts afresh.  A marker
 is a cache entry, not an output: markers change no output, and one that
-cannot be created is left out.  Only `vl fmt` loads this module."""
+cannot be created is left out.  The first marker of a fingerprint deletes
+the others not modified for `STALE_DAYS`, which costs their vl one cold run.
+Only `vl fmt` loads this module."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-from .diagnostics import cache_root
+from .diagnostics import cache_root, sha256
 
-# CPython's built-in sha256 where there is one (`_sha2` from 3.12, `_sha256`
-# before): `hashlib` also loads OpenSSL, which costs `fmt` 3.6 MB and 2 ms.
-try:
-    from _sha2 import sha256 as _new
-except ImportError:
-    try:
-        from _sha256 import sha256 as _new
-    except ImportError:
-        from hashlib import sha256 as _new
-
-
-def sha256(data: bytes) -> str:
-    """Hex sha256 of `data`."""
-    return _new(data).hexdigest()
+STALE_DAYS = 30
 
 
 def marks_dir() -> Path | None:
@@ -50,5 +39,17 @@ def mark(marker: Path) -> None:
         except FileNotFoundError:  # the first marker of this fingerprint
             marker.parent.mkdir(parents=True, exist_ok=True)
             marker.touch()
+            _prune(marker.parent)
     except OSError:
         pass
+
+
+def _prune(marks: Path) -> None:
+    """Delete the directories beside `marks` not modified for `STALE_DAYS`."""
+    import shutil
+    import time
+
+    cutoff = time.time() - STALE_DAYS * 24 * 60 * 60
+    for entry in os.scandir(marks.parent):
+        if entry.name != marks.name and entry.is_dir(follow_symlinks=False) and entry.stat(follow_symlinks=False).st_mtime < cutoff:
+            shutil.rmtree(entry.path, ignore_errors=True)

@@ -65,8 +65,7 @@ class _Fmt:
             self.next_comment += 1
 
     def trailing(self, span) -> None:
-        if span is not None and span.byte_end:
-            self.trailing_on(self.line_of(span.byte_end - 1))
+        self.trailing_on(self.line_of(span.byte_end - 1))
 
     def trailing_on(self, line: int) -> None:
         """Append the comment at the end of source `line` to the last output

@@ -123,16 +123,12 @@ def _flush_docs(run: list[tuple[str, Span]], docs: list[DocComment]) -> None:
 
 
 def sized_literal_parts(text: str) -> tuple[int, str, str] | None:
-    """Split a sized-literal lexeme into (width, base, digits); None if malformed."""
-    quote = text.find("'")
-    if quote < 0 or quote + 1 >= len(text):
+    """Split a sized-literal lexeme into (width, base, digits); None when it
+    has no base or no digits (E0002)."""
+    width, _, rest = text.partition("'")
+    if len(rest) < 2:
         return None
-    base = text[quote + 1]
-    digits = text[quote + 2 :]
-    if base not in _RADIX or not digits:
-        return None
-    width = int(text[:quote].replace("_", ""))
-    return width, base, digits
+    return int(width.replace("_", "")), rest[0], rest[1:]
 
 
 def sized_literal_value(base: str, digits: str) -> int:

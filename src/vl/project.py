@@ -18,7 +18,7 @@ import re
 import shutil
 from pathlib import Path
 
-from .diagnostics import Diagnostic, cache_root, decode_source
+from .diagnostics import Diagnostic, cache_root, decode_source, sha256
 from .record import field, record
 from .tokens import Span, is_identifier
 
@@ -52,7 +52,7 @@ class Manifest:
 
     @property
     def root_dir(self) -> Path:
-        return self.path.parent if self.path is not None else Path(".")
+        return self.path.parent
 
 
 @record(frozen=True)
@@ -212,9 +212,7 @@ def _resolve_version(dep: DepRequest) -> tuple[str | None, Diagnostic | None]:
 
 def _ensure_cached(dep: DepRequest, revision: str, offline: bool) -> tuple[Path | None, Diagnostic | None]:
     """Fetch (url, revision) into the immutable cache; atomic write-then-rename."""
-    import hashlib
-
-    url_hash = hashlib.sha256(dep.url.encode()).hexdigest()[:16]
+    url_hash = sha256(dep.url.encode())[:16]
     dest = cache_root() / url_hash / revision
     if dest.is_dir():
         return dest, None

@@ -423,6 +423,78 @@ def test_findings_are_reported_once_and_only_where_they_can_be_known(src, expect
     assert [(d.code, d.span.line, d.span.column) for d in result.diagnostics] == expected
 
 
+# One row per rule, with its message: several E0301 rules share their code.
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (
+            "module M #(param A: u64 = 18_446_744_073_709_551_616) () {}",
+            [("E0301", 1, 27, "literal `18_446_744_073_709_551_616` exceeds 64 bits")],
+        ),
+        (
+            "module M #(param A: u64 = 65'h1_0000_0000_0000_0000) () {}",
+            [("E0301", 1, 27, "literal `65'h1_0000_0000_0000_0000` exceeds 64 bits")],
+        ),
+        ("module M #(param A: u32 = f(1)) () {}", [("E0301", 1, 27, "expression is not constant")]),
+        ("module M #(param A: u32 = -0, param B: u32 = -1) () {}", [("E0301", 1, 46, "negation of an unsigned value wraps")]),
+        ("module M #(param A: u64 = 1 << 70) () {}", [("E0301", 1, 27, "shift overflows 64 bits")]),
+        # The lexer's E0002 alone: neither the constant nor what reads it adds a finding.
+        (
+            "module M #(\n    param P: u32 = 4'b,\n    param Q: u32 = P + 1,\n) (o: output logic<P>) {\n    assign o = 0;\n}\n",
+            [("E0002", 2, 20, "sized literal `4'b` has no digits")],
+        ),
+        (
+            "module M (o: output logic<4>) {\n    assign o = 4'b | 4';\n}\n",
+            [("E0002", 2, 16, "sized literal `4'b` has no digits"), ("E0002", 2, 22, "sized literal `4'` is missing its base (b, d, or h)")],
+        ),
+        (
+            "module M (c: input clock, i: input logic, o: output logic) {\n    always_ff (nope) { o = i; }\n}\n",
+            [("E0202", 2, 16, "undefined identifier `nope`")],
+        ),
+        ("module L () {}\nmodule M (o: output logic) {\n    assign o = L;\n}\n", [("E0203", 3, 16, "`L` is a module, not a value")]),
+        (
+            "module M (o: output logic) {\n    const K: logic = 1;\n    assign o = K(1) | nope(1);\n}\n",
+            [("E0203", 3, 16, "`K` is a const, not a function"), ("E0202", 3, 23, "undefined identifier `nope`")],
+        ),
+        ("module M () {\n    assign nope = 1'b0;\n}\n", [("E0202", 2, 12, "undefined identifier `nope`")]),
+        (
+            "module M () {\n    var c: clock;\n    assign c = 1'b0;\n}\n",
+            [("E0315", 3, 12, "clock/reset-typed signal `c` cannot be used in ordinary dataflow")],
+        ),
+        # Mono leaves an instance of an undefined module as it is.
+        ("module M () {\n    inst u: Nope;\n}\n", [("E0202", 2, 13, "undefined identifier `Nope`")]),
+        # A path of more than one segment is no signal of the latch check.
+        (
+            "package P {\n    const C: logic = 1;\n}\nmodule M () {\n    always_comb { P::C = 1'b0; }\n}\n",
+            [("E0306", 5, 19, "cannot assign to `P::C` (const)")],
+        ),
+        (
+            "module M (c: input clock, i: input `a logic, o: output logic) {\n    always_ff (c) { o = i; }\n}\n",
+            [("E0316", 2, 25, "clock domain crossing: `i` belongs to clock domain `a` but is read under an unannotated clock")],
+        ),
+        (
+            "package P {\n    const C: logic = 1;\n}\nmodule M (o: output logic) {\n    assign o = P::NOPE;\n}\n",
+            [("E0202", 5, 16, "package `P` has no item `NOPE`")],
+        ),
+        (
+            "module L (c: input clock) {}\nmodule M () {\n    inst u: L (c: 1'b0);\n}\n",
+            [("E0315", 3, 19, "port `c` needs a clock/reset-typed signal")],
+        ),
+        # `i` is read only as an index.
+        ("module M (a: input logic<4>, o: output logic) {\n    var i: logic<2>;\n    assign i = 2'd1;\n    assign o = a[i];\n}\n", []),
+    ],
+    ids=[
+        "decimal_over_64_bits", "sized_over_64_bits", "call_not_constant", "negation_wraps", "shift_overflows",
+        "malformed_literal_in_constant", "malformed_literal", "undefined_clock", "module_as_value", "call_non_function",
+        "assign_undefined", "assign_clock", "inst_undefined", "comb_assign_to_package_const", "cdc_unannotated_clock",
+        "package_has_no_item", "clock_port_literal", "index_read",
+    ],
+)
+def test_each_rule_reports_its_own_message(src, expected):
+    result = check_strings([("main.vl", src)])
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == expected
+
+
 # A failing constant read by later parameters, ports or modules, and a
 # connection error in a template body that two instances repeat.
 ONCE_PROBES = [

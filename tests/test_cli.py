@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from vl.parser import MAX_NESTING
 
 from test_analyzer import PASS_THROUGH
 from test_parser import FIG1
-from test_project import make_repo
+from test_project import make_cycle, make_repo
 from test_resolver import FIG3_FF
 
 
@@ -59,6 +60,13 @@ def test_new_bad_name_is_exit_2(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.endswith("is not a valid project name\n") and err[:-1].isprintable()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_new_name_too_long_for_the_file_system_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["new", "a" * 300]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_build_fig1_project(tmp_path):
@@ -187,6 +195,39 @@ def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsy
     marked = {sha256((src / name).read_text()) for name in ("canonical.vl", "drift.vl")}
     assert {p.name for p in real_marks().iterdir()} == marked
     assert run("--check")[:2] == (0, [])
+
+
+def test_no_marker_directory_without_a_home_or_readable_sources(monkeypatch):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.delenv("VL_CACHE_DIR")
+    monkeypatch.setattr(Path, "home", no_home)
+    assert fmtcache.marks_dir() is None
+    monkeypatch.setenv("VL_CACHE_DIR", "cache")
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert fmtcache.marks_dir() is None
+
+
+def test_first_marker_of_a_fingerprint_prunes_stale_fingerprints(tmp_path, monkeypatch, capsys):
+    root = make_project(tmp_path)
+    runs = []
+    for cache in ("clean", "used"):
+        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
+        if cache == "used":
+            days = fmtcache.STALE_DAYS
+            for name, age in (("stale1", days + 1), ("stale2", 10 * days), ("fresh", days - 1)):
+                (tmp_path / cache / "fmt" / name).mkdir(parents=True)
+                (tmp_path / cache / "fmt" / name / "marker").touch()
+                then = time.time() - age * 24 * 60 * 60
+                os.utime(tmp_path / cache / "fmt" / name, (then, then))
+        runs.append((main(["fmt", "--check", "--manifest", str(root / "vl.toml")]), *capsys.readouterr()))
+    assert runs == [(0, "", "")] * 2
+    left = {p.name: [m.name for m in p.iterdir()] for p in (tmp_path / "used" / "fmt").iterdir()}
+    assert left == {"fresh": ["marker"], fmtcache.marks_dir().name: [sha256(FIG1)]}
 
 
 def test_exit_code_contract_on_diag_corpus(tmp_path, capsys):
@@ -406,7 +447,7 @@ def test_warm_fmt_check_loads_no_formatting_module(tmp_path):
 
 # `update` runs only the package layer, and `new` only the identifier check:
 # neither loads the compiler, nor `json` outside `--format json`.  Git
-# (`subprocess`) and the cache's URL hash (`hashlib`) load only to fetch.
+# (`subprocess`) loads only to fetch.
 @pytest.mark.parametrize(
     "command, dependency",
     [(["update", "--manifest", "counter/vl.toml"], False), (["update", "--manifest", "counter/vl.toml"], True), (["new", "blinky"], False)],
@@ -414,19 +455,37 @@ def test_warm_fmt_check_loads_no_formatting_module(tmp_path):
 def test_update_and_new_load_no_compiler_module(tmp_path, command, dependency):
     modules = modules_after(tmp_path, command, dependency)
     assert not (_COMPILER_MODULES | {"json"}) & modules
-    assert {"subprocess", "hashlib"} & modules == ({"subprocess", "hashlib"} if dependency else set())
+    assert {"subprocess"} & modules == ({"subprocess"} if dependency else set())
     if command[0] == "update":
         assert "vl.project" in modules
         assert len((tmp_path / "counter" / "vl.lock").read_text().splitlines()) == int(dependency)
 
 
 # Records replace `dataclasses` (and the `inspect` it loads) in every command;
-# git (`subprocess`) and the cache's URL hash (`hashlib`) load only for a
-# project with dependencies.
+# git (`subprocess`) loads only for a project with dependencies.
 @pytest.mark.parametrize("command", [["check"], ["build"], ["doc"], ["fmt", "--check"]])
 def test_commands_load_no_dataclasses_and_no_git_without_dependencies(tmp_path, command):
     modules = modules_after(tmp_path, [*command, "--manifest", "counter/vl.toml"])
     assert not {"dataclasses", "inspect", "subprocess", "hashlib"} & modules
+
+
+# The dependency cache's URL hash is CPython's built-in sha256, as `vl fmt`'s
+# markers' is: no command loads `hashlib` and the OpenSSL behind it.
+@pytest.mark.parametrize("command", [["check"], ["build"], ["doc"], ["update"]])
+def test_commands_on_a_dependency_load_no_hashlib(tmp_path, command):
+    modules = modules_after(tmp_path, [*command, "--manifest", "counter/vl.toml"], dependency=True)
+    assert "subprocess" in modules and not {"hashlib", "_hashlib"} & modules
+
+
+def test_doc_above_a_dependency_cycle_writes_no_page(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / "cache"))
+    a_url = make_cycle(tmp_path)
+    root = make_project(tmp_path)
+    with (root / "vl.toml").open("a") as f:
+        f.write(f'\n[dependencies]\n"{a_url}" = "0.1.0"\n')
+    assert main(["doc", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
+    assert [d["code"] for d in json.loads(capsys.readouterr().out)] == ["E0405"]
+    assert not (root / "target").exists()
 
 
 def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):

@@ -155,6 +155,19 @@ def test_explicit_variant_module_immune_to_all_configs():
     assert len(texts) == 1  # byte-identical under every clock/reset config
 
 
+def test_posedge_clock_type_ignores_a_negedge_config():
+    src = (
+        "module Fixed (c: input clock_posedge, r: input reset_sync_low, i: input logic, o: output logic) {\n"
+        "    always_ff (c, r) {\n"
+        "        if_reset { o = 0; } else { o = i; }\n"
+        "    }\n"
+        "}\n"
+    )
+    for cfg in ALL_CONFIGS:
+        lines = [line.strip() for line in emit_one(module_of(src), cfg).splitlines()]
+        assert "always_ff @ (posedge c) begin" in lines and "if (!r) begin" in lines
+
+
 def test_name_preservation():
     text = emit_one(module_of(FIG1), EmitConfig())
     for name in ["Counter", "WIDTH", "i_clk", "i_rst", "o_cnt", "r_cnt"]:

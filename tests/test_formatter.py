@@ -125,6 +125,20 @@ def test_normalizes_whitespace_mess():
     assert_stable(src)
 
 
+def test_closing_angle_bracket_is_split_from_an_equals_sign():
+    src = "module M #(param Q: logic<8>= 1) () {}"
+    assert roundtrip(src) == "module M #(\n    param Q: logic<8> = 1,\n) () {\n}\n"
+    assert_stable(src)
+
+
+def test_adjacent_doc_blocks_keep_the_line_between_them():
+    src = "/// a\n\n/// b\nmodule M () {\n}\n"
+    out = roundtrip(src)
+    assert out == "/// a\n///\n/// b\nmodule M () {\n}\n"
+    assert parse_ok(out).items[0].doc.text == parse_ok(src).items[0].doc.text == "a\n\nb"
+    assert_stable(src)
+
+
 def test_two_items_separated_by_blank_line():
     out = roundtrip("module A(){} module B(){}")
     assert out == "module A () {\n}\n\nmodule B () {\n}\n"
@@ -206,6 +220,12 @@ def test_every_comment_stays_where_it_stands():
         (
             "module M () {\n    inst u: G::<A, // c\n        B> (\n        a: b,\n    );\n}\n",
             "module M () {\n    inst u: G::<A, B> ( // c\n        a: b,\n    );\n}\n",
+        ),
+        # An own-line comment before a list's `(` keeps the comment after
+        # the `(` from passing it: both go before the first entry, in order.
+        (
+            "module M #\n// own\n( // t\n    param A: u32 = 1,\n) () {\n}\n",
+            "module M #(\n    // own\n    // t\n    param A: u32 = 1,\n) () {\n}\n",
         ),
     ]
     for src, canonical in moved:

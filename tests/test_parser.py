@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vl import ast
-from vl.parser import parse_source
+from vl.parser import _PRECEDENCE, parse_source
 
 from helpers import parse_expression, structure
 
@@ -191,6 +191,35 @@ def test_leading_doc_attaches_to_param():
     assert sf.items[0].params[0].doc.text == "Data Width"
 
 
+def test_doc_blocks_before_one_module_are_one_doc():
+    sf = parse_ok("/// a\n\n/// b\nmodule M () {}\n")
+    assert sf.items[0].doc.text == "a\n\nb"
+
+
+@pytest.mark.parametrize(
+    "src, column, message",
+    [
+        ("module M (a: input logic<4 x) {}", 28, "unexpected `x`, expected `>`"),
+        ("module M () { unsafe (x) {} }", 23, "unexpected `x`, expected `cdc`"),
+        ("module M #(W: u32 = 1) () {}", 12, "unexpected `W`, expected `param`"),
+        ("module M (a: inout logic) {}", 14, "unexpected `inout`, expected `input` or `output`"),
+        (
+            "module M () { foo; }",
+            15,
+            "unexpected `foo`, expected a module item (var, const, inst, assign, always_ff, always_comb, function, unsafe)",
+        ),
+        ("package P { var x: logic; }", 13, "unexpected `var`, expected `const` or `function`"),
+        ("module M (a: input foo) {}", 20, "unexpected `foo`, expected a type"),
+        ("module M () { always_comb { x; } }", 30, "unexpected `;`, expected an assignment operator"),
+        ("module M () { always_comb { 1 = x; } }", 29, "unexpected `1`, expected an lvalue"),
+    ],
+)
+def test_each_e0101_names_what_was_expected(src, column, message):
+    _, diags = parse_source(src, "t.vl")
+    assert {d.code for d in diags} == {"E0101"}
+    assert (diags[0].span.column, diags[0].message) == (column, message)
+
+
 # -- free expression parsing -------------------------------------------------
 
 
@@ -232,6 +261,39 @@ def test_precedence_shift_below_add():
 def test_precedence_table(src, top):
     e = parse_expression(src)
     assert e.op == top
+
+
+# IEEE 1800-2017 Table 11-2: the binary operators, highest precedence
+# first; every level groups left to right.  The emitter prints vl expression
+# text as it is, so vl must group exactly as SystemVerilog does.
+TABLE_11_2 = [
+    ["**"],
+    ["*", "/", "%"],
+    ["+", "-"],
+    ["<<", ">>", "<<<", ">>>"],
+    ["<", "<=", ">", ">=", "inside", "dist"],
+    ["==", "!=", "===", "!==", "==?", "!=?"],
+    ["&"],
+    ["^", "~^", "^~"],
+    ["|"],
+    ["&&"],
+    ["||"],
+]
+SV_LEVEL = {op: -rank for rank, ops in enumerate(TABLE_11_2) for op in ops}  # higher binds tighter
+
+
+def test_binary_operators_group_as_ieee_1800_table_11_2():
+    assert set(_PRECEDENCE) <= set(SV_LEVEL)
+    for a in _PRECEDENCE:
+        # A unary operator binds tighter than every binary one.
+        e = parse_expression(f"-x {a} y")
+        assert (e.op, type(e.lhs)) == (a, ast.UnaryExpr)
+        for b in _PRECEDENCE:
+            e = parse_expression(f"x {a} y {b} z")
+            if SV_LEVEL[a] >= SV_LEVEL[b]:  # `(x a y) b z`
+                assert (e.op, e.lhs.op, e.rhs.text) == (b, a, "z"), (a, b)
+            else:  # `x a (y b z)`
+                assert (e.op, e.lhs.text, e.rhs.op) == (a, "x", b), (a, b)
 
 
 def test_malformed_expression_raises():

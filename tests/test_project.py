@@ -1,3 +1,5 @@
+import hashlib
+import re
 import subprocess
 
 import pytest
@@ -87,6 +89,32 @@ def test_bad_project_name_is_e0401(tmp_path):
     ]
 
 
+# Whether the manifest still loads, and its findings.
+@pytest.mark.parametrize(
+    "text, loads, expected",
+    [
+        (
+            '[project]\nname = x\nversion = "0.1.0"\n',
+            False,
+            [("E0401", 2, "malformed manifest line: name = x"), ("E0401", 1, "[project] is missing required key(s): name")],
+        ),
+        ('name = "x"\n[project]\nname = "x"\nversion = "0.1.0"\n', True, [("E0401", 1, "key outside any table")]),
+        ('[project]\nname = "x"\n', False, [("E0401", 1, "[project] is missing required key(s): version")]),
+        ('[project]\nname = "x"\nversion = "1.0"\n', False, [("E0401", 3, "project version `1.0` is not of the form X.Y.Z")]),
+        (
+            '[project]\nname = "x"\nversion = "0.1.0"\n[dependencies]\n"file:///d" = "latest"\n',
+            True,
+            [("E0401", 5, "dependency version `latest` is not of the form X.Y.Z")],
+        ),
+    ],
+    ids=["malformed_line", "key_outside_table", "missing_key", "project_version", "dependency_version"],
+)
+def test_manifest_structure_errors_are_e0401(tmp_path, text, loads, expected):
+    m, diags = load_manifest(write_manifest(tmp_path, text))
+    assert [(d.code, d.span.line, d.message) for d in diags] == expected
+    assert (m is not None) == loads and (m is None or m.dependencies == [])
+
+
 def test_crlf_manifest_excerpt_shows_its_own_line(tmp_path):
     text = '[project]\r\nname = "x"\r\nversion = "0.1.0"\r\n\r\n[build]\r\nclock_type = "rising"\r\n'
     path = tmp_path / "vl.toml"
@@ -132,14 +160,18 @@ def git(*args, cwd):
     )
 
 
-def make_repo(tmp_path, name, version="0.1.0", deps=(), module="pub module Sample () {}"):
+def make_repo(tmp_path, name, version="0.1.0", deps=(), module="pub module Sample () {}", manifest=None):
+    """A git repo tagged `v{version}`; `manifest`, when given, is its
+    `vl.toml`'s text, and "" leaves it without one."""
     repo = tmp_path / f"repo_{name}"
     (repo / "src").mkdir(parents=True)
-    dep_lines = "".join(f'"{url}" = "{ver}"\n' for url, ver in deps)
-    manifest = f'[project]\nname = "{name}"\nversion = "{version}"\n'
-    if dep_lines:
-        manifest += "\n[dependencies]\n" + dep_lines
-    (repo / "vl.toml").write_text(manifest)
+    if manifest is None:
+        dep_lines = "".join(f'"{url}" = "{ver}"\n' for url, ver in deps)
+        manifest = f'[project]\nname = "{name}"\nversion = "{version}"\n'
+        if dep_lines:
+            manifest += "\n[dependencies]\n" + dep_lines
+    if manifest:
+        (repo / "vl.toml").write_text(manifest)
     (repo / "src" / "main.vl").write_text(module + "\n")
     git("init", "-q", cwd=repo)
     git("add", "-A", cwd=repo)
@@ -174,6 +206,15 @@ def test_resolve_file_url_dependency(tmp_path, cache):
     (entry,) = lock.entries
     assert (entry.url, entry.version, entry.name) == (url, "0.1.0", "sample")
     assert len(entry.revision) == 40
+
+
+def test_cache_entry_is_named_by_the_url_sha256_prefix(tmp_path, cache):
+    # The name `hashlib` gave before the built-in sha256 replaced it, so
+    # existing dependency caches stay warm.
+    url = make_repo(tmp_path, "sample")
+    plan, lock, diags = resolve_dependencies(root_manifest(tmp_path, [(url, "0.1.0")]))
+    assert diags == []
+    assert plan[0].root == cache / hashlib.sha256(url.encode()).hexdigest()[:16] / lock.entries[0].revision
 
 
 def test_lockfile_idempotency(tmp_path, cache):
@@ -223,6 +264,40 @@ def test_missing_tag_is_e0403(tmp_path, cache):
     m = root_manifest(tmp_path, [(url, "9.9.9")])
     _, _, diags = resolve_dependencies(m)
     assert [d.code for d in diags] == ["E0403"]
+
+
+def failing_git(verb):
+    """`project._git`, but every `git {verb}` fails."""
+    real = project._git
+
+    def git(args, cwd=None):
+        if args[0] == verb:
+            return subprocess.CompletedProcess(args, 128, "", f"fatal: {verb} failed\n")
+        return real(args, cwd)
+
+    return git
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("ls-remote", "E0403", "cannot list tags of {url}: .+"),
+        ("clone", "E0403", "cannot clone {url}: fatal: clone failed"),
+        ("checkout", "E0403", "cannot check out [0-9a-f]{{40}} of {url}"),
+        ("no_manifest", "E0401", "dependency {url} has no vl.toml"),
+        ("bad_manifest", "E0401", r"\[project\] is missing required key\(s\): version"),
+    ],
+)
+def test_a_dependency_that_cannot_be_fetched_is_reported_once(tmp_path, cache, monkeypatch, case, code, message):
+    url = make_repo(tmp_path, "sample", manifest={"no_manifest": "", "bad_manifest": '[project]\nname = "s"\n'}.get(case))
+    if case == "ls-remote":
+        url += "-missing"
+    elif case in ("clone", "checkout"):
+        monkeypatch.setattr(project, "_git", failing_git(case))
+    plan, lock, diags = resolve_dependencies(root_manifest(tmp_path, [(url, "0.1.0")]))
+    assert [(d.code, bool(re.fullmatch(message.format(url=re.escape(url)), d.message, re.S))) for d in diags] == [(code, True)]
+    assert [u.name for u in plan] == ["local"] and lock.entries == []
+    assert not list(cache.glob(".tmp-*"))  # a failed checkout leaves no clone behind
 
 
 def test_transitive_dependencies(tmp_path, cache):
