@@ -8,9 +8,9 @@ Each command imports only the modules it runs: `update` needs only the
 package layer (`project`) and never loads the compiler; `fmt` needs the lexer,
 parser and formatter, and never loads the driver and the layers under it.
 
-`fmt` skips the texts it has already found canonical (see `fmtcache`): when
-every file has a marker, it loads neither the lexer, the parser nor the
-formatter.
+`fmt` skips the texts it has already found canonical, and `fmt --check` also
+those it has already found to drift (see `fmtcache`): when every file has an
+entry, it loads neither the lexer, the parser nor the formatter.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ def cmd_fmt(args) -> int:
     sources: dict[str, str] = {}
     changed: list[Path] = []
     marks = fmtcache.marks_dir()
-    todo = []  # (path, file_id, text, marker) of each file not known to be canonical
+    # (path, file_id, text, marker) of each file not known to be canonical, in
+    # `read_sources` order; text None: `--check` knows it drifts
+    todo = []
     for path, file_id, _, text, ddiags in read_sources(args.manifest.parent):
         sources[file_id] = text
         if ddiags:
@@ -167,11 +169,15 @@ def cmd_fmt(args) -> int:
             continue
         marker = marks and marks / sha256(text.encode("utf-8"))
         if not (marker and os.path.exists(marker)):
-            todo.append((path, file_id, text, marker))
-    if todo:
+            drifts = args.check and marker and os.path.exists(fmtcache.drift(marker))
+            todo.append((path, file_id, None if drifts else text, marker))
+    if any(text is not None for _, _, text, _ in todo):
         from .formatter import format_source
         from .parser import parse_source
     for path, file_id, text, marker in todo:
+        if text is None:
+            changed.append(path)
+            continue
         sf, pdiags = parse_source(text, file_id)
         if pdiags:
             diags += pdiags
@@ -179,6 +185,8 @@ def cmd_fmt(args) -> int:
         formatted = format_source(sf)
         if formatted != text:
             changed.append(path)
+            if marker:
+                fmtcache.mark(fmtcache.drift(marker))
             if not args.check:
                 diags += write_outputs([(path, formatted)])[1]
         elif marker:

@@ -1,11 +1,13 @@
-"""`vl fmt`'s record of the source texts it has found canonical: one empty
-marker file per text, `fmt/<fingerprint>/<digest>` under the cache root.  The
-digest is the sha256 of the text as UTF-8, the fingerprint a sha256 over the
-bytes of this package's modules, so any change to vl starts afresh.  A marker
-is a cache entry, not an output: markers change no output, and one that
-cannot be created is left out.  The first marker of a fingerprint deletes
-the others not modified for `STALE_DAYS`, which costs their vl one cold run.
-Only `vl fmt` loads this module."""
+"""`vl fmt`'s record of its verdicts on source texts: one empty file per
+text, `fmt/<fingerprint>/<digest>` under the cache root for a text found
+canonical, and `<digest>.drift` beside it for one that parsed without
+diagnostics but that formatting changes.  A text with any diagnostic gets
+neither.  The digest is the sha256 of the text as UTF-8, the fingerprint a
+sha256 over the bytes of this package's modules, so any change to vl starts
+afresh.  An entry is a cache entry, not an output: entries change no output,
+and one that cannot be created is left out.  The first entry of a
+fingerprint deletes the others not modified for `STALE_DAYS`, which costs
+their vl one cold run.  Only `vl fmt` loads this module."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ STALE_DAYS = 30
 
 
 def marks_dir() -> Path | None:
-    """The directory of this vl's markers; None, and no cache, when its
+    """The directory of this vl's entries; None, and no cache, when its
     modules are not there as source or cannot be read, or there is no home
     directory."""
     try:
@@ -31,12 +33,17 @@ def marks_dir() -> Path | None:
         return None
 
 
+def drift(marker: Path) -> Path:
+    """The entry that records `marker`'s text as drifted from canonical form."""
+    return marker.with_suffix(".drift")
+
+
 def mark(marker: Path) -> None:
-    """Record that `marker`'s text is canonical, unless the cache cannot hold it."""
+    """Create the entry `marker`, unless the cache cannot hold it."""
     try:
         try:
             marker.touch()
-        except FileNotFoundError:  # the first marker of this fingerprint
+        except FileNotFoundError:  # the first entry of this fingerprint
             marker.parent.mkdir(parents=True, exist_ok=True)
             marker.touch()
             _prune(marker.parent)

@@ -66,6 +66,9 @@ _TYPE_KEYWORDS = frozenset(
 )
 
 
+_ITEM_KEYWORDS = frozenset({"pub", "module", "package"})
+
+
 class _ParseError(Exception):
     """Internal unwind to the nearest recovery point; diagnostic already recorded."""
 
@@ -279,18 +282,30 @@ class _Parser:
     # -- recovery --
 
     def recover(self) -> None:
-        """Skip to just past the next `;`, or up to a closing brace / EOF."""
-        start = self.pos
+        """Skip the rest of a failed body item: to just past the next `;`, or
+        up to the body's closing brace or EOF, passing over each `{ }` block
+        opened on the way.  This may read nothing, when the item failed at
+        the body's `}`, but then the item read tokens itself: `braced` calls
+        it only at a token that is neither `}` nor EOF."""
+        level = 0
         while self.pos < self.end:
             t = self.cur()
             if t.kind == TokenKind.PUNCT:
-                if t.text == ";":
+                if t.text == ";" and not level:
                     self.bump()
                     break
                 if t.text == "}":
-                    break
+                    if not level:
+                        break
+                    level -= 1
+                elif t.text == "{":
+                    level += 1
             self.bump()
-        if self.pos == start and self.pos < self.end:
+
+    def skip_to_item(self) -> None:
+        """Skip to the next `pub`, `module` or `package`, which only start an
+        item, or to EOF."""
+        while self.pos < self.end and not (self.cur().kind == TokenKind.KEYWORD and self.cur().text in _ITEM_KEYWORDS):
             self.bump()
 
     # -- entry --
@@ -301,7 +316,9 @@ class _Parser:
             try:
                 items.append(self.parse_item())
             except _ParseError:
-                self.recover()
+                # `parse_item` fails after reading its first token, or on a
+                # first token that starts no item: the skip always moves on.
+                self.skip_to_item()
         return SourceFile(self.file_id, self.text, items)
 
     def parse_item(self):

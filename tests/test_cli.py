@@ -156,7 +156,7 @@ def test_fmt_markers_change_no_output(tmp_path, monkeypatch, capsys, mode):
     assert rc == 1 and out.endswith(f"{root / 'src' / 'drift.vl'}\n")
     assert "E0003" in out + err and "E0103" in out + err and "internal error" not in err
     (marks,) = (tmp_path / "cache" / "fmt").iterdir()
-    assert [p.name for p in marks.iterdir()] == [sha256(FIG1)]
+    assert {p.name for p in marks.iterdir()} == {sha256(FIG1), sha256("module   D(){}") + ".drift"}
 
 
 def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsys):
@@ -175,8 +175,10 @@ def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsy
 
     every = ["src/broken.vl", "src/canonical.vl", "src/drift.vl"]
     assert run("--check")[:2] == (1, every)
-    assert run("--check")[:2] == (1, ["src/broken.vl", "src/drift.vl"])
-    # Another vl (here a changed fingerprint) trusts no marker of this one.
+    # Both verdicts are kept: only the text with diagnostics is parsed again.
+    rc, files, out = run("--check")
+    assert (rc, files) == (1, ["src/broken.vl"]) and out.endswith(f"{src / 'drift.vl'}\n")
+    # Another vl (here a changed fingerprint) trusts no entry of this one.
     real_marks = fmtcache.marks_dir
     with monkeypatch.context() as mp:
         mp.setattr(fmtcache, "marks_dir", lambda: real_marks().with_name("0" * 64))
@@ -184,17 +186,53 @@ def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsy
     # A marked file edited into drift is parsed and reported again.
     (src / "canonical.vl").write_text("  " + FIG1)
     rc, files, out = run("--check")
-    assert (rc, files) == (1, every) and f"{src / 'canonical.vl'}\n" in out
-    # `vl fmt` rewrites; the next `fmt --check` verifies and marks the rewritten
-    # texts (canonical.vl's is FIG1 again, which is marked already).
+    assert (rc, files) == (1, ["src/broken.vl", "src/canonical.vl"]) and f"{src / 'canonical.vl'}\n" in out
+    # `vl fmt` parses drift-marked texts, for it needs their formatted bytes;
+    # the next `fmt --check` verifies and marks the rewritten texts
+    # (canonical.vl's is FIG1 again, which is marked already).
     (src / "broken.vl").unlink()
     (src / "bad.vl").unlink()
     assert run()[:2] == (0, ["src/canonical.vl", "src/drift.vl"])
     assert (src / "canonical.vl").read_text() == FIG1
     assert run("--check")[:2] == (0, ["src/drift.vl"])
     marked = {sha256((src / name).read_text()) for name in ("canonical.vl", "drift.vl")}
-    assert {p.name for p in real_marks().iterdir()} == marked
+    drifted = {sha256(text) + ".drift" for text in ("  " + FIG1, "module   D(){}")}
+    assert {p.name for p in real_marks().iterdir()} == marked | drifted
     assert run("--check")[:2] == (0, [])
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+def test_fmt_check_lists_marked_and_parsed_drift_in_path_order(tmp_path, monkeypatch, capsys, mode):
+    root = make_project(tmp_path, "module   B(){}", name="two", stem="b")
+    parsed = []
+    real_parse = parser.parse_source
+    monkeypatch.setattr(parser, "parse_source", lambda text, file_id: parsed.append(file_id) or real_parse(text, file_id))
+
+    def run(cache):
+        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
+        parsed.clear()
+        rc = main(["fmt", "--check", "--manifest", str(root / "vl.toml"), "--format", mode])
+        return rc, *capsys.readouterr()
+
+    run("warm")  # marks b.vl's text as drifted
+    (root / "src" / "a.vl").write_text("module   A(){}")
+    warm = run("warm")
+    assert parsed == ["src/a.vl"]
+    listing = f"{root / 'src' / 'a.vl'}\n{root / 'src' / 'b.vl'}\n"
+    assert warm == run("cold") == (1, listing if mode == "human" else "[]\n" + listing, "")
+
+
+def test_fmt_rewrites_a_drift_marked_file_as_a_cold_run_does(tmp_path, monkeypatch):
+    messy = "module   M(a:input logic,b:output logic){assign b=a;}"
+    written = []
+    for cache, checks in (("cold", 0), ("warm", 2)):
+        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
+        root = make_project(tmp_path, messy, name=cache, stem="main")
+        for _ in range(checks):  # the second finds the drift entry
+            assert main(["fmt", "--check", "--manifest", str(root / "vl.toml")]) == 1
+        assert main(["fmt", "--manifest", str(root / "vl.toml")]) == 0
+        written.append((root / "src" / "main.vl").read_text())
+    assert written[0] == written[1] != messy
 
 
 def test_no_marker_directory_without_a_home_or_readable_sources(monkeypatch):
@@ -412,13 +450,14 @@ _COMPILER_MODULES = {
 }
 
 
-def modules_after(tmp_path, command: list[str], dependency: bool = False, warm: bool = False) -> set[str]:
+def modules_after(tmp_path, command: list[str], dependency: bool = False, warm: bool = False, source: str = FIG1, rc: int = 0) -> set[str]:
     """The modules one command loads in a fresh interpreter, run in `tmp_path`
-    on a project `counter`, without dependencies or with one `file://` git
-    dependency: those in `sys.modules` after it and not before `vl.cli` was
-    imported (a site hook may load others).  With `warm`, the command runs
-    once before, in another interpreter, and its second run is measured."""
-    root = make_project(tmp_path)
+    on a project `counter` of one file `source`, without dependencies or with
+    one `file://` git dependency: those in `sys.modules` after it and not
+    before `vl.cli` was imported (a site hook may load others).  The command
+    must exit `rc`.  With `warm`, it runs once before, in another
+    interpreter, and its second run is measured."""
+    root = make_project(tmp_path, source)
     if dependency:
         url = make_repo(tmp_path, "sample")
         with (root / "vl.toml").open("a") as f:
@@ -427,8 +466,8 @@ def modules_after(tmp_path, command: list[str], dependency: bool = False, warm: 
     code = "import sys; pre = set(sys.modules); from vl.cli import main; rc = main(sys.argv[1:]); print(rc, *sorted(set(sys.modules) - pre))"
     for _ in range(1 + warm):
         proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
-    rc, *modules = proc.stdout.split()
-    assert rc == "0", proc.stderr
+    got, *modules = proc.stdout.splitlines()[-1].split()  # after any listing of `fmt --check`
+    assert got == str(rc), proc.stderr
     assert "vl.cli" in modules
     return set(modules)
 
@@ -438,11 +477,13 @@ def test_fmt_and_new_import_no_pipeline_module(tmp_path, command):
     assert not _PIPELINE_MODULES & modules_after(tmp_path, command)
 
 
-# A second `fmt --check` on unchanged, canonical sources finds a marker for
-# each text, so it loads none of the modules that format one.
+# A second `fmt --check` on unchanged sources, canonical or drifted, finds an
+# entry for each text, so it loads none of the modules that format one.
 def test_warm_fmt_check_loads_no_formatting_module(tmp_path):
-    modules = modules_after(tmp_path, ["fmt", "--check", "--manifest", "counter/vl.toml"], warm=True)
-    assert not (_PIPELINE_MODULES | {"vl.lexer", "vl.parser", "vl.ast", "vl.formatter"}) & modules
+    for name, source, rc in (("canonical", FIG1, 0), ("drifted", "module   D(){}", 1)):
+        (tmp_path / name).mkdir()
+        modules = modules_after(tmp_path / name, ["fmt", "--check", "--manifest", "counter/vl.toml"], warm=True, source=source, rc=rc)
+        assert not (_PIPELINE_MODULES | {"vl.lexer", "vl.parser", "vl.ast", "vl.formatter"}) & modules
 
 
 # `update` runs only the package layer, and `new` only the identifier check:

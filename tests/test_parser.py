@@ -212,12 +212,17 @@ def test_doc_blocks_before_one_module_are_one_doc():
         ("module M (a: input foo) {}", 20, "unexpected `foo`, expected a type"),
         ("module M () { always_comb { x; } }", 30, "unexpected `;`, expected an assignment operator"),
         ("module M () { always_comb { 1 = x; } }", 29, "unexpected `1`, expected an lvalue"),
+        ("module M (a: input foo) { var x: logic; var y: logic; assign x = 1; }", 20, "unexpected `foo`, expected a type"),
+        ("module M () { always_ff (1) { x = 1; y = 2; } }", 26, "unexpected `1`, expected clock name"),
+        ("module M () { var x: logic }", 28, "unexpected `}`, expected `;`"),
     ],
 )
 def test_each_e0101_names_what_was_expected(src, column, message):
-    _, diags = parse_source(src, "t.vl")
-    assert {d.code for d in diags} == {"E0101"}
-    assert (diags[0].span.column, diags[0].message) == (column, message)
+    # Recovery skips the rest of the broken item, or of the `{ }` block it
+    # stopped in, so it reports nothing more, and the next item parses.
+    sf, diags = parse_source(src + "\npub module N () {}", "t.vl")
+    assert [(d.code, d.span.column, d.message) for d in diags] == [("E0101", column, message)]
+    assert sf.items[-1].name == "N"
 
 
 # -- free expression parsing -------------------------------------------------
