@@ -9,8 +9,8 @@ from . import ast
 from .diagnostics import Diagnostic, Related
 from .lexer import sized_literal_parts, sized_literal_value
 from .record import field, record
-from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_inst, clock_or_reset, resolve
-from .tokens import Span
+from .resolver import Scope, Symbol, SymbolKind, SymbolTable, check_inst, resolve
+from .tokens import CLOCK_TYPES, RESET_TYPES, Span
 
 _U64_MASK = (1 << 64) - 1
 
@@ -18,7 +18,7 @@ _U64_MASK = (1 << 64) - 1
 _DEFAULT = ("default",)
 _MIXED = ("mixed",)
 
-_SPECIAL_KINDS = {"clock": ast.CLOCK_KINDS, "reset": ast.RESET_KINDS}
+_SPECIAL_KINDS = {"clock": CLOCK_TYPES, "reset": RESET_TYPES}
 
 # Constant operators whose 64-bit result is exact, with no check needed.
 _EXACT = {
@@ -64,8 +64,8 @@ class _ConstEval:
     def __init__(self):
         self.memo: dict[int, int | Diagnostic] = {}
 
-    def fail(self, message: str, span: Span, code: str = "E0301"):
-        raise ConstError(Diagnostic(code, message, span))
+    def fail(self, message: str, span: Span):
+        raise ConstError(Diagnostic("E0301", message, span))
 
     def eval(self, e: ast.Expr, scope: Scope) -> int:
         return self.run(_EXPR, e, scope)
@@ -234,7 +234,7 @@ class _Signal:
 
     @property
     def special(self) -> bool:
-        return clock_or_reset(self.sym.ty)
+        return ast.clock_or_reset(self.sym.ty)
 
 
 @record
@@ -455,7 +455,7 @@ class _ModuleChecker:
 
     def dataflow(self, sym: Symbol, path: ast.PathExpr) -> bool:
         """Whether `sym` may carry ordinary data; E0315 if it is a clock or reset."""
-        if clock_or_reset(sym.ty):
+        if ast.clock_or_reset(sym.ty):
             self.diags.append(
                 Diagnostic(
                     "E0315", f"clock/reset-typed signal `{path.text}` cannot be used in ordinary dataflow", path.span
@@ -524,7 +524,7 @@ class _ModuleChecker:
                     self.maybe_driven.add(base.segments[0])
                 continue
             port = ports.get(c.name)
-            if port is not None and clock_or_reset(port.ty):
+            if port is not None and ast.clock_or_reset(port.ty):
                 if isinstance(c.expr, ast.PathExpr):  # else E0315 from check_inst
                     resolve(c.expr, self.scope, self.diags)
             elif port is not None and port.direction == "output":

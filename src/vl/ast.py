@@ -8,10 +8,7 @@ comments `vl doc` reads.
 from __future__ import annotations
 
 from .record import field, record
-from .tokens import Comment, DocComment, Span
-
-CLOCK_KINDS = frozenset({"clock", "clock_posedge", "clock_negedge"})
-RESET_KINDS = frozenset({"reset", "reset_async_high", "reset_async_low", "reset_sync_high", "reset_sync_low"})
+from .tokens import CLOCK_TYPES, RESET_TYPES, Comment, DocComment, Span
 
 
 # --- types ---------------------------------------------------------------
@@ -19,10 +16,19 @@ RESET_KINDS = frozenset({"reset", "reset_async_high", "reset_async_low", "reset_
 
 @record
 class TypeSpec:
-    kind: str  # clock*, reset*, logic, bit, u32, u64
+    kind: str  # one of `tokens.TYPE_KEYWORDS`
     packed_dims: list["Expr"] = field(default_factory=list)
     unpacked_dims: list["Expr"] = field(default_factory=list)
     span: Span | None = None
+
+
+_CLOCK_OR_RESET = CLOCK_TYPES | RESET_TYPES
+
+
+def clock_or_reset(ty: TypeSpec | None) -> bool:
+    """Whether `ty` is a clock or reset type; such a signal feeds only
+    sensitivity lists and clock/reset ports."""
+    return ty is not None and ty.kind in _CLOCK_OR_RESET
 
 
 # --- expressions ----------------------------------------------------------

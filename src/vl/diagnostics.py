@@ -12,13 +12,13 @@ from .record import field, record
 from .tokens import Span
 
 
-@record(slots=True)
+@record
 class Related:
     message: str
     span: Span
 
 
-@record(slots=True)
+@record
 class Diagnostic:
     code: str  # Eddnn / Wddnn
     message: str

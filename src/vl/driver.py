@@ -51,37 +51,27 @@ class ProgramResult:
 
 
 def check_program(loaded: LoadedProgram) -> ProgramResult:
-    """Parse, resolve, and analyze every unit in dependency order."""
+    """Parse, index and analyze every unit in dependency order, then
+    monomorphize them and put all diagnostics in report order.  A file that
+    did not decode is skipped."""
     result = ProgramResult(diagnostics=list(loaded.diagnostics))
     tables: dict[str, SymbolTable] = {}
     for pu in loaded.plan:
         unit = UnitResult(pu)
-        _check_unit(result, unit, read_sources(pu.root, pu.is_root), {name: tables[name] for name in pu.deps})
+        for _, file_id, stem, text, ddiags in read_sources(pu.root, pu.is_root):
+            result.source_texts[file_id] = text
+            if ddiags:
+                result.diagnostics += ddiags
+                continue
+            sf, pdiags = parse_source(text, file_id)
+            result.diagnostics += pdiags
+            unit.files.append(sf)
+            unit.stems[file_id] = stem
+        unit.table, rdiags = build_symbols(unit.files, {name: tables[name] for name in pu.deps}, pu.name)
         tables[pu.name] = unit.table
-    return _monomorphize(result)
-
-
-def _check_unit(result: ProgramResult, unit: UnitResult, sources, deps: dict[str, SymbolTable]) -> None:
-    """Parse `unit`'s sources (as `read_sources` yields them), index and analyze
-    them, and add it to `result`.  A file that did not decode is skipped."""
-    for _, file_id, stem, text, ddiags in sources:
-        result.source_texts[file_id] = text
-        if ddiags:
-            result.diagnostics += ddiags
-            continue
-        sf, pdiags = parse_source(text, file_id)
-        result.diagnostics += pdiags
-        unit.files.append(sf)
-        unit.stems[file_id] = stem
-    unit.table, rdiags = build_symbols(unit.files, deps, unit.name)
-    result.diagnostics += rdiags
-    adiags, unit.resolved = analyze_unit(unit.files, unit.table)
-    result.diagnostics += adiags
-    result.units.append(unit)
-
-
-def _monomorphize(result: ProgramResult) -> ProgramResult:
-    """Monomorphize the checked units and put all diagnostics in report order."""
+        adiags, unit.resolved = analyze_unit(unit.files, unit.table)
+        result.diagnostics += rdiags + adiags
+        result.units.append(unit)
     result.mono = monomorphize(result.units)
     result.diagnostics = sorted_diagnostics(result.diagnostics + result.mono.diagnostics)
     return result

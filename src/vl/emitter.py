@@ -8,12 +8,10 @@ from pathlib import Path
 
 from . import ast
 from .analyzer import FfBinding
-from .ast import expr_text
+from .ast import clock_or_reset, expr_text
 from .diagnostics import Diagnostic, write_outputs
 from .record import record
-from .resolver import clock_or_reset
-
-_SCALARS = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
+from .tokens import SCALAR_TYPES
 
 
 @record(frozen=True)
@@ -34,7 +32,7 @@ def lower_type(ty: ast.TypeSpec) -> str:
     """SystemVerilog core type text (packed dims included, unpacked excluded)."""
     if clock_or_reset(ty):
         return "logic"
-    out = _SCALARS[ty.kind]
+    out = SCALAR_TYPES[ty.kind]
     for d in ty.packed_dims:
         out += ("" if out.endswith("]") else " ") + "[" + _bound(d, "{}-1:0") + "]"
     return out
@@ -56,6 +54,14 @@ class _Writer:
     def put(self, text: str) -> None:
         self.lines.append("  " * self.depth + text if text else "")
 
+    def comma_list(self, head: str, items: list[str]) -> None:
+        """`head`, then `items` one level deeper, one a line, comma-separated."""
+        self.put(head)
+        self.depth += 1
+        for i, item in enumerate(items):
+            self.put(item + ("," if i + 1 < len(items) else ""))
+        self.depth -= 1
+
 
 def _kind(type_kind: str, configured: str) -> str:
     """The edge or reset kind after the `_` of a type like `clock_negedge` or
@@ -67,12 +73,15 @@ def lower_always_ff(ff: ast.AlwaysFf, binding: FfBinding, cfg: EmitConfig, w: _W
     """One SystemVerilog always_ff per source always_ff.  Emit runs only without
     errors, where the clock is bound, and so is the reset of an `if_reset`."""
     sens = f"{_kind(binding.clock_kind, cfg.clock_type)} {binding.clock}"
-    reset_kind = _kind(binding.reset_kind, cfg.reset_type) if binding.reset else None
-    if binding.uses_if_reset and reset_kind.startswith("async"):
-        reset_edge = "posedge" if reset_kind.endswith("high") else "negedge"
-        sens += f" or {reset_edge} {binding.reset}"
+    reset_test = None
+    if binding.reset:
+        reset_kind = _kind(binding.reset_kind, cfg.reset_type)
+        reset_test = _reset_condition(binding, reset_kind)
+        if binding.uses_if_reset and reset_kind.startswith("async"):
+            reset_edge = "posedge" if reset_kind.endswith("high") else "negedge"
+            sens += f" or {reset_edge} {binding.reset}"
     w.put(f"always_ff @ ({sens}) begin")
-    _lower_block(ff.body, w, True, binding, reset_kind)
+    _lower_block(ff.body, w, True, reset_test)
     w.put("end")
 
 
@@ -81,14 +90,16 @@ def _reset_condition(binding: FfBinding, reset_kind: str) -> str:
     return binding.reset if reset_kind.endswith("high") else f"!{binding.reset}"
 
 
-def _lower_block(block: ast.Block, w: _Writer, nb: bool, binding: FfBinding | None = None, reset_kind: str | None = None) -> None:
+def _lower_block(block: ast.Block, w: _Writer, nb: bool, reset_test: str | None = None) -> None:
+    """`block`'s statements one level deeper: nonblocking assignments if `nb`,
+    and `reset_test` as the test of an `if_reset` arm."""
     w.depth += 1
     for s in block.stmts:
-        _lower_stmt(s, w, nb, binding, reset_kind)
+        _lower_stmt(s, w, nb, reset_test)
     w.depth -= 1
 
 
-def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, reset_kind: str | None) -> None:
+def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, reset_test: str | None) -> None:
     asgn = "<=" if nb else "="
     if isinstance(s, ast.AssignStmt):
         lhs = expr_text(s.lvalue)
@@ -99,22 +110,21 @@ def _lower_stmt(s: ast.Stmt, w: _Writer, nb: bool, binding: FfBinding | None, re
     elif isinstance(s, ast.IfStmt):
         head = "if"
         for cond, block in s.arms:
-            test = _reset_condition(binding, reset_kind) if cond is None else expr_text(cond)
-            w.put(f"{head} ({test}) begin")
-            _lower_block(block, w, nb, binding, reset_kind)
+            w.put(f"{head} ({reset_test if cond is None else expr_text(cond)}) begin")
+            _lower_block(block, w, nb, reset_test)
             head = "end else if"
         if s.orelse is not None:
             w.put("end else begin")
-            _lower_block(s.orelse, w, nb, binding, reset_kind)
+            _lower_block(s.orelse, w, nb, reset_test)
         w.put("end")
     elif isinstance(s, ast.ReturnStmt):
         w.put(f"return {expr_text(s.value)};")
     elif isinstance(s, ast.UnsafeCdcStmt):
         for sub in s.body.stmts:
-            _lower_stmt(sub, w, nb, binding, reset_kind)
+            _lower_stmt(sub, w, nb, reset_test)
     elif isinstance(s, ast.Block):
         w.put("begin")
-        _lower_block(s, w, nb, binding, reset_kind)
+        _lower_block(s, w, nb, reset_test)
         w.put("end")
     else:
         raise TypeError(f"unexpected statement {s!r}")
@@ -128,30 +138,30 @@ def emit_module(m: ast.ModuleDecl, cfg: EmitConfig, resolved: dict) -> str:
     share those nodes with their template.
     """
     w = _Writer()
-    param_lines = [f"parameter {lower_type(p.ty)} {p.name} = {expr_text(p.default)}" for p in m.params]
-    port_lines = [f"{p.direction} {lower_type(p.ty)} {p.name}{unpacked_suffix(p.ty)}" for p in m.ports]
-
     head = f"module {m.name}"
-    if param_lines:
-        w.put(head + " #(")
-        for i, line in enumerate(param_lines):
-            w.put("  " + line + ("," if i + 1 < len(param_lines) else ""))
+    if m.params:
+        w.comma_list(head + " #(", [f"parameter {lower_type(p.ty)} {p.name} = {expr_text(p.default)}" for p in m.params])
         head = ")"
-    if port_lines:
-        w.put(head + " (")
-        for i, line in enumerate(port_lines):
-            w.put("  " + line + ("," if i + 1 < len(port_lines) else ""))
-        w.put(");")
-    elif param_lines:
-        w.put(");")
-    else:
-        w.put(head + ";")
+    if m.ports:
+        w.comma_list(head + " (", [f"{p.direction} {lower_type(p.ty)} {p.name}{unpacked_suffix(p.ty)}" for p in m.ports])
+        head = ")"
+    w.put(head + ";")
+    return _emit_body(w, (it for it, _ in ast.iter_module_items(m.body)), resolved, cfg, "endmodule")
 
+
+def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> str:
+    w = _Writer()
+    w.put(f"package {pkg.name};")
+    return _emit_body(w, pkg.items, {}, cfg, "endpackage")
+
+
+def _emit_body(w: _Writer, items, resolved: dict, cfg: EmitConfig, end: str) -> str:
+    """The text of `w` after `items` one level deeper, then `end`."""
     w.depth += 1
-    for it, _ in ast.iter_module_items(m.body):
+    for it in items:
         _emit_module_item(it, w, resolved, cfg)
     w.depth -= 1
-    w.put("endmodule")
+    w.put(end)
     return "\n".join(w.lines) + "\n"
 
 
@@ -182,32 +192,13 @@ def _emit_module_item(it, w: _Writer, bindings, cfg: EmitConfig) -> None:
 def _emit_inst(it: ast.InstDecl, w: _Writer) -> None:
     head = it.target.segments[-1]
     if it.param_conns:
-        w.put(f"{head} #(")
-        w.depth += 1
-        for i, c in enumerate(it.param_conns):
-            w.put(f".{c.name} ({expr_text(c.expr)})" + ("," if i + 1 < len(it.param_conns) else ""))
-        w.depth -= 1
+        w.comma_list(f"{head} #(", [f".{c.name} ({expr_text(c.expr)})" for c in it.param_conns])
         head = ")"
-    if not it.port_conns:
+    if it.port_conns:
+        w.comma_list(f"{head} {it.name} (", [f".{c.name} ({expr_text(c.expr)})" for c in it.port_conns])
+        w.put(");")
+    else:
         w.put(f"{head} {it.name} ();")
-        return
-    w.put(f"{head} {it.name} (")
-    w.depth += 1
-    for i, c in enumerate(it.port_conns):
-        w.put(f".{c.name} ({expr_text(c.expr)})" + ("," if i + 1 < len(it.port_conns) else ""))
-    w.depth -= 1
-    w.put(");")
-
-
-def emit_package(pkg: ast.PackageDecl, cfg: EmitConfig) -> str:
-    w = _Writer()
-    w.put(f"package {pkg.name};")
-    w.depth += 1
-    for it in pkg.items:
-        _emit_module_item(it, w, {}, cfg)
-    w.depth -= 1
-    w.put("endpackage")
-    return "\n".join(w.lines) + "\n"
 
 
 def emit_items(items: list[ast.Item], cfg: EmitConfig, resolved: dict) -> str:

@@ -44,7 +44,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@record(slots=True)
+@record
 class LexResult:
     tokens: list[Token]
     doc_comments: list[DocComment]

@@ -37,7 +37,7 @@ from .ast import (
 )
 from .diagnostics import Diagnostic
 from .lexer import scan
-from .tokens import DocComment, Span, Token, TokenKind
+from .tokens import TYPE_KEYWORDS, VECTOR_TYPES, DocComment, Span, Token, TokenKind
 
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "&=", "|=", "^=", "<<=", ">>="})
 
@@ -58,13 +58,6 @@ _PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 _ANGLE_UNSAFE = frozenset({"<", "<=", ">", ">=", "<<", ">>"})
-
-_TYPE_KEYWORDS = frozenset(
-    {"clock", "clock_posedge", "clock_negedge",
-     "reset", "reset_async_high", "reset_async_low", "reset_sync_high", "reset_sync_low",
-     "logic", "bit", "u32", "u64"}
-)
-
 
 _ITEM_KEYWORDS = frozenset({"pub", "module", "package"})
 
@@ -158,11 +151,10 @@ class _Parser:
         self.error("E0104", f"nesting deeper than {MAX_NESTING} levels", at.span)
         return _ParseError()
 
-    def expect_punct(self, text: str, context: str = "") -> Token:
+    def expect_punct(self, text: str) -> Token:
         if self.at_punct(text):
             return self.bump()
-        what = f"`{text}`" + (f" {context}" if context else "")
-        raise self.unexpected(what)
+        raise self.unexpected(f"`{text}`")
 
     def expect_close(self, text: str, opener: Token) -> None:
         """Read the closer of the delimiter `opener` opened.  A closing `>`
@@ -530,11 +522,11 @@ class _Parser:
 
     def parse_type(self) -> TypeSpec:
         t = self.cur()
-        if t.kind != TokenKind.KEYWORD or t.text not in _TYPE_KEYWORDS:
+        if t.kind != TokenKind.KEYWORD or t.text not in TYPE_KEYWORDS:
             raise self.unexpected("a type")
         self.bump()
         ty = TypeSpec(t.text, span=t.span)
-        if t.text in ("logic", "bit"):
+        if t.text in VECTOR_TYPES:
             if self.at_punct("<"):
                 ty.packed_dims = self.delimited(">", self.bump(), lambda: self.parse_expr(no_angle=True))
             if self.at_punct("["):

@@ -20,12 +20,10 @@ from pathlib import Path
 
 from .diagnostics import Diagnostic, cache_root, decode_source, sha256
 from .record import field, record
-from .tokens import Span, is_identifier
+from .tokens import CLOCK_EDGES, RESET_STYLES, Span, is_identifier
 
-CLOCK_TYPES = ("posedge", "negedge")
-RESET_TYPES = ("async_low", "async_high", "sync_low", "sync_high")
 # Each `[build]` key with its allowed values, or None for a free string.
-_BUILD_KEYS = {"clock_type": CLOCK_TYPES, "reset_type": RESET_TYPES, "target_dir": None, "wavedrom_url": None}
+_BUILD_KEYS = {"clock_type": CLOCK_EDGES, "reset_type": RESET_STYLES, "target_dir": None, "wavedrom_url": None}
 
 _VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
 _TABLE_RE = re.compile(r"^\[([^\]]+)\]\s*(?:#.*)?$")

@@ -3,9 +3,10 @@ start-up cost of that module and of the `inspect` it loads.
 
 `@record` builds `__init__` from the class's annotations, in declaration order,
 with one `exec`; `==`, the hash and `repr` read the compared fields through one
-`attrgetter`.  A record is unhashable unless `frozen` (read-only) or
-`unsafe_hash`.  A `field(compare=False)` is a back-link: it is left out of `==`,
-the hash and `repr`.
+`attrgetter`.  Every record has `__slots__` and no instance dict.  A record
+is unhashable unless `frozen` (read-only) or `unsafe_hash`.  A
+`field(compare=False)` is a back-link: it is left out of `==`, the hash and
+`repr`.
 """
 
 from operator import attrgetter
@@ -22,9 +23,9 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"cannot assign to field '{name}' of a frozen {type(self).__name__}")
 
 
-def record(cls=None, /, *, frozen=False, slots=False, unsafe_hash=False):
+def record(cls=None, /, *, frozen=False, unsafe_hash=False):
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen, slots=slots, unsafe_hash=unsafe_hash)
+        return lambda cls: record(cls, frozen=frozen, unsafe_hash=unsafe_hash)
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     names = tuple(ns.get("__annotations__", ()))
     env, params, init, compared = {"_MISSING": _MISSING, "_set": object.__setattr__}, [], [], []
@@ -46,12 +47,10 @@ def record(cls=None, /, *, frozen=False, slots=False, unsafe_hash=False):
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in compared)})"
 
-    ns.update(__init__=env["__init__"], __eq__=__eq__, __repr__=__repr__, __record_fields__=names)
+    ns.update(__init__=env["__init__"], __eq__=__eq__, __repr__=__repr__, __record_fields__=names, __slots__=names)
     ns["__hash__"] = (lambda self: hash(value(self))) if frozen or unsafe_hash else None
     if frozen:
         ns["__setattr__"] = ns["__delattr__"] = _frozen
-    if slots:
-        ns["__slots__"] = names
     return type(cls)(cls.__name__, cls.__bases__, ns)
 
 

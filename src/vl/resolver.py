@@ -171,15 +171,6 @@ def resolve(path: ast.PathExpr, scope: Scope, diags: list[Diagnostic]) -> Symbol
     return sym
 
 
-_CLOCK_OR_RESET = ast.CLOCK_KINDS | ast.RESET_KINDS
-
-
-def clock_or_reset(ty: ast.TypeSpec | None) -> bool:
-    """Whether `ty` is a clock or reset type; such a signal feeds only
-    sensitivity lists and clock/reset ports."""
-    return ty is not None and ty.kind in _CLOCK_OR_RESET
-
-
 def check_inst(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[Diagnostic]:
     """The rules of `it` against its target module, with the connection
     expressions resolved in `scope`: E0204 for a generic-argument count that
@@ -224,12 +215,12 @@ def check_inst(it: ast.InstDecl, target: ast.ModuleDecl, scope: Scope) -> list[D
         port = ports.get(c.name)
         if port is None:
             continue
-        if clock_or_reset(port.ty):
+        if ast.clock_or_reset(port.ty):
             if not isinstance(c.expr, ast.PathExpr):
                 diags.append(Diagnostic("E0315", f"port `{c.name}` needs a clock/reset-typed signal", c.expr.span))
                 continue
             sym = resolve(c.expr, scope, [])
-            if sym is not None and not clock_or_reset(sym.ty):
+            if sym is not None and not ast.clock_or_reset(sym.ty):
                 diags.append(
                     Diagnostic(
                         "E0315",

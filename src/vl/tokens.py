@@ -1,4 +1,5 @@
-"""Token types and source-position primitives shared by the whole toolchain."""
+"""Token types, the table of built-in types, and source-position primitives
+shared by the whole toolchain."""
 
 from __future__ import annotations
 
@@ -20,13 +21,23 @@ class TokenKind:
     EOF = "eof"  # synthetic, never produced by the lexer
 
 
-KEYWORDS = frozenset(
+# The built-in types.  A clock or reset type names its edge or style after
+# the `_`; a bare `clock` or `reset` takes the project's `[build]` one, and
+# the edges and styles are the values `clock_type` and `reset_type` accept.
+CLOCK_EDGES = ("posedge", "negedge")
+RESET_STYLES = ("async_low", "async_high", "sync_low", "sync_high")
+CLOCK_TYPES = frozenset(["clock", *(f"clock_{edge}" for edge in CLOCK_EDGES)])
+RESET_TYPES = frozenset(["reset", *(f"reset_{style}" for style in RESET_STYLES)])
+# Each scalar type with its SystemVerilog spelling, and those that take
+# packed and unpacked dimensions.
+SCALAR_TYPES = {"logic": "logic", "bit": "bit", "u32": "int unsigned", "u64": "longint unsigned"}
+VECTOR_TYPES = frozenset({"logic", "bit"})
+TYPE_KEYWORDS = CLOCK_TYPES | RESET_TYPES | frozenset(SCALAR_TYPES)
+
+KEYWORDS = TYPE_KEYWORDS | frozenset(
     """
     module package param const var inst input output always_ff always_comb
     assign if else if_reset unsafe cdc function return pub
-    clock clock_posedge clock_negedge
-    reset reset_async_high reset_async_low reset_sync_high reset_sync_low
-    logic bit u32 u64
     """.split()
 )
 
@@ -38,7 +49,7 @@ def is_identifier(text: str) -> bool:
     return _IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
-@record(slots=True, unsafe_hash=True)
+@record(unsafe_hash=True)
 class Span:
     """Half-open byte range in one source file.
 
@@ -69,7 +80,7 @@ class Token(NamedTuple):
         return Span(self.file_id, self.byte_start, self.byte_end, self.line, self.column)
 
 
-@record(slots=True)
+@record
 class DocComment:
     """One block of consecutive own-line `///` lines, or a single `///` after
     code on its line.
@@ -83,7 +94,7 @@ class DocComment:
     own_line: bool
 
 
-@record(slots=True)
+@record
 class Comment:
     """Regular `//` comment, kept verbatim (marker included) for the formatter."""
 

@@ -1,21 +1,26 @@
 """Entry points that only the tests use, built on the vl modules' own functions."""
 
+import tempfile
 from enum import Enum
 from pathlib import Path
 
 from vl import analyzer, ast, docgen, driver, parser
 from vl.lexer import scan
-from vl.project import Manifest, PlanUnit
+from vl.project import load_program
 from vl.tokens import DocComment, Span
 
 
-def check_strings(named_sources: list[tuple[str, str]], name: str = "local") -> driver.ProgramResult:
-    """The check pipeline of one root unit over in-memory (file id, text) sources."""
-    result = driver.ProgramResult()
-    unit = driver.UnitResult(PlanUnit(name, Path("."), Manifest(name, "0.0.0"), is_root=True))
-    sources = [(Path(file_id), file_id, Path(file_id).stem, text, []) for file_id, text in named_sources]
-    driver._check_unit(result, unit, sources, {})
-    return driver._monomorphize(result)
+def check_strings(named_sources: list[tuple[str, str]]) -> driver.ProgramResult:
+    """The CLI's check pipeline on a root project `local` whose `src/` holds
+    the (file name, text) sources; their file ids are `src/<file name>`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "vl.toml").write_text('[project]\nname = "local"\nversion = "0.0.0"\n')
+        for file_name, text in named_sources:
+            path = root / "src" / file_name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode())
+        return driver.check_program(load_program(root / "vl.toml"))
 
 
 def parse_expression(text: str) -> ast.Expr:

@@ -59,6 +59,13 @@ def executable_lines(path: Path) -> dict[int, str]:
     return lines
 
 
+def line_keys(path: Path) -> dict[int, tuple[str, str, str]]:
+    """The `ALLOWED`-style key (module, function, stripped text) of each
+    line of `path` that has bytecode."""
+    text = path.read_text(encoding="utf-8").splitlines()
+    return {n: (path.name, name, text[n - 1].strip()) for n, name in executable_lines(path).items()}
+
+
 def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """pytest's exit code on `args`, and the lines of each `src/vl` module
     that ran, by module file name."""
@@ -108,18 +115,16 @@ def main(argv: list[str]) -> int:
     missed, allowed, present = [], 0, set()
     total = ran = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8").splitlines()
-        lines = executable_lines(path)
-        keys = {n: (path.name, name, text[n - 1].strip()) for n, name in lines.items()}
+        keys = line_keys(path)
         present.update(keys.values())
         done = hits.get(path.name, set())
-        total += len(lines)
-        ran += len(lines.keys() & done)
-        for n in sorted(lines.keys() - done):
+        total += len(keys)
+        ran += len(keys.keys() & done)
+        for n in sorted(keys.keys() - done):
             if keys[n] in ALLOWED:
                 allowed += 1
             else:
-                missed.append(f"src/vl/{path.name}:{n} ({lines[n]}): {keys[n][2]}")
+                missed.append(f"src/vl/{path.name}:{n} ({keys[n][1]}): {keys[n][2]}")
     stale = [f"{module} ({name}): {line}" for module, name, line in ALLOWED if (module, name, line) not in present]
     print(f"linecov: {ran} of {total} lines of src/vl ran; {allowed} allowed, {len(missed)} missed")
     for m in missed:

@@ -119,7 +119,7 @@ def test_criterion_2_fig2_matrix():
 def test_criterion_3_fig3_generics():
     result = check_strings([("main.vl", FIG3)])
     assert result.ok, result.diagnostics
-    items = result.mono.items[("local", "main.vl")]
+    items = result.mono.items[("local", "src/main.vl")]
     text = emit_items(items, EmitConfig(), result.units[0].resolved)
     modules = {m.name: m for m in svread.parse_sv(text)}
     assert "SramQueue__SramVendorA" in modules and "SramQueue__SramVendorB" in modules
@@ -136,7 +136,7 @@ def test_criterion_3_fig3_generics():
     twice = FIG3 + "\nmodule Again () {\n    inst q: SramQueue::<SramVendorA>();\n}\n"
     r2 = check_strings([("main.vl", twice)])
     assert r2.ok
-    emitted = emit_items(r2.mono.items[("local", "main.vl")], EmitConfig(), r2.units[0].resolved)
+    emitted = emit_items(r2.mono.items[("local", "src/main.vl")], EmitConfig(), r2.units[0].resolved)
     count = sum(1 for m in svread.parse_sv(emitted) if m.name == "SramQueue__SramVendorA")
     assert count == 1
     ok(3, "Fig. 3 yields exactly two monomorphized queues; duplicate pairs share one definition")

@@ -1,10 +1,15 @@
 """The record contract: what vl's records must keep of the standard dataclass
 behaviour they replace."""
 
+import importlib
+import pkgutil
+from pathlib import Path
+
 import pytest
 from helpers import fields, structure
 from test_parser import FIG1, parse_ok
 
+import vl
 from vl import ast
 from vl.analyzer import FfBinding
 from vl.diagnostics import Diagnostic, Related
@@ -130,6 +135,12 @@ def test_mutable_records_are_unhashable_unless_asked():
 
 
 def test_slots_records_have_no_instance_dict():
+    modules = [importlib.import_module(f"vl.{info.name}") for info in pkgutil.iter_modules(vl.__path__)]
+    classes = [c for m in modules for c in vars(m).values() if hasattr(c, "__record_fields__") and c.__module__ == m.__name__]
+    # Every `@record` in the package's source is found.
+    assert len(classes) == sum(Path(m.__file__).read_text(encoding="utf-8").count("\n@record") for m in modules)
+    for cls in classes:
+        assert cls.__dictoffset__ == 0, cls.__qualname__
     span = Span("a.vl", 0, 1, 1, 1)
     d = Diagnostic("E0001", "m", span)
     for rec in (span, DocComment("d", span, True), Comment("// c", span, True), d, Related("r", span), LexResult([], [], [])):
