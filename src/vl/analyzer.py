@@ -186,14 +186,15 @@ class _ConstEval:
 
 
 def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[Diagnostic], dict[int, FfBinding | Symbol]]:
-    """Run the full check catalog over one project's parsed files.  Returns the
+    """Run the full check catalog over one project's parsed files, taken in
+    file-id order, as `driver.check_program` sorts them.  Returns the
     diagnostics and what the checks resolved, keyed by node `id()`: the
     clock/reset binding of each always_ff, and the module symbol of each inst
     target and generic argument path that names one."""
     diags: list[Diagnostic] = []
     resolved: dict[int, FfBinding | Symbol] = {}
     ev = _ConstEval()
-    for sf in sorted(files, key=lambda f: f.file_id):
+    for sf in files:
         for item in sf.items:
             chk = _ModuleChecker(item, table, ev, resolved)
             diags += chk.run()
@@ -202,39 +203,21 @@ def analyze_unit(files: list[ast.SourceFile], table: SymbolTable) -> tuple[list[
 
 def check_literal_widths(expr: ast.Expr) -> list[Diagnostic]:
     """E0311 for every sized literal whose value does not fit its width."""
-    diags = []
-    for e in ast.walk_exprs(expr):
-        if not isinstance(e, ast.SizedLiteral):
-            continue
-        parts = sized_literal_parts(e.text)
-        if parts is None:
-            continue  # the lexer already reported E0002
-        width, base, digits = parts
-        value = sized_literal_value(base, digits)
-        if width == 0:
-            diags.append(Diagnostic("E0311", f"literal `{e.text}` has zero width", e.span))
-        elif value >= (1 << width):
-            diags.append(
-                Diagnostic(
-                    "E0311",
-                    f"literal value {value} does not fit in {width} bit{'s' if width != 1 else ''}",
-                    e.span,
-                )
-            )
-    return diags
+    return [d for e in ast.walk_exprs(expr) if isinstance(e, ast.SizedLiteral) and (d := _literal_width(e)) is not None]
 
 
-@record
-class _Signal:
-    """A port or var of the module's own scope."""
-
-    sym: Symbol
-    direction: str | None  # input/output for ports, None for vars
-    domain: str | None
-
-    @property
-    def special(self) -> bool:
-        return ast.clock_or_reset(self.sym.ty)
+def _literal_width(e: ast.SizedLiteral) -> Diagnostic | None:
+    """E0311 if the value of `e` does not fit its width."""
+    parts = sized_literal_parts(e.text)
+    if parts is None:
+        return None  # the lexer already reported E0002
+    width, base, digits = parts
+    if width == 0:
+        return Diagnostic("E0311", f"literal `{e.text}` has zero width", e.span)
+    value = sized_literal_value(base, digits)
+    if value >= (1 << width):
+        return Diagnostic("E0311", f"literal value {value} does not fit in {width} bit{'s' if width != 1 else ''}", e.span)
+    return None
 
 
 @record
@@ -260,14 +243,15 @@ class _ModuleChecker:
         self.table = table
         self.diags: list[Diagnostic] = []
         self.resolved = resolved
+        # the port and var symbols of the module's own scope
         self.signals = {
-            name: _Signal(sym, sym.decl.direction if sym.kind == SymbolKind.PORT else None, sym.decl.domain)
-            for name, sym in self.scope.entries.items()
-            if sym.kind in (SymbolKind.PORT, SymbolKind.VAR)
+            name: sym for name, sym in self.scope.entries.items() if sym.kind in (SymbolKind.PORT, SymbolKind.VAR)
         }
         self.sites: list[_Site] = []
         # names wired to a port of a generic parameter, whose direction is unknown
         self.maybe_driven: set[str] = set()
+        # "clock"/"reset" -> the signals of that type, once an abbreviated always_ff asks
+        self.typed: dict[str, list[str]] = {}
         self.ev = ev
 
     def run(self) -> list[Diagnostic]:
@@ -289,8 +273,7 @@ class _ModuleChecker:
                 self.expr_read(site, it.rhs, self.scope)
                 self.select_reads(site, it.lvalue, self.scope)
             elif isinstance(it, ast.AlwaysFf):
-                self.bind_always_ff(it)
-                self.walk_stmts(self.site("always_ff", it), it.body.stmts, self.scope, in_unsafe)
+                self.bind_always_ff(it, self.walk_stmts(self.site("always_ff", it), it.body.stmts, self.scope, in_unsafe))
             elif isinstance(it, ast.AlwaysComb):
                 self.walk_stmts(self.site("always_comb", it), it.body.stmts, self.scope, in_unsafe)
                 self.check_latches(it.body)
@@ -313,16 +296,15 @@ class _ModuleChecker:
     def own(self, sym: Symbol) -> bool:
         """Whether `sym` is one of the module's own signals, not a function
         argument or anything else of the same name."""
-        sig = self.signals.get(sym.name)
-        return sig is not None and sig.sym is sym
+        return self.signals.get(sym.name) is sym
 
     # -- clock and reset --
 
-    def bind_always_ff(self, ff: ast.AlwaysFf) -> None:
-        """Bind `ff` to its clock (and reset, when needed).  An abbreviated
-        form requires exactly one clock-typed (and reset-typed) signal in the
-        module; explicit names must have clock/reset types."""
-        uses_ir = any(isinstance(s, ast.IfStmt) and s.arms[0][0] is None for s, _ in ast.iter_stmts(ff.body.stmts))
+    def bind_always_ff(self, ff: ast.AlwaysFf, uses_ir: bool) -> None:
+        """Bind `ff`, whose body holds an `if_reset` arm when `uses_ir`, to
+        its clock (and reset, when needed).  An abbreviated form requires
+        exactly one clock-typed (and reset-typed) signal in the module;
+        explicit names must have clock/reset types."""
         clock = self.bind("clock", ff.clock_name, ff.clock_span, ff)
         reset = None
         if uses_ir and ff.clock_name is not None and ff.reset_name is None:
@@ -331,9 +313,9 @@ class _ModuleChecker:
             reset = self.bind("reset", ff.reset_name, ff.reset_span, ff)
         self.resolved[id(ff)] = FfBinding(
             clock,
-            self.signals[clock].sym.ty.kind if clock else None,
+            self.signals[clock].ty.kind if clock else None,
             reset,
-            self.signals[reset].sym.ty.kind if reset else None,
+            self.signals[reset].ty.kind if reset else None,
             uses_ir,
         )
 
@@ -342,7 +324,9 @@ class _ModuleChecker:
         when it is None, the module's only `what`-typed signal."""
         kinds = _SPECIAL_KINDS[what]
         if name is None:
-            typed = [n for n, sig in self.signals.items() if sig.sym.ty.kind in kinds]
+            if what not in self.typed:
+                self.typed[what] = [n for n, sym in self.signals.items() if sym.ty.kind in kinds]
+            typed = self.typed[what]
             if len(typed) == 1:
                 return typed[0]
             self.diags.append(
@@ -354,7 +338,7 @@ class _ModuleChecker:
             )
         elif name not in self.signals:
             self.diags.append(Diagnostic("E0202", f"undefined identifier `{name}`", span))
-        elif self.signals[name].sym.ty.kind not in kinds:
+        elif self.signals[name].ty.kind not in kinds:
             self.diags.append(Diagnostic("E0314", f"`{name}` in a sensitivity list must have a {what} type", span))
         else:
             return name
@@ -387,8 +371,10 @@ class _ModuleChecker:
 
     # -- reads and drives --
 
-    def walk_stmts(self, site: _Site, stmts, scope, unsafe: bool) -> None:
-        """Record the drives and reads of `stmts` into `site`."""
+    def walk_stmts(self, site: _Site, stmts, scope, unsafe: bool) -> bool:
+        """Record the drives and reads of `stmts` into `site`; whether they
+        hold an `if_reset` arm."""
+        uses_ir = False
         for s, inner in ast.iter_stmts(stmts, unsafe):
             if isinstance(s, ast.AssignStmt):
                 self.drive(site, s.lvalue, s.span, scope)
@@ -398,8 +384,11 @@ class _ModuleChecker:
                 self.expr_read(site, s.value, scope, inner)
             elif isinstance(s, ast.IfStmt):
                 for cond, _ in s.arms:
-                    if cond is not None:
+                    if cond is None:
+                        uses_ir = True
+                    else:
                         self.expr_read(site, cond, scope, inner)
+        return uses_ir
 
     def expr_read(self, site: _Site | None, e: ast.Expr, scope, unsafe: bool = False, generic: bool = False) -> None:
         """Resolve every path in `e` and check its literal widths, calls and
@@ -407,7 +396,6 @@ class _ModuleChecker:
         connection has no site: it carries no dataflow.  On a port of a
         generic parameter (`generic`), E0315 waits until mono knows the
         port's type."""
-        self.diags += check_literal_widths(e)
         for sub in ast.walk_exprs(e):
             if isinstance(sub, ast.CallExpr):
                 self.check_call(sub, scope)
@@ -427,6 +415,8 @@ class _ModuleChecker:
                     )
                 elif (generic or self.dataflow(sym, sub)) and site is not None and self.own(sym):
                     site.read_spans.append((sym.name, sub.span, unsafe))
+            elif isinstance(sub, ast.SizedLiteral) and (d := _literal_width(sub)) is not None:
+                self.diags.append(d)
 
     def select_reads(self, site: _Site, lvalue: ast.Expr, scope, unsafe: bool = False) -> None:
         """Index/range expressions inside an lvalue are reads, and the bounds
@@ -567,8 +557,8 @@ class _ModuleChecker:
             for name, span in site.drive_spans.items():
                 driving.setdefault(name, []).append((site.kind, span))
             read.update(name for name, _, _ in site.read_spans)
-        for name, sig in self.signals.items():
-            if sig.special:
+        for name, sym in self.signals.items():
+            if ast.clock_or_reset(sym.ty):
                 continue
             sites = sorted(driving.get(name, []), key=lambda s: s[1].byte_start)
             if len(sites) > 1:
@@ -583,16 +573,13 @@ class _ModuleChecker:
             if self.m.recovered:
                 continue
             driven = sites or name in self.maybe_driven
-            if sig.direction == "output":
-                if not driven:
-                    self.diags.append(
-                        Diagnostic("E0303", f"output port `{name}` is never driven", sig.sym.span)
-                    )
-            elif sig.direction is None:
+            if sym.kind == SymbolKind.VAR:
                 if name not in read:
-                    self.diags.append(Diagnostic("W0304", f"variable `{name}` is never read", sig.sym.span))
+                    self.diags.append(Diagnostic("W0304", f"variable `{name}` is never read", sym.span))
                 elif not driven:
-                    self.diags.append(Diagnostic("E0303", f"variable `{name}` is never driven", sig.sym.span))
+                    self.diags.append(Diagnostic("E0303", f"variable `{name}` is never driven", sym.span))
+            elif sym.decl.direction == "output" and not driven:
+                self.diags.append(Diagnostic("E0303", f"output port `{name}` is never driven", sym.span))
 
     def check_latches(self, block: ast.Block) -> None:
         """W0305 for signals assigned on some but not all paths of a comb
@@ -610,8 +597,10 @@ class _ModuleChecker:
                     if len(base.segments) != 1:
                         continue
                     name = base.segments[0]
-                    sig = self.signals.get(name)
-                    if sig is None or sig.special or sig.direction == "input":
+                    sym = self.signals.get(name)
+                    if sym is None or ast.clock_or_reset(sym.ty) or (
+                        sym.kind == SymbolKind.PORT and sym.decl.direction == "input"
+                    ):
                         continue
                     must.add(name)
                     maybe.add(name)
@@ -635,7 +624,7 @@ class _ModuleChecker:
                     "W0305",
                     f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
                     first_span[name],
-                    [Related("declared here", self.signals[name].sym.span)],
+                    [Related("declared here", self.signals[name].span)],
                 )
             )
 
@@ -643,7 +632,7 @@ class _ModuleChecker:
 
     def declared_domain(self, name: str):
         """The clock-domain label `name` is annotated with, else _DEFAULT."""
-        domain = self.signals[name].domain
+        domain = self.signals[name].decl.domain
         return ("named", domain) if domain else _DEFAULT
 
     def ff_domain(self, ff: ast.AlwaysFf):
@@ -666,7 +655,7 @@ class _ModuleChecker:
             else:
                 continue
             for name in site.drive_spans:
-                if not self.signals[name].domain:
+                if not self.signals[name].decl.domain:
                     sources.setdefault(name, []).append(source)
 
         def join(labels) -> object:
@@ -706,6 +695,6 @@ class _ModuleChecker:
                         "E0316",
                         f"clock domain crossing: {detail} but is read under {where}",
                         span,
-                        [Related("declared here", self.signals[name].sym.span)],
+                        [Related("declared here", self.signals[name].span)],
                     )
                 )

@@ -77,11 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def report(diags: list[Diagnostic], sources: dict[str, str], mode: str) -> int:
-    diags = sorted_diagnostics(diags)
     if mode == "json":
-        sys.stdout.write(to_json(diags))
+        sys.stdout.write(to_json(diags))  # which sorts them
     else:
-        for d in diags:
+        for d in sorted_diagnostics(diags):
             sys.stderr.write(render_human(d, _with_files(sources, d)) + "\n")
     if any(d.code == "EIO01" for d in diags):
         return 2

@@ -48,10 +48,11 @@ class DocModel:
 
 
 def extract_docs(files: list[ast.SourceFile]) -> tuple[list[DocModel], list[Diagnostic]]:
-    """One DocModel per pub module, in declaration order."""
+    """One DocModel per pub module, in declaration order; `files` come in
+    file-id order, as `driver.check_program` sorts them."""
     models: list[DocModel] = []
     diags: list[Diagnostic] = []
-    for sf in sorted(files, key=lambda f: f.file_id):
+    for sf in files:
         for item in sf.items:
             if not isinstance(item, ast.ModuleDecl) or not item.is_pub:
                 continue

@@ -53,7 +53,8 @@ class ProgramResult:
 def check_program(loaded: LoadedProgram) -> ProgramResult:
     """Parse, index and analyze every unit in dependency order, then
     monomorphize them and put all diagnostics in report order.  A file that
-    did not decode is skipped."""
+    did not decode is skipped; every later step takes a unit's files in
+    file-id order."""
     result = ProgramResult(diagnostics=list(loaded.diagnostics))
     tables: dict[str, SymbolTable] = {}
     for pu in loaded.plan:
@@ -67,6 +68,7 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
             result.diagnostics += pdiags
             unit.files.append(sf)
             unit.stems[file_id] = stem
+        unit.files.sort(key=lambda f: f.file_id)
         unit.table, rdiags = build_symbols(unit.files, {name: tables[name] for name in pu.deps}, pu.name)
         tables[pu.name] = unit.table
         adiags, unit.resolved = analyze_unit(unit.files, unit.table)
@@ -92,8 +94,8 @@ def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], lis
         written += paths
         if diags:
             return written, diags
-    name_map = json.dumps(result.mono.name_map, sort_keys=True, indent=2) + "\n"
-    paths, diags = write_outputs([(out_root / "name_map.json", name_map)])
+    name_map = {inst.mangled_name: {"template": inst.template.name, "args": list(inst.args)} for inst in result.mono.instances}
+    paths, diags = write_outputs([(out_root / "name_map.json", json.dumps(name_map, sort_keys=True, indent=2) + "\n")])
     return written + paths, diags
 
 

@@ -79,7 +79,9 @@ def build_symbols(
     dependency_namespaces: dict[str, SymbolTable] | None = None,
     unit: str = "local",
 ) -> tuple[SymbolTable, list[Diagnostic]]:
-    """Index every declaration; duplicates in one scope are E0201 (first wins)."""
+    """Index every declaration of `files`, taken in file-id order as
+    `driver.check_program` sorts them; duplicates in one scope are E0201
+    (first wins)."""
     diags: list[Diagnostic] = []
     project = Scope()
     table = SymbolTable(unit, project)
@@ -98,8 +100,7 @@ def build_symbols(
                 )
             )
 
-    ordered = sorted(files, key=lambda f: f.file_id)
-    for sf in ordered:
+    for sf in files:
         for item in sf.items:
             if isinstance(item, ast.ModuleDecl):
                 declare(project, Symbol(item.name, SymbolKind.MODULE, item.name_span, unit, decl=item, is_pub=item.is_pub))
@@ -107,7 +108,7 @@ def build_symbols(
                 members = table.package_scopes[id(item)] = Scope(project)
                 declare(project, Symbol(item.name, SymbolKind.PACKAGE, item.name_span, unit, decl=item, is_pub=item.is_pub, members=members))
 
-    for sf in ordered:
+    for sf in files:
         for item in sf.items:
             if isinstance(item, ast.ModuleDecl):
                 _index_module(table, project, item, unit, declare)
@@ -263,7 +264,6 @@ class MonoResult:
     # source order, with monomorphized instances in place of their templates.
     items: dict[tuple[str, str], list[ast.Item]]
     instances: list[GenericInstance]
-    name_map: dict[str, dict]
     diagnostics: list[Diagnostic]
 
 
@@ -321,8 +321,7 @@ class _Mono:
                 out[(u.name, sf.file_id)] = items
         instances = list(self.instances.values())
         self.check_collisions(instances)
-        name_map = {inst.mangled_name: {"template": inst.template.name, "args": list(inst.args)} for inst in instances}
-        return MonoResult(out, instances, name_map, self.diags)
+        return MonoResult(out, instances, self.diags)
 
     def instantiate(self, m: ast.ModuleDecl, unit, env: dict[str, Symbol], name: str) -> ast.ModuleDecl:
         """`m`, a module of `unit`, with generic inst targets rewritten to

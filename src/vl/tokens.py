@@ -51,10 +51,11 @@ def is_identifier(text: str) -> bool:
 
 @record(unsafe_hash=True)
 class Span:
-    """Half-open byte range in one source file.
+    """Half-open range of one source file's decoded text.
 
-    `line`/`column` locate the start and are 1-based; byte offsets are 0-based.
-    Spans are values: equal fields compare and hash equal.
+    `byte_start`/`byte_end` are 0-based code-point offsets into the text, not
+    offsets into its UTF-8 bytes; `line`/`column` locate the start and are
+    1-based.  Spans are values: equal fields compare and hash equal.
     """
 
     file_id: str
@@ -65,7 +66,8 @@ class Span:
 
 
 class Token(NamedTuple):
-    """One lexeme and where it starts; its `Span` is built only when asked for."""
+    """One lexeme and where it starts, in code points as in `Span`; its `Span`
+    is built only when asked for."""
 
     kind: str
     text: str

@@ -23,6 +23,15 @@ def check_strings(named_sources: list[tuple[str, str]]) -> driver.ProgramResult:
         return driver.check_program(load_program(root / "vl.toml"))
 
 
+def make_project(tmp_path: Path, source: str, name: str, stem: str) -> Path:
+    """A root project `name` under `tmp_path` whose one source `src/<stem>.vl` holds `source`."""
+    root = tmp_path / name
+    (root / "src").mkdir(parents=True)
+    (root / "vl.toml").write_text(f'[project]\nname = "{name}"\nversion = "0.1.0"\n')
+    (root / "src" / f"{stem}.vl").write_text(source)
+    return root
+
+
 def parse_expression(text: str) -> ast.Expr:
     """Parse a single free-standing expression; raises ValueError on failure."""
     r = scan(text, "<expr>")

@@ -21,7 +21,7 @@ from vl.emitter import EmitConfig, emit_items, emit_module
 from vl.formatter import format_source
 from vl.parser import parse_source
 
-from helpers import check_strings, parse_expression, render_html, structure
+from helpers import check_strings, make_project, parse_expression, render_html, structure
 from test_docgen import FIG6
 from test_emitter import ALL_CONFIGS, FIG2, ff_bindings
 from test_parser import FIG1, parse_ok
@@ -32,14 +32,6 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "diag"
 
 def ok(n, text):
     print(f"ACCEPTANCE {n} PASS: {text}")
-
-
-def make_project(tmp_path, source, name, stem="main"):
-    root = tmp_path / name
-    (root / "src").mkdir(parents=True)
-    (root / "vl.toml").write_text(f'[project]\nname = "{name}"\nversion = "0.1.0"\n')
-    (root / "src" / f"{stem}.vl").write_text(source)
-    return root
 
 
 # -- 1: Figure-1 round trip ------------------------------------------------------
@@ -328,7 +320,7 @@ def _tree_bytes(root):
 
 def test_criterion_8_build_determinism(tmp_path, capsys):
     for name, src in (("fig1", FIG1), ("fig2", FIG2), ("fig3", FIG3)):
-        root = make_project(tmp_path, src, name)
+        root = make_project(tmp_path, src, name, "main")
         manifest = str(root / "vl.toml")
         assert main(["build", "--manifest", manifest]) == 0
         assert main(["doc", "--manifest", manifest]) == 0

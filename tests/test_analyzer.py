@@ -9,6 +9,7 @@ from vl.resolver import build_symbols
 from helpers import check_strings, eval_const, parse_expression
 from test_docgen import FIG6
 from test_emitter import FIG2
+from test_growth import MAX_GROWTH, _line_events
 from test_parser import FIG1
 from test_resolver import FIG3, FIG3_FF
 
@@ -259,6 +260,17 @@ def test_partial_assign_is_w0305():
         "}\n"
     )
     assert codes(src) == ["W0305"]
+
+
+def test_partial_assign_to_an_input_is_e0306_alone():
+    src = (
+        "module M (en: input logic, a: input logic) {\n"
+        "    always_comb {\n"
+        "        if en { a = 1; }\n"
+        "    }\n"
+        "}\n"
+    )
+    assert codes(src) == ["E0306"]
 
 
 def test_full_if_else_is_clean():
@@ -599,6 +611,23 @@ def test_two_clocks_abbreviated_is_e0312():
         "}\n"
     )
     assert codes(src) == ["E0312"]
+
+
+def test_abbreviated_bindings_cost_linear_line_events():
+    # Every abbreviated always_ff binds the same clock and reset, so a module
+    # looks its clock- and reset-typed signals up once, not once per block.
+    def module(n):
+        regs = "".join(f"    var r{i}: logic;\n    always_ff {{ if_reset {{ r{i} = 0; }} else {{ r{i} = i; }} }}\n" for i in range(n))
+        reads = " | ".join(f"r{i}" for i in range(n))
+        return f"module M (c: input clock, r: input reset, i: input logic, o: output logic) {{\n{regs}    assign o = {reads};\n}}\n"
+
+    events = []
+    for n in (20, 80):
+        sf, _ = parse_source(module(n), "m.vl")
+        table, _ = build_symbols([sf], {})
+        assert analyze_unit([sf], table)[0] == []
+        events.append(sum(_line_events(lambda: analyze_unit([sf], table)).values()))
+    assert events[1] <= MAX_GROWTH * events[0], events
 
 
 def test_if_reset_without_reset_is_e0313():

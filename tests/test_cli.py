@@ -18,20 +18,14 @@ import svread
 import vl
 from vl import driver, fmtcache, parser
 from vl.cli import main
+from vl.diagnostics import read_sources
 from vl.parser import MAX_NESTING
 
+from helpers import make_project
 from test_analyzer import PASS_THROUGH
 from test_parser import FIG1
 from test_project import make_cycle, make_repo
 from test_resolver import FIG3_FF
-
-
-def make_project(tmp_path, source=FIG1, name="counter", stem="counter"):
-    root = tmp_path / name
-    (root / "src").mkdir(parents=True)
-    (root / "vl.toml").write_text(f'[project]\nname = "{name}"\nversion = "0.1.0"\n')
-    (root / "src" / f"{stem}.vl").write_text(source)
-    return root
 
 
 def test_new_scaffolds_and_builds(tmp_path, monkeypatch):
@@ -70,7 +64,7 @@ def test_new_name_too_long_for_the_file_system_is_one_error_line(tmp_path, monke
 
 
 def test_build_fig1_project(tmp_path):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     assert main(["build", "--manifest", str(root / "vl.toml")]) == 0
     sv = (root / "target" / "sv" / "counter.sv").read_text()
     assert "module Counter" in sv
@@ -99,8 +93,20 @@ def test_check_json_mode(tmp_path, capsys):
     assert d["file"] == "src/main.vl" and (d["line"], d["column"]) == (4, 18)
 
 
+def test_every_pass_takes_files_in_file_id_order(tmp_path, capsys):
+    # `read_sources` walks paths, so `src/a/b.vl` comes before `src/a.vl`; the
+    # passes take files sorted by file id, so `src/a.vl` declares `A` first.
+    root = make_project(tmp_path, "pub module A () {}\n", "order", "a")
+    (root / "src" / "a").mkdir()
+    (root / "src" / "a" / "b.vl").write_text("pub module A () {}\n")
+    assert [file_id for _, file_id, *_ in read_sources(root)] == ["src/a/b.vl", "src/a.vl"]
+    assert main(["check", "--format", "json", "--manifest", str(root / "vl.toml")]) == 1
+    (d,) = json.loads(capsys.readouterr().out)
+    assert (d["code"], d["file"], [r["file"] for r in d["related"]]) == ("E0201", "src/a/b.vl", ["src/a.vl"])
+
+
 def test_check_json_empty_array_on_clean(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     assert main(["check", "--format", "json", "--manifest", str(root / "vl.toml")]) == 0
     assert json.loads(capsys.readouterr().out) == []
 
@@ -251,7 +257,7 @@ def test_no_marker_directory_without_a_home_or_readable_sources(monkeypatch):
 
 
 def test_first_marker_of_a_fingerprint_prunes_stale_fingerprints(tmp_path, monkeypatch, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     runs = []
     for cache in ("clean", "used"):
         monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
@@ -294,7 +300,7 @@ def test_usage_error_is_exit_2():
 
 
 def test_update_writes_lockfile(tmp_path):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     assert main(["update", "--manifest", str(root / "vl.toml")]) == 0
     assert (root / "vl.lock").read_text() == ""
 
@@ -457,7 +463,7 @@ def modules_after(tmp_path, command: list[str], dependency: bool = False, warm: 
     before `vl.cli` was imported (a site hook may load others).  The command
     must exit `rc`.  With `warm`, it runs once before, in another
     interpreter, and its second run is measured."""
-    root = make_project(tmp_path, source)
+    root = make_project(tmp_path, source, "counter", "counter")
     if dependency:
         url = make_repo(tmp_path, "sample")
         with (root / "vl.toml").open("a") as f:
@@ -521,7 +527,7 @@ def test_commands_on_a_dependency_load_no_hashlib(tmp_path, command):
 def test_doc_above_a_dependency_cycle_writes_no_page(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / "cache"))
     a_url = make_cycle(tmp_path)
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     with (root / "vl.toml").open("a") as f:
         f.write(f'\n[dependencies]\n"{a_url}" = "0.1.0"\n')
     assert main(["doc", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
@@ -530,7 +536,7 @@ def test_doc_above_a_dependency_cycle_writes_no_page(tmp_path, monkeypatch, caps
 
 
 def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "src" / "bad.vl").write_bytes(b"module B () {\n}\n// \xff\xfe\n")
     assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
     (diag,) = json.loads(capsys.readouterr().out)
@@ -538,7 +544,7 @@ def test_invalid_utf8_is_e0003_in_check(tmp_path, capsys):
 
 
 def test_invalid_utf8_is_e0003_in_fmt_check(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "src" / "bad.vl").write_bytes(b"\xff\xfe")
     assert main(["fmt", "--check", "--manifest", str(root / "vl.toml")]) == 1
     err = capsys.readouterr().err
@@ -551,13 +557,13 @@ def test_internal_error_is_exit_2_without_traceback(tmp_path, monkeypatch, capsy
         raise RuntimeError("boom")
 
     monkeypatch.setattr(driver, "analyze_unit", boom)
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     assert main(["check", "--manifest", str(root / "vl.toml")]) == 2
     assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_malformed_lockfile_line_is_e0407(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "vl.lock").write_text("file:///dep\t0.1.0\n")
     assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
     (diag,) = json.loads(capsys.readouterr().out)
@@ -670,7 +676,7 @@ def test_every_emitted_instance_names_an_emitted_module(src):
 
 
 def test_invalid_utf8_in_manifest_is_e0003(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "vl.toml").write_bytes(b'[project]\nname = "counter"\nversion = "0.1.0"\n# \xff\n')
     manifest = str(root / "vl.toml")
     assert main(["check", "--manifest", manifest, "--format", "json"]) == 1
@@ -682,7 +688,7 @@ def test_invalid_utf8_in_manifest_is_e0003(tmp_path, capsys):
 
 
 def test_invalid_utf8_in_lockfile_is_e0003_and_the_lockfile_is_ignored(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "vl.lock").write_bytes(b"\xff\n")
     assert main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"]) == 1
     (diag,) = json.loads(capsys.readouterr().out)
@@ -701,7 +707,7 @@ def one_eio01(capsys, rc: int, path) -> None:
 
 @pytest.mark.parametrize("command", ["build", "doc"])
 def test_out_that_is_a_file_is_one_eio01(tmp_path, capsys, command):
-    root = make_project(tmp_path, FIG1.replace("module Counter", "pub module Counter"))
+    root = make_project(tmp_path, FIG1.replace("module Counter", "pub module Counter"), "counter", "counter")
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
     rc = main([command, "--manifest", str(root / "vl.toml"), "--out", str(blocker), "--format", "json"])
@@ -711,7 +717,7 @@ def test_out_that_is_a_file_is_one_eio01(tmp_path, capsys, command):
 
 
 def test_name_map_that_is_a_directory_is_one_eio01(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "target" / "name_map.json").mkdir(parents=True)
     rc = main(["build", "--manifest", str(root / "vl.toml"), "--format", "json"])
     one_eio01(capsys, rc, root / "target" / "name_map.json")
@@ -719,7 +725,7 @@ def test_name_map_that_is_a_directory_is_one_eio01(tmp_path, capsys):
 
 
 def test_lockfile_that_is_a_directory_is_one_eio01(tmp_path, capsys):
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     (root / "vl.lock").mkdir()
     rc = main(["update", "--manifest", str(root / "vl.toml"), "--format", "json"])
     one_eio01(capsys, rc, root / "vl.lock")
@@ -754,7 +760,7 @@ def test_dependency_cache_that_is_a_file_is_eio01_at_the_request(tmp_path, monke
     cache = tmp_path / "cache"
     cache.write_text("a file, not a directory")
     monkeypatch.setenv("VL_CACHE_DIR", str(cache))
-    root = make_project(tmp_path)
+    root = make_project(tmp_path, FIG1, "counter", "counter")
     with open(root / "vl.toml", "a") as f:
         f.write(f'\n[dependencies]\n"{url}" = "0.1.0"\n')
     rc = main(["check", "--manifest", str(root / "vl.toml"), "--format", "json"])

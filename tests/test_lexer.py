@@ -103,6 +103,14 @@ def test_spans_are_increasing_and_exact():
         prev_end = t.byte_end
 
 
+def test_offsets_count_code_points_not_utf8_bytes():
+    # `é` is two bytes in UTF-8 but one code point of the decoded text.
+    src = "var é_x"
+    x = next(t for t in scan(src, "f").tokens if t.text == "_x")
+    assert (x.byte_start, x.byte_end) == (5, 7)
+    assert src[x.byte_start : x.byte_end] == "_x"
+
+
 def test_line_and_column_positions():
     src = "var a: logic;\n  inst b: M;\n"
     inst = next(t for t in scan(src, "t.vl").tokens if t.text == "inst")
