@@ -273,17 +273,18 @@ class _ModuleChecker:
                 self.expr_read(site, it.rhs, self.scope)
                 self.select_reads(site, it.lvalue, self.scope)
             elif isinstance(it, ast.AlwaysFf):
-                self.bind_always_ff(it, self.walk_stmts(self.site("always_ff", it), it.body.stmts, self.scope, in_unsafe))
+                self.bind_always_ff(it, self.walk_stmts(self.site("always_ff", it), it.body.stmts, self.scope, in_unsafe, {})[1])
             elif isinstance(it, ast.AlwaysComb):
-                self.walk_stmts(self.site("always_comb", it), it.body.stmts, self.scope, in_unsafe)
-                self.check_latches(it.body)
+                assigned: dict[str, Span] = {}
+                must, _ = self.walk_stmts(self.site("always_comb", it), it.body.stmts, self.scope, in_unsafe, assigned)
+                self.check_latches(assigned, must)
             elif isinstance(it, ast.InstDecl):
                 self.connect(it)
             elif isinstance(it, ast.FunctionDecl):
                 for a in it.args:
                     self.dims(a.ty)
                 self.dims(it.ret)
-                self.walk_stmts(self.site("function", it), it.body.stmts, self.table.function_scopes[id(it)], False)
+                self.walk_stmts(self.site("function", it), it.body.stmts, self.table.function_scopes[id(it)], False, {})
         self.check_drivers()
         self.check_cdc()
         return self.diags
@@ -371,24 +372,41 @@ class _ModuleChecker:
 
     # -- reads and drives --
 
-    def walk_stmts(self, site: _Site, stmts, scope, unsafe: bool) -> bool:
-        """Record the drives and reads of `stmts` into `site`; whether they
-        hold an `if_reset` arm."""
+    def walk_stmts(self, site: _Site, stmts, scope, unsafe: bool, assigned: dict[str, Span]) -> tuple[set[str], bool]:
+        """Record the drives and reads of `stmts` into `site`, and into
+        `assigned` each module signal they assign, at the base path of its
+        first assignment.  Returns the module signals assigned on every path,
+        and whether `stmts` hold an `if_reset` arm.  An `if` chain's
+        conditions are read before its arms.  Each body nests one call, so
+        the parser's MAX_NESTING bounds the recursion."""
+        must: set[str] = set()
         uses_ir = False
-        for s, inner in ast.iter_stmts(stmts, unsafe):
+        for s in stmts:
             if isinstance(s, ast.AssignStmt):
-                self.drive(site, s.lvalue, s.span, scope)
-                self.expr_read(site, s.rhs, scope, inner)
-                self.select_reads(site, s.lvalue, scope, inner)
+                base = self.drive(site, s.lvalue, s.span, scope)
+                if base is not None:
+                    must.add(base.text)
+                    assigned.setdefault(base.text, base.span)
+                self.expr_read(site, s.rhs, scope, unsafe)
+                self.select_reads(site, s.lvalue, scope, unsafe)
             elif isinstance(s, ast.ReturnStmt):
-                self.expr_read(site, s.value, scope, inner)
+                self.expr_read(site, s.value, scope, unsafe)
             elif isinstance(s, ast.IfStmt):
                 for cond, _ in s.arms:
                     if cond is None:
                         uses_ir = True
                     else:
-                        self.expr_read(site, cond, scope, inner)
-        return uses_ir
+                        self.expr_read(site, cond, scope, unsafe)
+                bodies = [block.stmts for _, block in s.arms] + [s.orelse.stmts if s.orelse else []]  # no else: an empty path
+                paths = [self.walk_stmts(site, body, scope, unsafe, assigned) for body in bodies]
+                must |= set.intersection(*(m for m, _ in paths))
+                uses_ir = uses_ir or any(ir for _, ir in paths)
+            else:  # a block, or unsafe (cdc) around one
+                inner = isinstance(s, ast.UnsafeCdcStmt)
+                m, ir = self.walk_stmts(site, (s.body if inner else s).stmts, scope, unsafe or inner, assigned)
+                must |= m
+                uses_ir = uses_ir or ir
+        return must, uses_ir
 
     def expr_read(self, site: _Site | None, e: ast.Expr, scope, unsafe: bool = False, generic: bool = False) -> None:
         """Resolve every path in `e` and check its literal widths, calls and
@@ -454,25 +472,29 @@ class _ModuleChecker:
             return False
         return True
 
-    def drive(self, site: _Site, lvalue: ast.Expr, span: Span, scope) -> None:
+    def drive(self, site: _Site, lvalue: ast.Expr, span: Span, scope) -> ast.PathExpr | None:
+        """Record a drive of `lvalue`, at `span`, into `site`; its base path
+        when that names one of the module's own signals."""
         base = ast.lvalue_base(lvalue)  # a path: `parse_lvalue` reads one, `connect` checks one
         sym = resolve(base, scope, self.diags)
         if sym is None:
-            return
+            return None
         if sym.kind not in (SymbolKind.VAR, SymbolKind.PORT):
             self.diags.append(
                 Diagnostic("E0306", f"cannot assign to `{base.text}` ({sym.kind_name})", base.span)
             )
-            return
+            return None
         if not self.dataflow(sym, base):
-            return
+            return None
         if sym.kind == SymbolKind.PORT and sym.decl.direction == "input":
             self.diags.append(
                 Diagnostic("E0306", f"input port `{base.text}` cannot be assigned", base.span)
             )
-            return
-        if self.own(sym):
-            site.drive_spans.setdefault(sym.name, span)
+            return None
+        if not self.own(sym):
+            return None
+        site.drive_spans.setdefault(sym.name, span)
+        return base
 
     def module(self, path: ast.PathExpr) -> Symbol | None:
         """The symbol an inst target or generic argument names (E0202/E0203
@@ -581,52 +603,22 @@ class _ModuleChecker:
             elif sym.decl.direction == "output" and not driven:
                 self.diags.append(Diagnostic("E0303", f"output port `{name}` is never driven", sym.span))
 
-    def check_latches(self, block: ast.Block) -> None:
-        """W0305 for signals assigned on some but not all paths of a comb
-        block; not in a module that lost an item to parse recovery."""
+    def check_latches(self, assigned: dict[str, Span], must: set[str]) -> None:
+        """W0305 for each module signal an always_comb assigns, first at
+        `assigned[name]`, on some but not all paths; not in a module that
+        lost an item to parse recovery."""
         if self.m.recovered:
             return
-        first_span: dict[str, Span] = {}
-
-        def flow(stmts) -> tuple[set[str], set[str]]:
-            must: set[str] = set()
-            maybe: set[str] = set()
-            for s in stmts:
-                if isinstance(s, ast.AssignStmt):
-                    base = ast.lvalue_base(s.lvalue)
-                    if len(base.segments) != 1:
-                        continue
-                    name = base.segments[0]
-                    sym = self.signals.get(name)
-                    if sym is None or ast.clock_or_reset(sym.ty) or (
-                        sym.kind == SymbolKind.PORT and sym.decl.direction == "input"
-                    ):
-                        continue
-                    must.add(name)
-                    maybe.add(name)
-                    first_span.setdefault(name, base.span)
-                elif isinstance(s, ast.IfStmt):
-                    arms = [flow(block.stmts) for _, block in s.arms]
-                    arms.append(flow(s.orelse.stmts) if s.orelse else (set(), set()))  # missing else: empty path
-                    must |= set.intersection(*(m for m, _ in arms))
-                    maybe |= set.union(*(mb for _, mb in arms))
-                elif isinstance(s, (ast.Block, ast.UnsafeCdcStmt)):
-                    m, mb = flow((s.body if isinstance(s, ast.UnsafeCdcStmt) else s).stmts)
-                    must |= m
-                    maybe |= mb
-            return must, maybe
-
-        must, maybe = flow(block.stmts)
-        latched = sorted(maybe - must, key=lambda n: first_span[n].byte_start)
-        for name in latched:
-            self.diags.append(
-                Diagnostic(
-                    "W0305",
-                    f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
-                    first_span[name],
-                    [Related("declared here", self.signals[name].span)],
+        for name, span in assigned.items():
+            if name not in must:
+                self.diags.append(
+                    Diagnostic(
+                        "W0305",
+                        f"`{name}` is not assigned on every path of this always_comb (latch inferred)",
+                        span,
+                        [Related("declared here", self.signals[name].span)],
+                    )
                 )
-            )
 
     # -- clock domains --
 
@@ -635,51 +627,52 @@ class _ModuleChecker:
         domain = self.signals[name].decl.domain
         return ("named", domain) if domain else _DEFAULT
 
-    def ff_domain(self, ff: ast.AlwaysFf):
-        clock = self.resolved[id(ff)].clock
-        return self.declared_domain(clock) if clock else _DEFAULT
-
     def check_cdc(self) -> None:
-        """E0316 for cross-domain reads in always_ff outside unsafe(cdc).  An
-        unannotated signal takes the domain of the sites that drive it: an
-        always_ff its clock's, an assign or always_comb the join of what it
-        reads."""
-        domains = {name: self.declared_domain(name) for name in self.signals}
-        # signal -> per driving site, a domain label (always_ff) or the signals read (comb)
-        sources: dict[str, list] = {}
-        for site in self.sites:
+        """E0316 for cross-domain reads in always_ff outside unsafe(cdc).
+
+        An unannotated signal that an always_ff, assign or always_comb drives
+        takes the join of the labels that reach it: the clock domain of each
+        always_ff that drives it, and, through each assign or always_comb
+        that drives it, the labels of every signal that site reads
+        (_DEFAULT when it reads nothing).  Every other signal has its
+        declared label.  A label set only grows, and two labels are _MIXED
+        whatever joins them later, so a set stops growing at two: each node
+        changes at most twice, and the work list is linear in the sites'
+        reads and drives."""
+        # Nodes are signal names, and the indices of always_ff, assign and always_comb sites.
+        reach: dict[str | int, set] = {}  # node -> the labels that reach it
+        into: dict[str | int, list] = {}  # node -> the nodes its labels flow into
+        for i, site in enumerate(self.sites):
             if site.kind == "always_ff":
-                source = self.ff_domain(site.item)
+                clock = self.resolved[id(site.item)].clock
+                reach[i] = {self.declared_domain(clock) if clock else _DEFAULT}
             elif site.kind in ("assign", "always_comb"):
-                source = frozenset(name for name, _, _ in site.read_spans)
+                reach[i] = set() if site.read_spans else {_DEFAULT}
+                for name, _, _ in site.read_spans:
+                    into.setdefault(name, []).append(i)
             else:
                 continue
-            for name in site.drive_spans:
-                if not self.signals[name].decl.domain:
-                    sources.setdefault(name, []).append(source)
+            into[i] = [name for name in site.drive_spans if not self.signals[name].decl.domain]
+            for name in into[i]:
+                reach[name] = set()
+        for name in self.signals:
+            reach.setdefault(name, {self.declared_domain(name)})
+        work = [node for node, labels in reach.items() if labels]
+        while work:
+            labels = reach[node := work.pop()]
+            for dest in into.get(node, ()):
+                have = reach[dest]
+                if len(have) < 2 and not labels <= have:
+                    have |= labels
+                    work.append(dest)
 
-        def join(labels) -> object:
-            distinct = set(labels)
-            if len(distinct) == 1:
-                return distinct.pop()
-            return _MIXED if distinct else _DEFAULT
-
-        for _ in range(len(self.signals) + 2):
-            changed = False
-            for name in sorted(sources):
-                new = join(s if isinstance(s, tuple) else join(domains[r] for r in s) for s in sources[name])
-                if domains[name] != new:
-                    domains[name] = new
-                    changed = True
-            if not changed:
-                break
-
-        for site in self.sites:
+        for i, site in enumerate(self.sites):
             if site.kind != "always_ff":
                 continue
-            d2 = self.ff_domain(site.item)
+            (d2,) = reach[i]  # its clock's domain: nothing flows into an always_ff
             for name, span, unsafe in site.read_spans:
-                d1 = domains[name]
+                labels = reach[name]
+                d1 = next(iter(labels)) if len(labels) == 1 else _MIXED if labels else _DEFAULT
                 if unsafe or d1 == _DEFAULT or d1 == d2:
                     continue
                 if d1 == _MIXED:

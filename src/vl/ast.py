@@ -379,21 +379,3 @@ def iter_module_items(body: list[ModuleItem], unsafe: bool = False):
             yield from iter_module_items(it.items, True)
         else:
             yield it, unsafe
-
-
-def iter_stmts(stmts: list[Stmt], unsafe: bool = False):
-    """Yield (stmt, inside_unsafe_cdc) in pre-order, with blocks and unsafe(cdc)
-    wrappers flattened; an `if` chain is yielded, then the statements of its
-    arms and its `else` in source order."""
-    for s in stmts:
-        if isinstance(s, Block):
-            yield from iter_stmts(s.stmts, unsafe)
-        elif isinstance(s, UnsafeCdcStmt):
-            yield from iter_stmts(s.body.stmts, True)
-        else:
-            yield s, unsafe
-            if isinstance(s, IfStmt):
-                for _, block in s.arms:
-                    yield from iter_stmts(block.stmts, unsafe)
-                if s.orelse is not None:
-                    yield from iter_stmts(s.orelse.stmts, unsafe)

@@ -98,7 +98,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.diags: list[Diagnostic] = []
-        self.ff_depth = 0
+        self.process: str | None = None  # "always_ff" or "function" while in its body
         self.depth = 0  # nesting levels open, see MAX_NESTING
         self.recovered = False  # `braced` dropped an item since the current module began
 
@@ -468,11 +468,7 @@ class _Parser:
                     reset = self.expect_ident("reset name")
                     self.eat_punct(",")
             self.expect_punct(")")
-        self.ff_depth += 1
-        try:
-            body = self.parse_block()
-        finally:
-            self.ff_depth -= 1
+        body = self.parse_body("always_ff")
         return AlwaysFf(
             clock.text if clock else None,
             clock.span if clock else None,
@@ -488,7 +484,7 @@ class _Parser:
         args = self.delimited(")", self.expect_punct("("), self.parse_arg)
         self.expect_punct("->")
         ret = self.parse_type()
-        body = self.parse_block()
+        body = self.parse_body("function")
         return FunctionDecl(name.text, name.span, args, ret, body, self.span_to_prev(start))
 
     def parse_arg(self) -> ArgDecl:
@@ -540,13 +536,24 @@ class _Parser:
         stmts = self.braced(self.parse_stmt)
         return Block(stmts, self.span_to_prev(start))
 
+    def parse_body(self, process: str) -> Block:
+        """The block of an `always_ff` or a `function` (`process`): `if_reset`
+        is legal only in the first, `return` only in the second."""
+        self.process = process
+        try:
+            return self.parse_block()
+        finally:
+            self.process = None
+
     def parse_stmt(self):
         t = self.cur()
-        if self.at_kw("if_reset") and self.ff_depth == 0:
+        if self.at_kw("if_reset") and self.process != "always_ff":
             self.error("E0102", "`if_reset` is only allowed inside `always_ff`", t.span)
         if self.at_kw("if") or self.at_kw("if_reset"):
             return self.parse_if()
         if self.at_kw("return"):
+            if self.process != "function":
+                self.error("E0102", "`return` is only allowed inside a function", t.span)
             start = self.bump()
             value = self.parse_expr()
             self.expect_punct(";")

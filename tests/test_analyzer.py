@@ -1,6 +1,8 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vl.analyzer import ConstError, analyze_unit, check_literal_widths
 from vl.parser import MAX_NESTING, parse_source
@@ -745,6 +747,129 @@ def test_mixed_domain_comb_conflicts_everywhere():
         "}\n"
     )
     assert codes(src) == ["E0316"]
+
+
+def _domains(clock, assigns):
+    """A module whose always_ff, under clock domain `clock`, reads `x`,
+    which `assigns` drive through vars `x`, `y` and `z`."""
+    body = "".join(f"    var {v}: logic;\n" for v in "xyz") + "".join(f"    assign {a};\n" for a in assigns)
+    return (
+        f"module M (c: input `{clock} clock, i_a: input `a logic, i_b: input `b logic, o: output `{clock} logic) {{\n"
+        f"{body}    always_ff (c) {{ o = x; }}\n}}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "clock, assigns, detail",
+    [
+        ("b", ["z = i_a", "y = z", "x = y"], "`x` belongs to clock domain `a`"),
+        ("a", ["x = y | i_a", "y = x"], None),
+        ("b", ["x = y | i_a", "y = x"], "`x` belongs to clock domain `a`"),
+        ("a", ["x = y | i_a", "y = x | i_b"], "`x` mixes several clock domains"),
+        ("a", ["x = y", "y = x"], None),
+    ],
+    ids=["chain_of_three", "loop_fed_by_a_read_under_a", "loop_fed_by_a_read_under_b", "loop_fed_by_a_and_b", "loop_fed_by_nothing"],
+)
+def test_a_domain_reaches_through_assigns_and_loops(clock, assigns, detail):
+    diags, *_ = check(_domains(clock, assigns))
+    expected = [f"clock domain crossing: {detail} but is read under clock domain `{clock}`"] if detail else []
+    assert [d.message for d in diags if d.code == "E0316"] == expected
+
+
+_CLOCKS = {"c_a": "a", "c_b": "b", "c_n": None}
+_INPUTS = {"i_a": "a", "i_b": "b", "i_n": None}
+
+
+@st.composite
+def domain_modules(draw):
+    """The declared domain of each signal, and the sites of a module over
+    them: (clock, or None for an assign; the var it drives; what it reads)."""
+    domain = dict(_INPUTS)
+    names = [f"w{k}" for k in range(draw(st.integers(1, 4)))]
+    for name in names:
+        domain[name] = draw(st.sampled_from([None, None, "a", "b"]))
+    # Mostly assigns reading vars, so that loops are common.
+    reads = st.lists(st.one_of(st.sampled_from(names), st.sampled_from(sorted(_INPUTS))), max_size=3)
+    site = st.tuples(st.sampled_from([None, None, None, *_CLOCKS]), st.sampled_from(names), reads)
+    # Then one always_ff per clock reads every var, into a var of its own.
+    probes = [(clock, f"p_{clock}", names) for clock in _CLOCKS]
+    domain.update((target, None) for _, target, _ in probes)
+    return domain, draw(st.lists(site, min_size=1, max_size=8)) + probes
+
+
+def _annotation(domain):
+    return f"`{domain} " if domain else ""
+
+
+def _reaching(signal, domain, sites) -> set:
+    """Brute force: the labels reachable from `signal` back through the
+    assigns that drive it; an always_ff gives its clock's domain, an assign
+    that reads nothing "default", and a signal nothing drives, or an
+    annotated one, its declared domain."""
+    found, seen, todo = set(), set(), [signal]
+    while todo:
+        s = todo.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        drivers = [(clock, reads) for clock, target, reads in sites if target == s]
+        if domain[s] or not drivers:
+            found.add(domain[s] or "default")
+            continue
+        for clock, reads in drivers:
+            if clock:
+                found.add(_CLOCKS[clock] or "default")
+            elif not reads:
+                found.add("default")
+            else:
+                todo += reads
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(domain_modules())
+def test_e0316_matches_a_brute_force_join_over_reachable_labels(module):
+    domain, sites = module
+    ports = [f"{c}: input {_annotation(d)}clock" for c, d in _CLOCKS.items()]
+    ports += [f"{i}: input {_annotation(d)}logic" for i, d in _INPUTS.items()]
+    lines = [f"module M ({', '.join(ports)}) {{"]
+    lines += [f"    var {w}: {_annotation(d)}logic;" for w, d in domain.items() if w not in _INPUTS]
+    expected = []
+    for clock, target, reads in sites:
+        rhs = " | ".join(reads) or "1'b0"
+        assign = f"{target} = {rhs};"
+        lines.append(f"    always_ff ({clock}) {{ {assign} }}" if clock else f"    assign {assign}")
+        for r in reads if clock else ():
+            labels, under = _reaching(r, domain, sites), _CLOCKS[clock] or "default"
+            d1 = labels.pop() if len(labels) == 1 else "mixed" if labels else "default"
+            if d1 in ("default", under):
+                continue
+            detail = f"`{r}` mixes several clock domains" if d1 == "mixed" else f"`{r}` belongs to clock domain `{d1}`"
+            where = "an unannotated clock" if under == "default" else f"clock domain `{under}`"
+            expected.append((len(lines), f"clock domain crossing: {detail} but is read under {where}"))
+    diags, *_ = check("\n".join(lines) + "\n}\n")
+    assert sorted((d.span.line, d.message) for d in diags if d.code == "E0316") == sorted(expected)
+
+
+def test_clock_domains_cost_linear_line_events():
+    # Each link reads the one after it, so an analysis that takes signals in
+    # name order moves a domain one link per pass over the module.
+    def module(n):
+        names = [f"w{k:05}" for k in range(n + 1)]
+        body = "".join(f"    var {w}: logic;\n" for w in names)
+        body += "".join(f"    assign {names[k]} = {names[k + 1]};\n" for k in range(n))
+        return (
+            f"module M (c: input `a clock, i: input `a logic, o: output `a logic) {{\n{body}"
+            f"    always_ff (c) {{ {names[n]} = i; }}\n    always_ff (c) {{ o = {names[0]}; }}\n}}\n"
+        )
+
+    events = []
+    for n in (50, 200):
+        sf, _ = parse_source(module(n), "m.vl")
+        table, _ = build_symbols([sf], {})
+        assert analyze_unit([sf], table)[0] == []
+        events.append(sum(_line_events(lambda: analyze_unit([sf], table)).values()))
+    assert events[1] <= MAX_GROWTH * events[0], events
 
 
 def test_diagnostics_sorted_deterministically():

@@ -81,6 +81,20 @@ def test_check_reports_e0311_with_exit_1(tmp_path, capsys):
     assert "^^^^^" in err  # caret spans all five characters of 4'd16
 
 
+@pytest.mark.parametrize("process", ["always_ff", "always_comb"])
+def test_return_outside_a_function_is_e0102_and_builds_nothing(tmp_path, capsys, process):
+    # IEEE 1800-2017 §12.8 allows `return` only in a task or function.
+    src = f"module M (c: input clock, r: output logic) {{\n    {process} {{ return 1'b0; r = 1'b1; }}\n}}\n"
+    root = make_project(tmp_path, src, "ret", "main")
+    assert main(["build", "--format", "json", "--manifest", str(root / "vl.toml")]) == 1
+    diags = json.loads(capsys.readouterr().out)
+    column = len(f"    {process} {{ ") + 1
+    assert [(d["code"], d["line"], d["column"], d["message"]) for d in diags] == [
+        ("E0102", 2, column, "`return` is only allowed inside a function")
+    ]
+    assert not list(root.rglob("*.sv"))
+
+
 def test_check_json_mode(tmp_path, capsys):
     src = "module M (\n    o_x: output logic,\n) {\n    assign o_x = 4'd16;\n}\n"
     root = make_project(tmp_path, src, name="lit", stem="main")
