@@ -8,9 +8,13 @@ Each command imports only the modules it runs: `update` needs only the
 package layer (`project`) and never loads the compiler; `fmt` needs the lexer,
 parser and formatter, and never loads the driver and the layers under it.
 
-`fmt` skips the texts it has already found canonical, and `fmt --check` also
-those it has already found to drift (see `fmtcache`): when every file has an
-entry, it loads neither the lexer, the parser nor the formatter.
+Both keep what they found under the cache root (see `cache`).  `fmt` skips
+the texts it has already found canonical, and `fmt --check` also those it
+has already found to drift: when every file has an entry, it loads neither
+the lexer, the parser nor the formatter.  `check` replays its last result
+on a project when none of its inputs changed: then it loads only the package
+layer, diagnostics and `cache`, and none of the driver, the compiler under
+it or `json`.
 """
 
 from __future__ import annotations
@@ -77,14 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def report(diags: list[Diagnostic], sources: dict[str, str], mode: str) -> int:
+    out, err, rc = render(diags, sources, mode)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return rc
+
+
+def render(diags: list[Diagnostic], sources: dict[str, str], mode: str) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of a command that found `diags`."""
     if mode == "json":
-        sys.stdout.write(to_json(diags))  # which sorts them
+        out, err = to_json(diags), ""  # which sorts them
     else:
-        for d in sorted_diagnostics(diags):
-            sys.stderr.write(render_human(d, _with_files(sources, d)) + "\n")
+        out, err = "", "".join(render_human(d, _with_files(sources, d)) + "\n" for d in sorted_diagnostics(diags))
     if any(d.code == "EIO01" for d in diags):
-        return 2
-    return 1 if has_errors(diags) else 0
+        return out, err, 2
+    return out, err, 1 if has_errors(diags) else 0
 
 
 def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
@@ -113,8 +124,40 @@ def _out_root(args, loaded) -> Path:
 
 
 def cmd_check(args) -> int:
-    _, result = _pipeline(args)
-    return report(result.diagnostics, result.source_texts, args.format)
+    from . import cache
+    from .project import load_program
+
+    loaded = load_program(args.manifest, offline=args.offline)
+    sources = [list(read_sources(pu.root, pu.is_root)) for pu in loaded.plan]
+    # Only a run without a load or decoding diagnostic has an entry.
+    cacheable = not loaded.diagnostics and not any(ddiags for unit in sources for *_, ddiags in unit)
+    entry = cacheable and cache.check_entry(loaded.manifest.root_dir, args.format)
+    key = entry and _check_key(loaded, sources)
+    hit = key and cache.replay(entry, key)
+    if hit:
+        out, err, rc = hit
+    else:
+        from .driver import check_program
+
+        result = check_program(loaded, sources)
+        texts = result.source_texts
+        # An excerpt of a file the key does not cover comes from disk: no entry.
+        covered = all(s.file_id in texts for d in result.diagnostics for s in [d.span, *(r.span for r in d.related)])
+        out, err, rc = render(result.diagnostics, texts, args.format)
+        if key and covered:
+            cache.store(entry, key, out, err, rc)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return rc
+
+
+def _check_key(loaded, sources) -> str:
+    """The sha256 of what a check without load or decoding diagnostics
+    reads, beyond vl itself and the format that name the entry: the compile
+    plan, each unit with its manifest as parsed and its root (a dependency's
+    names its revision), and each source's file id and text."""
+    texts = [[(file_id, sha256(text.encode("utf-8"))) for _, file_id, _, text, _ in unit] for unit in sources]
+    return sha256(repr((loaded.plan, texts)).encode("utf-8"))
 
 
 def cmd_build(args) -> int:
@@ -152,12 +195,12 @@ def cmd_update(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    from . import fmtcache
+    from . import cache
 
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     changed: list[Path] = []
-    marks = fmtcache.marks_dir()
+    marks = cache.entry_dir("fmt")
     # (path, file_id, text, marker) of each file not known to be canonical, in
     # `read_sources` order; text None: `--check` knows it drifts
     todo = []
@@ -168,7 +211,7 @@ def cmd_fmt(args) -> int:
             continue
         marker = marks and marks / sha256(text.encode("utf-8"))
         if not (marker and os.path.exists(marker)):
-            drifts = args.check and marker and os.path.exists(fmtcache.drift(marker))
+            drifts = args.check and marker and os.path.exists(cache.drift(marker))
             todo.append((path, file_id, None if drifts else text, marker))
     if any(text is not None for _, _, text, _ in todo):
         from .formatter import format_source
@@ -185,11 +228,11 @@ def cmd_fmt(args) -> int:
         if formatted != text:
             changed.append(path)
             if marker:
-                fmtcache.mark(fmtcache.drift(marker))
+                cache.mark(cache.drift(marker))
             if not args.check:
                 diags += write_outputs([(path, formatted)])[1]
         elif marker:
-            fmtcache.mark(marker)
+            cache.mark(marker)
     rc = report(diags, sources, args.format)
     if args.check and changed:
         for path in changed:

@@ -7,7 +7,6 @@ converted by `markdown_to_html`."""
 from __future__ import annotations
 
 import html
-import json
 import re
 from pathlib import Path
 
@@ -83,6 +82,8 @@ def _doc_text(doc) -> str:
 
 def _wave_json_ok(text: str) -> bool:
     """Accept strict JSON or WaveDrom's relaxed JS-object-literal style."""
+    import json
+
     relaxed = text.replace("'", '"')
     relaxed = re.sub(r"([{\[,]\s*)([A-Za-z_]\w*)\s*:", r'\1"\2":', relaxed)
     relaxed = re.sub(r",(\s*[}\]])", r"\1", relaxed)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import ast
@@ -50,16 +49,19 @@ class ProgramResult:
         return not has_errors(self.diagnostics)
 
 
-def check_program(loaded: LoadedProgram) -> ProgramResult:
+def check_program(loaded: LoadedProgram, sources: list[list] | None = None) -> ProgramResult:
     """Parse, index and analyze every unit in dependency order, then
-    monomorphize them and put all diagnostics in report order.  A file that
-    did not decode is skipped; every later step takes a unit's files in
-    file-id order."""
+    monomorphize them and put all diagnostics in report order.  `sources`
+    holds each planned unit's `read_sources` tuples, when the caller has read
+    them; otherwise they are read here.  A file that did not decode is
+    skipped; every later step takes a unit's files in file-id order."""
     result = ProgramResult(diagnostics=list(loaded.diagnostics))
     tables: dict[str, SymbolTable] = {}
-    for pu in loaded.plan:
+    if sources is None:
+        sources = [read_sources(pu.root, pu.is_root) for pu in loaded.plan]
+    for pu, unit_sources in zip(loaded.plan, sources):
         unit = UnitResult(pu)
-        for _, file_id, stem, text, ddiags in read_sources(pu.root, pu.is_root):
+        for _, file_id, stem, text, ddiags in unit_sources:
             result.source_texts[file_id] = text
             if ddiags:
                 result.diagnostics += ddiags
@@ -82,6 +84,8 @@ def check_program(loaded: LoadedProgram) -> ProgramResult:
 def emit_program(result: ProgramResult, out_root: Path) -> tuple[list[Path], list[Diagnostic]]:
     """Write all .sv files plus the name_map.json sidecar under `out_root`,
     up to the first file that cannot be written."""
+    import json
+
     written: list[Path] = []
     for unit in result.units:
         out_dir = out_root / "sv" if unit.plan.is_root else out_root / "sv" / unit.name

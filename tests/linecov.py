@@ -37,7 +37,7 @@ ALLOWED = {
     ("diagnostics.py", "<module>", "except ImportError:"): "a CPython without `_sha2` (before 3.12) or `_sha256`",
     ("diagnostics.py", "<module>", "from _sha256 import sha256 as _new"): "a CPython with `_sha2` (3.12 and later)",
     ("diagnostics.py", "<module>", "from hashlib import sha256 as _new"): "a CPython without a built-in sha256 module",
-    ("fmtcache.py", "marks_dir", "return None"): "an installed vl without its `.py` sources: no fingerprint, no cache",
+    ("cache.py", "entry_dir", "return None"): "an installed vl without its `.py` sources: no fingerprint, no cache",
     ("project.py", "_resolve_version", "except ValueError:"): "a `git ls-remote` output line without a tab",
     ("project.py", "_resolve_version", "continue"): "a `git ls-remote` output line without a tab",
     ("project.py", "_ensure_cached", "shutil.rmtree(tmp)"): "a temp directory left by an earlier process of the same pid",

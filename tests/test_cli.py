@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import svread
 import vl
-from vl import driver, fmtcache, parser
+from vl import cache, driver, parser
 from vl.cli import main
 from vl.diagnostics import read_sources
 from vl.parser import MAX_NESTING
@@ -199,9 +199,9 @@ def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsy
     rc, files, out = run("--check")
     assert (rc, files) == (1, ["src/broken.vl"]) and out.endswith(f"{src / 'drift.vl'}\n")
     # Another vl (here a changed fingerprint) trusts no entry of this one.
-    real_marks = fmtcache.marks_dir
+    real_dir = cache.entry_dir
     with monkeypatch.context() as mp:
-        mp.setattr(fmtcache, "marks_dir", lambda: real_marks().with_name("0" * 64))
+        mp.setattr(cache, "entry_dir", lambda kind: real_dir(kind).with_name("0" * 64))
         assert run("--check")[:2] == (1, every)
     # A marked file edited into drift is parsed and reported again.
     (src / "canonical.vl").write_text("  " + FIG1)
@@ -217,7 +217,7 @@ def test_fmt_parses_only_texts_not_marked_canonical(tmp_path, monkeypatch, capsy
     assert run("--check")[:2] == (0, ["src/drift.vl"])
     marked = {sha256((src / name).read_text()) for name in ("canonical.vl", "drift.vl")}
     drifted = {sha256(text) + ".drift" for text in ("  " + FIG1, "module   D(){}")}
-    assert {p.name for p in real_marks().iterdir()} == marked | drifted
+    assert {p.name for p in cache.entry_dir("fmt").iterdir()} == marked | drifted
     assert run("--check")[:2] == (0, [])
 
 
@@ -264,28 +264,28 @@ def test_no_marker_directory_without_a_home_or_readable_sources(monkeypatch):
 
     monkeypatch.delenv("VL_CACHE_DIR")
     monkeypatch.setattr(Path, "home", no_home)
-    assert fmtcache.marks_dir() is None
+    assert cache.entry_dir("fmt") is None
     monkeypatch.setenv("VL_CACHE_DIR", "cache")
     monkeypatch.setattr(os, "listdir", unreadable)
-    assert fmtcache.marks_dir() is None
+    assert cache.entry_dir("fmt") is None
 
 
 def test_first_marker_of_a_fingerprint_prunes_stale_fingerprints(tmp_path, monkeypatch, capsys):
     root = make_project(tmp_path, FIG1, "counter", "counter")
     runs = []
-    for cache in ("clean", "used"):
-        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache))
-        if cache == "used":
-            days = fmtcache.STALE_DAYS
+    for cache_dir in ("clean", "used"):
+        monkeypatch.setenv("VL_CACHE_DIR", str(tmp_path / cache_dir))
+        if cache_dir == "used":
+            days = cache.STALE_DAYS
             for name, age in (("stale1", days + 1), ("stale2", 10 * days), ("fresh", days - 1)):
-                (tmp_path / cache / "fmt" / name).mkdir(parents=True)
-                (tmp_path / cache / "fmt" / name / "marker").touch()
+                (tmp_path / cache_dir / "fmt" / name).mkdir(parents=True)
+                (tmp_path / cache_dir / "fmt" / name / "marker").touch()
                 then = time.time() - age * 24 * 60 * 60
-                os.utime(tmp_path / cache / "fmt" / name, (then, then))
+                os.utime(tmp_path / cache_dir / "fmt" / name, (then, then))
         runs.append((main(["fmt", "--check", "--manifest", str(root / "vl.toml")]), *capsys.readouterr()))
     assert runs == [(0, "", "")] * 2
     left = {p.name: [m.name for m in p.iterdir()] for p in (tmp_path / "used" / "fmt").iterdir()}
-    assert left == {"fresh": ["marker"], fmtcache.marks_dir().name: [sha256(FIG1)]}
+    assert left == {"fresh": ["marker"], cache.entry_dir("fmt").name: [sha256(FIG1)]}
 
 
 def test_exit_code_contract_on_diag_corpus(tmp_path, capsys):
@@ -520,6 +520,12 @@ def test_update_and_new_load_no_compiler_module(tmp_path, command, dependency):
     if command[0] == "update":
         assert "vl.project" in modules
         assert len((tmp_path / "counter" / "vl.lock").read_text().splitlines()) == int(dependency)
+
+
+# `json` loads only for `--format json` and for `build`'s name map: a cold
+# `check` in human mode loads none.
+def test_cold_human_check_loads_no_json(tmp_path):
+    assert "json" not in modules_after(tmp_path, ["check", "--manifest", "counter/vl.toml"])
 
 
 # Records replace `dataclasses` (and the `inspect` it loads) in every command;
