@@ -8,13 +8,14 @@ Each command imports only the modules it runs: `update` needs only the
 package layer (`project`) and never loads the compiler; `fmt` needs the lexer,
 parser and formatter, and never loads the driver and the layers under it.
 
-Both keep what they found under the cache root (see `cache`).  `fmt` skips
-the texts it has already found canonical, and `fmt --check` also those it
-has already found to drift: when every file has an entry, it loads neither
-the lexer, the parser nor the formatter.  `check` replays its last result
-on a project when none of its inputs changed: then it loads only the package
-layer, diagnostics and `cache`, and none of the driver, the compiler under
-it or `json`.
+All but `update` and `new` keep what they found under the cache root (see
+`cache`).  `fmt` skips the texts it has already found canonical, and
+`fmt --check` also those it has already found to drift: when every file has
+an entry, it loads neither the lexer, the parser nor the formatter.
+`check`, `build` and `doc` replay their last result on a project when none
+of its inputs changed: the output files, stdout, stderr and exit code.  Then
+they load only the package layer, diagnostics and `cache`, and none of the
+driver, the compiler under it or `json`.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run all semantic checks")
     common(check)
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func=cmd_compile, out=None)
 
     build = sub.add_parser("build", help="check and transpile to SystemVerilog")
     common(build, out=True)
-    build.set_defaults(func=cmd_build)
+    build.set_defaults(func=cmd_compile)
 
     fmt = sub.add_parser("fmt", help="rewrite sources to canonical form")
     common(fmt)
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     doc = sub.add_parser("doc", help="generate module documentation")
     common(doc, out=True)
-    doc.set_defaults(func=cmd_doc)
+    doc.set_defaults(func=cmd_compile)
 
     update = sub.add_parser("update", help="resolve dependencies and write vl.lock")
     common(update)
@@ -108,22 +109,10 @@ def _with_files(sources: dict[str, str], d: Diagnostic) -> dict[str, str]:
     return sources
 
 
-def _pipeline(args):
-    from .driver import check_program
-    from .project import load_program
-
-    loaded = load_program(args.manifest, offline=args.offline)
-    return loaded, check_program(loaded)
-
-
-def _out_root(args, loaded) -> Path:
-    if args.out is not None:
-        return args.out
-    manifest = loaded.manifest
-    return manifest.root_dir / manifest.target_dir
-
-
-def cmd_check(args) -> int:
+def cmd_compile(args) -> int:
+    """`check`, `build` and `doc`.  A run replays its command's last result
+    on the project when no input changed (see `cache`): it writes the stored
+    outputs under this run's out root, then the stored stdout and stderr."""
     from . import cache
     from .project import load_program
 
@@ -131,56 +120,52 @@ def cmd_check(args) -> int:
     sources = [list(read_sources(pu.root, pu.is_root)) for pu in loaded.plan]
     # Only a run without a load or decoding diagnostic has an entry.
     cacheable = not loaded.diagnostics and not any(ddiags for unit in sources for *_, ddiags in unit)
-    entry = cacheable and cache.check_entry(loaded.manifest.root_dir, args.format)
+    entry = cacheable and cache.run_entry(args.command, loaded.manifest.root_dir, args.format)
     key = entry and _check_key(loaded, sources)
     hit = key and cache.replay(entry, key)
-    if hit:
-        out, err, rc = hit
+    out_root = args.out or loaded.manifest and loaded.manifest.root_dir / loaded.manifest.target_dir
+    # A replay that cannot write its outputs runs cold, which reports the EIO01 with the rest.
+    if hit and not write_outputs((out_root / name, text) for name, text in hit[3])[1]:
+        out, err, rc, _ = hit
     else:
+        from . import diagnostics
         from .driver import check_program
 
         result = check_program(loaded, sources)
+        diags = result.diagnostics
+        diagnostics.recorded = written = []
+        try:
+            if args.command == "build" and result.ok:  # a manifest that did not load is an error
+                from .driver import emit_program
+
+                diags = diags + emit_program(result, out_root)[1]
+            elif args.command == "doc" and loaded.manifest is not None:
+                from .driver import doc_program
+
+                # Docs need only parse+resolution; they are written even when the
+                # analyzer reports errors (the exit code still reflects them).
+                diags = diags + doc_program(result, out_root)[2]
+        finally:
+            diagnostics.recorded = None
         texts = result.source_texts
         # An excerpt of a file the key does not cover comes from disk: no entry.
-        covered = all(s.file_id in texts for d in result.diagnostics for s in [d.span, *(r.span for r in d.related)])
-        out, err, rc = render(result.diagnostics, texts, args.format)
+        covered = all(s.file_id in texts for d in diags for s in [d.span, *(r.span for r in d.related)])
+        out, err, rc = render(diags, texts, args.format)
         if key and covered:
-            cache.store(entry, key, out, err, rc)
+            cache.store(entry, key, out, err, rc, [(str(path.relative_to(out_root)), text) for path, text in written])
     sys.stdout.write(out)
     sys.stderr.write(err)
     return rc
 
 
 def _check_key(loaded, sources) -> str:
-    """The sha256 of what a check without load or decoding diagnostics
-    reads, beyond vl itself and the format that name the entry: the compile
-    plan, each unit with its manifest as parsed and its root (a dependency's
-    names its revision), and each source's file id and text."""
+    """The sha256 of what a check, build or doc without load or decoding
+    diagnostics reads, beyond vl itself, the command and the format that name
+    the entry: the compile plan, each unit with its manifest as parsed
+    (clock and reset type, target directory, WaveDrom URL) and its root (a
+    dependency's names its revision), and each source's file id and text."""
     texts = [[(file_id, sha256(text.encode("utf-8"))) for _, file_id, _, text, _ in unit] for unit in sources]
     return sha256(repr((loaded.plan, texts)).encode("utf-8"))
-
-
-def cmd_build(args) -> int:
-    from .driver import emit_program
-
-    loaded, result = _pipeline(args)
-    diags = result.diagnostics
-    if result.ok:  # a manifest that did not load is an error
-        diags = diags + emit_program(result, _out_root(args, loaded))[1]
-    return report(diags, result.source_texts, args.format)
-
-
-def cmd_doc(args) -> int:
-    from .driver import doc_program
-
-    loaded, result = _pipeline(args)
-    diags = list(result.diagnostics)
-    if loaded.manifest is not None:
-        # Docs need only parse+resolution; they are written even when the
-        # analyzer reports errors (the exit code still reflects them).
-        _, _, ddiags = doc_program(result, _out_root(args, loaded))
-        diags += ddiags
-    return report(diags, result.source_texts, args.format)
 
 
 def cmd_update(args) -> int:

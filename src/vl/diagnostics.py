@@ -80,6 +80,11 @@ def sha256(data: bytes) -> str:
     return _new(data).hexdigest()
 
 
+# While a list, `write_outputs` appends each (path, text) it writes to it:
+# what a cold `vl build` or `vl doc` stores (see `cli.cmd_compile`).
+recorded: list[tuple[Path, str]] | None = None
+
+
 def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list[Diagnostic]]:
     """The one writer of every output file: write each (path, text) as UTF-8,
     making its directory first.  Stops at the first failure, which is one
@@ -92,6 +97,8 @@ def write_outputs(outputs: Iterable[tuple[Path, str]]) -> tuple[list[Path], list
         except OSError as err:
             return written, [Diagnostic("EIO01", f"cannot write {path}: {err}", Span(str(path), 0, 0, 1, 1))]
         written.append(path)
+        if recorded is not None:
+            recorded.append((path, text))
     return written, []
 
 
